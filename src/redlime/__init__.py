@@ -5,18 +5,16 @@ from .errors import (DomainError, ParseError, RedlimeError, ResourceError,
                      UsageError)
 from .fields import RATIONALS, FieldSpec, Scalar, gf, parse_scalar
 from .subspace import (LimeBasis, Subspace, Vector, append_lime,
-                       contains_vector, coordinates, dimension,
-                       element_from_red_entries, is_coordinate_system,
-                       lime_basis, originating_index, span_red_basis,
-                       subspace_eq, subspace_leq, terminating_index)
+                       contains_vector, coordinates, element_from_red_entries,
+                       is_coordinate_system, lime_basis, originating_index,
+                       span_red_basis, subspace_leq, terminating_index)
 from .duality import (complement, dot, lime_of_complement_from_red,
                       red_of_complement_from_lime)
 from .matrix import (FullRankFactors, Matrix, apply_column_centric,
                      apply_row_centric, column_space, dependent_columns,
                      extend_rows_to_invertible, full_rank_factorization,
                      nullity, nullspace, pivot_columns, rank, rcef,
-                     rcef_factorization, row_space, rref, rref_factorization,
-                     transpose)
+                     rcef_factorization, row_space, rref, rref_factorization)
 from .signatures import (Mark, Permutation, Signature, is_feasible,
                          permute_presenting_positions, signature,
                          signature_from_indices, sub_terminal_index,

@@ -216,8 +216,9 @@ def _cmd_verify(args) -> int:
         print(f"{name}: {'ok' if ok else 'FAIL'}{note}")
 
     check("rref matches classical reduction", rref(a) == textbook_rref(a))
-    check("rank equals rank of transpose", rank(a) == rank(a.transpose()))
-    check("rank plus nullity covers the columns", rank(a) + nullity(a) == a.ncols)
+    r = rank(a)
+    check("rank equals rank of transpose", r == rank(a.transpose()))
+    check("rank plus nullity covers the columns", r + nullity(a) == a.ncols)
 
     agree = True
     for _ in range(5):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import UsageError
 from .fields import Scalar
-from .subspace import LimeBasis, Subspace, Vector, lime_basis
+from .subspace import LimeBasis, Subspace, Vector, _mirrored_red
 
 
 def dot(x: Vector, y: Vector) -> Scalar:
@@ -28,6 +28,25 @@ def dot(x: Vector, y: Vector) -> Scalar:
     return acc
 
 
+def _read_off(field, n: int, basis: dict) -> list:
+    """lime_of_complement_from_red on a red-basis dict with 0-based keys:
+    one pair (position, entries) per non-key position, ascending."""
+    zero = field.zero
+    out = []
+    for o in range(n):
+        if o in basis:
+            continue
+        z = [zero] * n
+        z[o] = field.one
+        for i, row in basis.items():
+            if i > o:
+                a = row[o]
+                if a:
+                    z[i] = -a
+        out.append((o, z))
+    return out
+
+
 def lime_of_complement_from_red(w: Subspace) -> LimeBasis:
     """Read the lime basis of the complement off w's red basis.
 
@@ -37,47 +56,19 @@ def lime_of_complement_from_red(w: Subspace) -> LimeBasis:
     elsewhere.
     """
     field, n = w.field, w.ambient
-    red = set(w.red_indices)
-    zero = field.zero
-    out_indices = []
-    out_vectors = []
-    for o in range(1, n + 1):
-        if o in red:
-            continue
-        z = [zero] * n
-        z[o - 1] = field.one
-        for i, bv in zip(w.red_indices, w.red_basis):
-            if i > o:
-                a = bv.entries[o - 1]
-                if a:
-                    z[i - 1] = -a
-        out_indices.append(o)
-        out_vectors.append(Vector(field, z))
-    return LimeBasis(field, n, tuple(out_indices), tuple(out_vectors))
+    out = _read_off(field, n, {i - 1: v.entries for i, v in zip(w.red_indices, w.red_basis)})
+    return LimeBasis(field, n, tuple(o + 1 for o, _ in out),
+                     tuple(Vector(field, z) for _, z in out))
 
 
 def red_of_complement_from_lime(w: Subspace) -> Subspace:
     """Read the red basis of the complement off w's lime basis (the mirror
-    construction, anchored at the non-lime positions)."""
+    construction: reversal keeps the dot product, so this is the lime
+    read-off of the reversed span, reversed back)."""
     field, n = w.field, w.ambient
-    lb = lime_basis(w)
-    lime = set(lb.lime_indices)
-    zero = field.zero
-    out_indices = []
-    out_vectors = []
-    for o in range(1, n + 1):
-        if o in lime:
-            continue
-        z = [zero] * n
-        z[o - 1] = field.one
-        for i, bv in zip(lb.lime_indices, lb.vectors):
-            if i < o:
-                a = bv.entries[o - 1]
-                if a:
-                    z[i - 1] = -a
-        out_indices.append(o)
-        out_vectors.append(Vector(field, z))
-    return Subspace(field, n, tuple(out_indices), tuple(out_vectors))
+    out = _read_off(field, n, _mirrored_red(w))[::-1]
+    return Subspace(field, n, tuple(n - o for o, _ in out),
+                    tuple(Vector(field, z[::-1]) for _, z in out))
 
 
 def complement(w: Subspace) -> Subspace:

@@ -17,19 +17,33 @@ _INT_RE = re.compile(r"-?[0-9]+\Z")
 _FRACTION_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)\Z")
 
 
+# Miller-Rabin with the first 13 primes as witnesses is exact below this
+# bound (Sorenson and Webster, 2015); larger moduli are refused.
+MODULUS_LIMIT = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
-    # trial division; moduli here are desk-scale
+    """Deterministic Miller-Rabin primality test, exact for p < MODULUS_LIMIT."""
     if p < 2:
         return False
-    if p in (2, 3):
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -40,7 +54,13 @@ class FieldSpec:
     modulus: int | None = None
 
     def __post_init__(self):
-        if self.modulus is not None and not _is_prime(self.modulus):
+        if self.modulus is None:
+            return
+        if not isinstance(self.modulus, int):
+            raise UsageError(f"modulus must be an int, not {type(self.modulus).__name__}")
+        if self.modulus >= MODULUS_LIMIT:
+            raise DomainError(f"modulus {self.modulus} is not below the limit {MODULUS_LIMIT}")
+        if not _is_prime(self.modulus):
             raise DomainError(f"modulus {self.modulus} is not prime")
 
     @property
@@ -182,11 +202,13 @@ class Scalar:
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     """Parse one scalar token: ``-?[0-9]+`` anywhere, ``a/b`` over Q only."""
-    if _INT_RE.match(text):
-        return field.scalar(int(text))
     m = _FRACTION_RE.match(text)
-    if m:
-        if field.is_prime_field:
-            raise ParseError(f"fraction {text!r} is not a valid {field} scalar")
-        return field.scalar(Fraction(int(m.group(1)), int(m.group(2))))
-    raise ParseError(f"malformed scalar token {text!r}")
+    if not (m or _INT_RE.match(text)):
+        raise ParseError(f"malformed scalar token {text!r}")
+    if m and field.is_prime_field:
+        raise ParseError(f"fraction {text!r} is not a valid {field} scalar")
+    try:
+        value = Fraction(int(m.group(1)), int(m.group(2))) if m else int(text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"scalar token of {len(text)} characters has too many digits") from None
+    return field.scalar(value)

@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 from .duality import complement, dot
 from .errors import DomainError, UsageError
 from .fields import FieldSpec, Scalar
-from .subspace import Subspace, Vector, lime_basis, span_red_basis
+from .subspace import (LimeBasis, Subspace, Vector, _lime_indices, lime_basis,
+                       span_red_basis)
 
 
 class Matrix:
@@ -159,10 +160,6 @@ def apply_column_centric(a: Matrix, x: Vector) -> Vector:
     return Vector(a.field, acc)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return a.transpose()
-
-
 def row_space(a: Matrix) -> Subspace:
     """Span of the rows, inside F^m."""
     return span_red_basis(a.row_vectors(), a.ncols, a.field)
@@ -192,7 +189,7 @@ def nullity(a: Matrix) -> int:
 def pivot_columns(a: Matrix) -> tuple:
     """Lime indices of the row space; the columns they select form a basis
     of the column space."""
-    return lime_basis(row_space(a)).lime_indices
+    return _lime_indices(row_space(a))
 
 
 def dependent_columns(a: Matrix) -> frozenset:
@@ -205,7 +202,11 @@ def rref(a: Matrix) -> Matrix:
     """Reduced row echelon form: the lime basis of the row space as rows, in
     index order, padded below with zero rows. A pure function of the row
     space, hence unique."""
-    lb = lime_basis(row_space(a))
+    return _padded(a, lime_basis(row_space(a)))
+
+
+def _padded(a: Matrix, lb: LimeBasis) -> Matrix:
+    """The rows of lb, then zero rows up to a's row count."""
     rows = [v.entries for v in lb.vectors]
     zero_row = (a.field.zero,) * a.ncols
     rows.extend(zero_row for _ in range(a.nrows - len(rows)))
@@ -245,7 +246,7 @@ def full_rank_factorization(a: Matrix) -> FullRankFactors:
 
 def _completion_rows(a_field, span: Subspace) -> list:
     """Standard basis vectors at the non-lime indices of a span, ascending."""
-    lime = set(lime_basis(span).lime_indices)
+    lime = set(_lime_indices(span))
     n = span.ambient
     return [Vector.standard_basis(a_field, n, j)
             for j in range(1, n + 1) if j not in lime]
@@ -282,13 +283,14 @@ def rref_factorization(a: Matrix, complete: bool = False) -> tuple:
     rs = row_space(a)
     if rs.dimension == 0:
         raise DomainError("the zero matrix has no echelon factorization")
-    t_cols = [a.column(j) for j in lime_basis(rs).lime_indices]
+    lb = lime_basis(rs)
+    t_cols = [a.column(j) for j in lb.lime_indices]
     if complete:
         t_cols.extend(_completion_rows(a.field, column_space(a)))
     else:
         t_cols.extend(Vector.zero(a.field, a.nrows)
                       for _ in range(a.nrows - rs.dimension))
-    return Matrix.from_columns(t_cols), rref(a)
+    return Matrix.from_columns(t_cols), _padded(a, lb)
 
 
 def extend_rows_to_invertible(rows: Sequence[Vector]) -> Matrix:

@@ -27,6 +27,8 @@ def parse_field_tokens(tokens) -> FieldSpec:
             raise ParseError(f"bad modulus {tokens[1]!r}")
         try:
             return gf(int(tokens[1]))
+        except ValueError:  # a non-ASCII digit, or more digits than int() converts
+            raise ParseError(f"bad modulus {tokens[1]!r:.40}") from None
         except DomainError as exc:
             raise ParseError(str(exc)) from None
     raise ParseError(f"unknown field {' '.join(tokens)!r} (use 'q' or 'gf <p>')")
@@ -66,6 +68,8 @@ def load_matrix(path) -> Matrix:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
     return parse_matrix_text(text)
 
 

@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .errors import DomainError, ParseError, UsageError
 from .fields import FieldSpec
-from .subspace import (Subspace, Vector, lime_basis, span_red_basis,
-                       _last_nonzero)
+from .subspace import (Subspace, Vector, span_red_basis, _last_nonzero,
+                       _lime_indices)
 
 
 class Mark(enum.Enum):
@@ -80,7 +80,7 @@ def signature_from_indices(red, lime, n: int) -> Signature:
 def signature(w: Subspace) -> Signature:
     """The subspace's mark string; b- and r-counts sum to the dimension, as
     do b- and l-counts."""
-    return signature_from_indices(w.red_indices, lime_basis(w).lime_indices, w.ambient)
+    return signature_from_indices(w.red_indices, _lime_indices(w), w.ambient)
 
 
 def sub_terminal_index(v: Vector) -> int:

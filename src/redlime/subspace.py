@@ -117,8 +117,8 @@ def terminating_index(v: Vector) -> Optional[int]:
 
 def originating_index(v: Vector) -> Optional[int]:
     """Position of the first nonzero entry; None for the zero vector."""
-    p = _first_nonzero(v.entries)
-    return None if p is None else p + 1
+    p = _last_nonzero(v.entries[::-1])
+    return None if p is None else len(v.entries) - p
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +127,6 @@ def originating_index(v: Vector) -> Optional[int]:
 def _last_nonzero(row, below: Optional[int] = None) -> Optional[int]:
     start = (len(row) if below is None else below) - 1
     for p in range(start, -1, -1):
-        if row[p]:
-            return p
-    return None
-
-
-def _first_nonzero(row, start: int = 0) -> Optional[int]:
-    for p in range(start, len(row)):
         if row[p]:
             return p
     return None
@@ -177,42 +170,6 @@ def _insert_red(basis: dict, row: list) -> Optional[int]:
                     piv[p] = piv[p] - c * row[p]
     basis[t] = row
     return t
-
-
-def _insert_lime(basis: dict, row: list) -> Optional[int]:
-    """Mirror of _insert_red on the originating side (keys: 0-based origins)."""
-    n = len(row)
-    o = _first_nonzero(row)
-    while o is not None and o in basis:
-        piv = basis[o]
-        c = row[o]
-        for p in range(o, n):  # piv vanishes before o
-            if piv[p]:
-                row[p] = row[p] - c * piv[p]
-        o = _first_nonzero(row, start=o)
-    if o is None:
-        return None
-    c = row[o]
-    if not c.is_one():
-        inv = c.inverse()
-        for p in range(o, n):
-            if row[p]:
-                row[p] = row[p] * inv
-    for i in basis:  # clear surviving lime entries past o
-        if i > o and row[i]:
-            piv = basis[i]
-            c = row[i]
-            for p in range(i, n):
-                if piv[p]:
-                    row[p] = row[p] - c * piv[p]
-    for i, piv in basis.items():  # clear the new lime position from older rows
-        if i < o and piv[o]:
-            c = piv[o]
-            for p in range(o, n):
-                if row[p]:
-                    piv[p] = piv[p] - c * row[p]
-    basis[o] = row
-    return o
 
 
 def _validate_canonical(field, ambient, indices, vectors, side: str):
@@ -268,6 +225,8 @@ class Subspace:
 
     @property
     def dimension(self) -> int:
+        """Number of red indices; equals the number of lime indices and the
+        common length of all coordinate systems."""
         return len(self.red_indices)
 
     def is_zero(self) -> bool:
@@ -339,10 +298,25 @@ def _subspace_from_dict(field, ambient, basis: dict) -> Subspace:
                     tuple(Vector(field, basis[i]) for i in idx))
 
 
-def _lime_from_dict(field, ambient, basis: dict) -> LimeBasis:
-    idx = sorted(basis)
-    return LimeBasis(field, ambient, tuple(i + 1 for i in idx),
-                     tuple(Vector(field, basis[i]) for i in idx))
+def _mirrored_red(w: Subspace) -> dict:
+    """Red-basis dict of w with every position reversed. Reversal swaps
+    terminating and originating, so key k holds the lime-basic element for
+    lime index ``w.ambient - k``, read backwards."""
+    basis: dict = {}
+    for v in w.red_basis:
+        _insert_red(basis, list(reversed(v.entries)))
+    return basis
+
+
+def _lime_indices(w: Subspace) -> tuple:
+    """The lime indices of w, ascending, without building its lime basis."""
+    return tuple(sorted(w.ambient - k for k in _mirrored_red(w)))
+
+
+def _lime_from_mirrored(field, ambient, mirrored: dict) -> LimeBasis:
+    keys = sorted(mirrored, reverse=True)
+    return LimeBasis(field, ambient, tuple(ambient - k for k in keys),
+                     tuple(Vector(field, mirrored[k][::-1]) for k in keys))
 
 
 def _common_field_ambient(generators, ambient, field):
@@ -382,14 +356,12 @@ def span_red_basis(generators: Sequence[Vector], ambient: Optional[int] = None,
 
 
 def lime_basis(w: Subspace) -> LimeBasis:
-    """Canonical lime basis of the same span, derived from the red basis.
+    """Canonical lime basis of the same span: the red basis of the reversed
+    span, read backwards.
 
     The span always has as many lime indices as red ones.
     """
-    basis: dict = {}
-    for v in w.red_basis:
-        _insert_lime(basis, list(v.entries))
-    return _lime_from_dict(w.field, w.ambient, basis)
+    return _lime_from_mirrored(w.field, w.ambient, _mirrored_red(w))
 
 
 def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
@@ -405,10 +377,11 @@ def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
         raise UsageError(f"mixed fields: {basis.field} vs {y.field}")
     if len(y.entries) != basis.ambient:
         raise UsageError("vector length does not match the basis ambient")
-    work = {i - 1: list(v.entries) for i, v in zip(basis.lime_indices, basis.vectors)}
-    if _insert_lime(work, list(y.entries)) is None:
+    n = basis.ambient
+    work = {n - i: list(reversed(v.entries)) for i, v in zip(basis.lime_indices, basis.vectors)}
+    if _insert_red(work, list(reversed(y.entries))) is None:
         return basis
-    return _lime_from_dict(basis.field, basis.ambient, work)
+    return _lime_from_mirrored(basis.field, n, work)
 
 
 def _check_member_args(w: Subspace, x: Vector):
@@ -455,12 +428,6 @@ def element_from_red_entries(w: Subspace, coefficients) -> Vector:
     return Vector(w.field, acc)
 
 
-def dimension(w: Subspace) -> int:
-    """Number of red indices; equals the number of lime indices and the
-    common length of all coordinate systems."""
-    return w.dimension
-
-
 def _check_comparable(w: Subspace, v: Subspace):
     if not isinstance(v, Subspace):
         raise UsageError(f"expected a Subspace, got {type(v).__name__}")
@@ -474,12 +441,6 @@ def subspace_leq(w: Subspace, v: Subspace) -> bool:
     """True iff w is contained in v."""
     _check_comparable(w, v)
     return all(contains_vector(v, b) for b in w.red_basis)
-
-
-def subspace_eq(w: Subspace, v: Subspace) -> bool:
-    """True iff w and v are the same set of vectors (identical red bases)."""
-    _check_comparable(w, v)
-    return w == v
 
 
 def is_coordinate_system(vectors: Sequence[Vector], w: Subspace) -> bool:

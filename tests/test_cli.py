@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import redlime as rl
@@ -198,6 +199,29 @@ def test_parse_errors_exit_2(capsys):
         code, _, err = cli(capsys, "rank", DATA / name)
         assert code == 2, name
         assert "parse error" in err
+
+
+def test_unreadable_inputs_exit_2_promptly(tmp_path, capsys):
+    cases = {
+        "long_integer.txt": ("field q\n" + "7" * 5000 + " 1\n").encode(),
+        "long_fraction.txt": ("field q\n1/" + "7" * 5000 + "\n").encode(),
+        "long_modulus.txt": ("field gf " + "7" * 5000 + "\n1\n").encode(),
+        "huge_prime.txt": f"field gf {2**127 - 1}\n1 0\n".encode(),
+        "not_utf8.txt": b"field gf 2\n1 \xff\n",
+    }
+    for name, data in cases.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        start = time.monotonic()
+        code, _, err = cli(capsys, "rank", path)
+        assert code == 2, name
+        assert "parse error" in err
+        assert time.monotonic() - start < 5, name
+
+
+def test_huge_field_flag_is_usage_error(capsys):
+    code, _, err = cli(capsys, "synthesize", "lr", "--field", "gf", str(2**127 - 1))
+    assert code == 1 and "usage error" in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 import redlime as rl
 from redlime.errors import DomainError, ParseError, UsageError
+from redlime.fields import MODULUS_LIMIT, _is_prime
 
 from conftest import ALL_FIELDS, GF2, GF3, GF5, Q, fields_st, scalars
 
@@ -31,15 +34,39 @@ def test_parse_rejects_fractions_over_prime_fields():
         rl.parse_scalar("1/2", GF5)
 
 
-@pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 15, 91])
+# 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+# bases 2, 3, 5 and 7.
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 15, 91, 561, 3215031751])
 def test_non_prime_moduli_rejected(p):
     with pytest.raises(DomainError):
         rl.gf(p)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 97])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 97, 2**61 - 1])
 def test_prime_moduli_accepted(p):
-    assert rl.gf(p).modulus == p
+    field = rl.gf(p)
+    assert field.modulus == p
+    assert field.scalar(-1).inverse() == field.scalar(-1) == field.scalar(p - 1)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert all(_is_prime(p) == by_trial_division(p) for p in range(10**4))
+
+
+@pytest.mark.parametrize("p", [MODULUS_LIMIT, 2**127 - 1])
+def test_moduli_past_the_limit_rejected_promptly(p):
+    # MODULUS_LIMIT itself is a strong pseudoprime to every witness
+    start = time.monotonic()
+    with pytest.raises(DomainError, match=str(MODULUS_LIMIT)):
+        rl.gf(p)
+    assert time.monotonic() - start < 1
+
+
+def test_non_int_modulus_is_usage_error():
+    with pytest.raises(UsageError):
+        rl.gf(2.5)
 
 
 def test_modular_arithmetic():

@@ -36,10 +36,10 @@ def test_row_and_column_centric_agree(a, data):
 
 
 def test_transpose():
-    assert rl.transpose(mat(Q, [[1, 2], [3, 4]])) == mat(Q, [[1, 3], [2, 4]])
+    assert mat(Q, [[1, 2], [3, 4]]).transpose() == mat(Q, [[1, 3], [2, 4]])
     row = mat(Q, [[1, 2, 3]])
-    assert rl.transpose(row) == mat(Q, [[1], [2], [3]])
-    assert rl.transpose(rl.transpose(B_GF2)) == B_GF2
+    assert row.transpose() == mat(Q, [[1], [2], [3]])
+    assert B_GF2.transpose().transpose() == B_GF2
 
 
 def test_spaces_and_nullspace_examples():
@@ -101,7 +101,7 @@ def test_rref_properties(a):
     r = rl.rref(a)
     assert rl.rref(r) == r
     assert rl.row_space(r) == rl.row_space(a)
-    assert rl.rcef(a) == rl.transpose(rl.rref(rl.transpose(a)))
+    assert rl.rcef(a) == rl.rref(a.transpose()).transpose()
     assert r == rl.textbook_rref(a)
 
 
@@ -203,7 +203,7 @@ def test_extend_rows_to_invertible():
 
 @given(matrices())
 def test_rank_theory(a):
-    assert rl.rank(a) == rl.rank(rl.transpose(a))
+    assert rl.rank(a) == rl.rank(a.transpose())
     assert rl.rank(a) + rl.nullity(a) == a.ncols
     assert rl.rank(a) == rl.column_space(a).dimension
 

@@ -94,11 +94,12 @@ def test_enumerate_subspaces_counts_and_distinctness():
 
 
 def test_enumerate_subspaces_matches_brute_indices():
-    for w in all_subspaces(3, 2):
-        red, lime, sig = rl.brute_indices(w.red_basis, 3, GF2)
-        assert red == frozenset(w.red_indices)
-        assert lime == frozenset(rl.lime_basis(w).lime_indices)
-        assert sig == rl.signature(w)
+    for n, p in [(3, 2), (5, 2), (4, 3)]:
+        for w in all_subspaces(n, p):
+            red, lime, sig = rl.brute_indices(w.red_basis, n, rl.gf(p))
+            assert red == frozenset(w.red_indices)
+            assert lime == frozenset(rl.lime_basis(w).lime_indices)
+            assert sig == rl.signature(w)
 
 
 def test_enumerate_subspaces_budget():
