@@ -3,7 +3,8 @@
 Subspace commands read the file's rows as generators; matrix commands read
 them as the matrix itself. Exit codes: 0 success, 1 usage error, 2 parse
 error, 3 domain error (infeasible signature, zero-matrix factorization,
-non-member vector, failed verification).
+non-member vector, failed verification) or resource error (enumeration
+budget exceeded, a value with more digits than the interpreter renders).
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Each command renders its whole output before printing any of it, so a
+# value too large to render leaves no partial output behind.
+
 def _print_basis(field, label, indices, vectors):
-    print(field_header(field))
-    print(f"# {label}: {' '.join(str(i) for i in indices)}".rstrip())
-    for v in vectors:
-        print(" ".join(str(e) for e in v.entries))
+    lines = [field_header(field), f"# {label}: {' '.join(str(i) for i in indices)}".rstrip()]
+    lines.extend(" ".join(str(e) for e in v.entries) for v in vectors)
+    print("\n".join(lines))
 
 
 def _print_matrix(a: Matrix):
@@ -96,10 +99,8 @@ def _cmd_member(args) -> int:
     w = row_space(a)
     x = parse_vector_text(args.vector, a.field)
     if contains_vector(w, x):
-        print("yes")
         coords = coordinates(w, x)
-        if coords:
-            print(" ".join(str(c) for c in coords))
+        print(("yes\n" + " ".join(str(c) for c in coords)) if coords else "yes")
         return 0
     print("no")
     return 3
@@ -136,10 +137,7 @@ def _cmd_factor(args) -> int:
         parts = list(rref_factorization(a, complete=args.complete))
     else:
         parts = list(rcef_factorization(a, complete=args.complete))
-    for i, part in enumerate(parts):
-        if i:
-            print()
-        _print_matrix(part)
+    print("\n".join(render_matrix(part) for part in parts), end="")
     return 0
 
 

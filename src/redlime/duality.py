@@ -10,39 +10,30 @@ positions.
 
 from __future__ import annotations
 
-from .errors import UsageError
 from .fields import Scalar
-from .subspace import LimeBasis, Subspace, Vector, _mirrored_red
+from .subspace import (LimeBasis, Subspace, Vector, _check_vector, _mirrored_red,
+                       _unchecked, _vector)
 
 
 def dot(x: Vector, y: Vector) -> Scalar:
     """Standard symmetric bilinear form: the sum of entrywise products."""
-    if x.field != y.field:
-        raise UsageError(f"mixed fields: {x.field} vs {y.field}")
-    if len(x.entries) != len(y.entries):
-        raise UsageError("mismatched vector lengths")
-    acc = x.field.zero
-    for a, b in zip(x.entries, y.entries):
-        if a and b:
-            acc = acc + a * b
-    return acc
+    _check_vector(y, x.field, len(x.entries))
+    return x.field.scalar(sum(a.value * b.value for a, b in zip(x.entries, y.entries)))
 
 
-def _read_off(field, n: int, basis: dict) -> list:
-    """lime_of_complement_from_red on a red-basis dict with 0-based keys:
-    one pair (position, entries) per non-key position, ascending."""
-    zero = field.zero
+def _read_off(n: int, basis: dict, p) -> list:
+    """lime_of_complement_from_red on a raw red-basis dict with 0-based keys
+    (p the modulus, None over Q): one pair (position, raw entries) per
+    non-key position, ascending."""
     out = []
     for o in range(n):
         if o in basis:
             continue
-        z = [zero] * n
-        z[o] = field.one
+        z = [0] * n
+        z[o] = 1
         for i, row in basis.items():
-            if i > o:
-                a = row[o]
-                if a:
-                    z[i] = -a
+            if i > o and row[o]:
+                z[i] = -row[o] if p is None else p - row[o]
         out.append((o, z))
     return out
 
@@ -56,9 +47,10 @@ def lime_of_complement_from_red(w: Subspace) -> LimeBasis:
     elsewhere.
     """
     field, n = w.field, w.ambient
-    out = _read_off(field, n, {i - 1: v.entries for i, v in zip(w.red_indices, w.red_basis)})
-    return LimeBasis(field, n, tuple(o + 1 for o, _ in out),
-                     tuple(Vector(field, z) for _, z in out))
+    out = _read_off(n, {i - 1: [e.value for e in v.entries]
+                        for i, v in zip(w.red_indices, w.red_basis)}, field.modulus)
+    return _unchecked(LimeBasis, field, n, tuple(o + 1 for o, _ in out),
+                      tuple(_vector(field, z) for _, z in out))
 
 
 def red_of_complement_from_lime(w: Subspace) -> Subspace:
@@ -66,9 +58,9 @@ def red_of_complement_from_lime(w: Subspace) -> Subspace:
     construction: reversal keeps the dot product, so this is the lime
     read-off of the reversed span, reversed back)."""
     field, n = w.field, w.ambient
-    out = _read_off(field, n, _mirrored_red(w))[::-1]
-    return Subspace(field, n, tuple(n - o for o, _ in out),
-                    tuple(Vector(field, z[::-1]) for _, z in out))
+    out = _read_off(n, _mirrored_red(w), field.modulus)[::-1]
+    return _unchecked(Subspace, field, n, tuple(n - o for o, _ in out),
+                      tuple(_vector(field, z[::-1]) for _, z in out))
 
 
 def complement(w: Subspace) -> Subspace:

@@ -22,4 +22,5 @@ class DomainError(RedlimeError):
 
 
 class ResourceError(RedlimeError):
-    """An enumeration would exceed its configured budget."""
+    """An enumeration would exceed its configured budget, or a result is too
+    large to render as text."""

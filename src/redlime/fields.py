@@ -8,10 +8,12 @@ equality and hashing are plain representational comparisons.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import DomainError, ParseError, UsageError
+from .errors import DomainError, ParseError, ResourceError, UsageError
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _FRACTION_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)\Z")
@@ -84,11 +86,11 @@ class FieldSpec:
             value = value.numerator
         return Scalar(self, value % self.modulus)
 
-    @property
+    @cached_property
     def zero(self) -> "Scalar":
         return self.scalar(0)
 
-    @property
+    @cached_property
     def one(self) -> "Scalar":
         return self.scalar(1)
 
@@ -128,32 +130,27 @@ class Scalar:
         if other.field != self.field:
             raise UsageError(f"mixed fields: {self.field} vs {other.field}")
 
+    def _reduced(self, value) -> "Scalar":
+        p = self.field.modulus
+        return Scalar(self.field, value if p is None else value % p)
+
     def __add__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check_same_field(other)
-        p = self.field.modulus
-        if p is None:
-            return Scalar(self.field, self.value + other.value)
-        return Scalar(self.field, (self.value + other.value) % p)
+        return self._reduced(self.value + other.value)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check_same_field(other)
-        p = self.field.modulus
-        if p is None:
-            return Scalar(self.field, self.value - other.value)
-        return Scalar(self.field, (self.value - other.value) % p)
+        return self._reduced(self.value - other.value)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check_same_field(other)
-        p = self.field.modulus
-        if p is None:
-            return Scalar(self.field, self.value * other.value)
-        return Scalar(self.field, (self.value * other.value) % p)
+        return self._reduced(self.value * other.value)
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
@@ -162,19 +159,13 @@ class Scalar:
         return self * other.inverse()
 
     def __neg__(self):
-        p = self.field.modulus
-        if p is None:
-            return Scalar(self.field, -self.value)
-        return Scalar(self.field, (-self.value) % p)
+        return self._reduced(-self.value)
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse; DomainError on zero."""
         if not self.value:
             raise DomainError("zero has no multiplicative inverse")
-        p = self.field.modulus
-        if p is None:
-            return Scalar(self.field, 1 / self.value)
-        return Scalar(self.field, pow(self.value, -1, p))
+        return Scalar(self.field, _inverse(self.value, self.field.modulus))
 
     def is_zero(self) -> bool:
         return not self.value
@@ -194,10 +185,27 @@ class Scalar:
         return hash((self.field, self.value))
 
     def __str__(self):
-        return str(self.value)
+        try:
+            return str(self.value)
+        except ValueError:  # more digits than int() converts: the limit parse_scalar enforces
+            raise ResourceError(
+                f"a {self.field} value has more than {sys.get_int_max_str_digits()} digits,"
+                " the interpreter's limit for integer text") from None
 
     def __repr__(self):
         return f"Scalar({self.value}, {self.field})"
+
+
+def _inverse(value, p):
+    """Inverse of a nonzero raw value: a Fraction over Q, a residue mod p."""
+    return 1 / value if p is None else pow(value, -1, p)
+
+
+def _scalars(field: FieldSpec, values) -> tuple:
+    """Scalars for already-reduced raw values; zeros and ones share the
+    field's cached ``zero`` and ``one``."""
+    zero, one = field.zero, field.one
+    return tuple(zero if not v else one if v == 1 else Scalar(field, v) for v in values)
 
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:

@@ -15,8 +15,9 @@ from typing import Iterable, Sequence
 
 from .duality import complement, dot
 from .errors import DomainError, UsageError
-from .fields import FieldSpec, Scalar
-from .subspace import (LimeBasis, Subspace, Vector, _lime_indices, lime_basis,
+from .fields import FieldSpec, Scalar, _scalars
+from .subspace import (LimeBasis, Subspace, Vector, _axpy, _check_vector,
+                       _lime_indices, _unchecked, _vector, lime_basis,
                        span_red_basis)
 
 
@@ -75,45 +76,43 @@ class Matrix:
     def row(self, i: int) -> Vector:
         if not 1 <= i <= self.nrows:
             raise UsageError(f"row {i} outside 1..{self.nrows}")
-        return Vector(self.field, self.rows[i - 1])
+        return _unchecked(Vector, self.field, self.rows[i - 1])
 
     def column(self, j: int) -> Vector:
         if not 1 <= j <= self.ncols:
             raise UsageError(f"column {j} outside 1..{self.ncols}")
-        return Vector(self.field, tuple(r[j - 1] for r in self.rows))
+        return _unchecked(Vector, self.field, tuple(r[j - 1] for r in self.rows))
 
     def row_vectors(self) -> tuple:
-        return tuple(Vector(self.field, r) for r in self.rows)
+        return tuple(_unchecked(Vector, self.field, r) for r in self.rows)
 
     def column_vectors(self) -> tuple:
-        return tuple(self.column(j) for j in range(1, self.ncols + 1))
+        return tuple(_unchecked(Vector, self.field, c) for c in zip(*self.rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.rows)))
+        return _unchecked(Matrix, self.field, self.ncols, self.nrows, tuple(zip(*self.rows)))
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
-            return NotImplemented
+            raise UsageError(f"expected a Matrix, got {type(other).__name__}")
         if other.field != self.field:
             raise UsageError(f"mixed fields: {self.field} vs {other.field}")
         if self.ncols != other.nrows:
             raise UsageError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        zero = self.field.zero
+        p, m = self.field.modulus, other.ncols
+        others = [[e.value for e in r] for r in other.rows]
         out = []
         for r in self.rows:
-            row = [zero] * other.ncols
-            for k, c in enumerate(r):
+            acc = [0] * m
+            for c, src in zip(r, others):
                 if c:
-                    other_row = other.rows[k]
-                    for j, e in enumerate(other_row):
-                        if e:
-                            row[j] = row[j] + c * e
-            out.append(row)
-        return Matrix(self.field, out)
+                    _axpy(acc, -c.value, src, m, p)
+            out.append(_scalars(self.field, acc))
+        return _unchecked(Matrix, self.field, self.nrows, m, tuple(out))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -133,11 +132,8 @@ class Matrix:
 def apply_row_centric(a: Matrix, x: Vector) -> Vector:
     """Apply a to x one output entry at a time: the i-th entry is the dot
     product of row i with x."""
-    if x.field != a.field:
-        raise UsageError(f"mixed fields: {a.field} vs {x.field}")
-    if len(x.entries) != a.ncols:
-        raise UsageError("vector length does not match the column count")
-    return Vector(a.field, tuple(dot(Vector(a.field, r), x) for r in a.rows))
+    _check_vector(x, a.field, a.ncols)
+    return _unchecked(Vector, a.field, tuple(dot(r, x) for r in a.row_vectors()))
 
 
 def apply_column_centric(a: Matrix, x: Vector) -> Vector:
@@ -146,18 +142,12 @@ def apply_column_centric(a: Matrix, x: Vector) -> Vector:
     Agrees entrywise with apply_row_centric; both stay available because
     each orientation is the cheaper one for some downstream use.
     """
-    if x.field != a.field:
-        raise UsageError(f"mixed fields: {a.field} vs {x.field}")
-    if len(x.entries) != a.ncols:
-        raise UsageError("vector length does not match the column count")
-    acc = [a.field.zero] * a.nrows
-    for j, c in enumerate(x.entries):
+    _check_vector(x, a.field, a.ncols)
+    acc = [0] * a.nrows
+    for c, col in zip(x.entries, zip(*a.rows)):
         if c:
-            for i in range(a.nrows):
-                e = a.rows[i][j]
-                if e:
-                    acc[i] = acc[i] + c * e
-    return Vector(a.field, acc)
+            _axpy(acc, -c.value, [e.value for e in col], a.nrows, a.field.modulus)
+    return _vector(a.field, acc)
 
 
 def row_space(a: Matrix) -> Subspace:
@@ -207,10 +197,9 @@ def rref(a: Matrix) -> Matrix:
 
 def _padded(a: Matrix, lb: LimeBasis) -> Matrix:
     """The rows of lb, then zero rows up to a's row count."""
-    rows = [v.entries for v in lb.vectors]
     zero_row = (a.field.zero,) * a.ncols
-    rows.extend(zero_row for _ in range(a.nrows - len(rows)))
-    return Matrix(a.field, rows)
+    rows = tuple(v.entries for v in lb.vectors) + (zero_row,) * (a.nrows - lb.dimension)
+    return _unchecked(Matrix, a.field, a.nrows, a.ncols, rows)
 
 
 def rcef(a: Matrix) -> Matrix:
@@ -265,7 +254,7 @@ def rcef_factorization(a: Matrix, complete: bool = False) -> tuple:
     m = a.ncols
     zero_col = (a.field.zero,) * (m - f.rank)
     rcef_of_a = Matrix(a.field, [row + zero_col for row in f.b.rows])
-    s_rows = [Vector(a.field, row) for row in f.g.rows]
+    s_rows = list(f.g.row_vectors())
     if complete:
         s_rows.extend(_completion_rows(a.field, row_space(a)))
     else:

@@ -5,6 +5,8 @@ literal sets of combinations, indices are read off those sets, complements
 are found by filtering on dot products, and row reduction is the classical
 swap/eliminate/back-substitute routine. None of it reuses the canonical
 basis machinery it is meant to check, so the two can referee each other.
+It also stays on Scalar arithmetic while the canonical kernels work on raw
+values, so the tests referee that raw kernel with independent arithmetic.
 Budgets are explicit; these routines are deliberately naive.
 """
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, UsageError
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, _inverse, _scalars
 
 
 class Vector:
@@ -62,31 +62,25 @@ class Vector:
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    def _check_compatible(self, other: "Vector"):
-        if not isinstance(other, Vector):
-            raise UsageError(f"expected a Vector, got {type(other).__name__}")
-        if other.field != self.field:
-            raise UsageError(f"mixed fields: {self.field} vs {other.field}")
-        if len(other.entries) != len(self.entries):
-            raise UsageError("mismatched vector lengths")
-
     def __add__(self, other):
-        self._check_compatible(other)
-        return Vector(self.field, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        _check_vector(other, self.field, len(self.entries))
+        return _unchecked(Vector, self.field,
+                          tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        return Vector(self.field, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        _check_vector(other, self.field, len(self.entries))
+        return _unchecked(Vector, self.field,
+                          tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __rmul__(self, c):
         if not isinstance(c, Scalar):
             return NotImplemented
         if c.field != self.field:
             raise UsageError(f"mixed fields: {c.field} vs {self.field}")
-        return Vector(self.field, tuple(c * e for e in self.entries))
+        return _unchecked(Vector, self.field, tuple(c * e for e in self.entries))
 
     def __neg__(self):
-        return Vector(self.field, tuple(-e for e in self.entries))
+        return _unchecked(Vector, self.field, tuple(-e for e in self.entries))
 
     def __len__(self):
         return len(self.entries)
@@ -121,8 +115,40 @@ def originating_index(v: Vector) -> Optional[int]:
     return None if p is None else len(v.entries) - p
 
 
+def _check_vector(x, field: FieldSpec, n: int):
+    """UsageError unless x is a Vector over field with n entries."""
+    if not isinstance(x, Vector):
+        raise UsageError(f"expected a Vector, got {type(x).__name__}")
+    if x.field != field:
+        raise UsageError(f"mixed fields: {field} vs {x.field}")
+    if len(x.entries) != n:
+        raise UsageError(f"vector of length {len(x.entries)} where {n} is needed")
+
+
+def _unchecked(cls, *values):
+    """An instance of cls with its __slots__ set to values in order, without
+    running __init__: only for objects built here from already-valid parts."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        setattr(obj, name, value)
+    return obj
+
+
+def _vector(field: FieldSpec, values) -> Vector:
+    return _unchecked(Vector, field, _scalars(field, values))
+
+
 # ---------------------------------------------------------------------------
-# internal mutable-row kernels (0-based); public surfaces convert to 1-based
+# internal mutable-row kernels (0-based); public surfaces convert to 1-based.
+# Rows hold raw values: Fractions over Q, residues in range(p) over GF(p).
+
+def _axpy(row: list, c, src, stop: int, p) -> None:
+    """row[:stop] -= c * src[:stop] on raw values, reduced mod p unless p is None."""
+    if p is None:
+        row[:stop] = [a - c * b if b else a for a, b in zip(row[:stop], src)]
+    else:
+        row[:stop] = [(a - c * b) % p if b else a for a, b in zip(row[:stop], src)]
+
 
 def _last_nonzero(row, below: Optional[int] = None) -> Optional[int]:
     start = (len(row) if below is None else below) - 1
@@ -132,8 +158,9 @@ def _last_nonzero(row, below: Optional[int] = None) -> Optional[int]:
     return None
 
 
-def _insert_red(basis: dict, row: list) -> Optional[int]:
-    """Absorb one row into a red-basis dict keyed by 0-based terminal position.
+def _insert_red(basis: dict, row: list, p) -> Optional[int]:
+    """Absorb one raw row into a red-basis dict keyed by 0-based terminal
+    position; p is the modulus, None over Q.
 
     Returns the new key when the row enlarged the span, else None. The dict
     stays canonical throughout: each stored row terminates with a 1 at its
@@ -141,33 +168,18 @@ def _insert_red(basis: dict, row: list) -> Optional[int]:
     """
     t = _last_nonzero(row)
     while t is not None and t in basis:
-        piv = basis[t]
-        c = row[t]
-        for p in range(t + 1):  # piv vanishes past t
-            if piv[p]:
-                row[p] = row[p] - c * piv[p]
+        _axpy(row, row[t], basis[t], t + 1, p)  # basis[t] vanishes past t
         t = _last_nonzero(row, below=t)
     if t is None:
         return None
-    c = row[t]
-    if not c.is_one():
-        inv = c.inverse()
-        for p in range(t + 1):
-            if row[p]:
-                row[p] = row[p] * inv
+    if row[t] != 1:  # scale to end in 1: row * inv is row - (1 - inv) * row
+        _axpy(row, 1 - _inverse(row[t], p), row, t + 1, p)
     for i in basis:  # clear surviving red entries below t
         if i < t and row[i]:
-            piv = basis[i]
-            c = row[i]
-            for p in range(i + 1):
-                if piv[p]:
-                    row[p] = row[p] - c * piv[p]
+            _axpy(row, row[i], basis[i], i + 1, p)
     for i, piv in basis.items():  # clear the new red position from older rows
         if i > t and piv[t]:
-            c = piv[t]
-            for p in range(t + 1):
-                if row[p]:
-                    piv[p] = piv[p] - c * row[p]
+            _axpy(piv, piv[t], row, t + 1, p)
     basis[t] = row
     return t
 
@@ -294,17 +306,17 @@ class LimeBasis:
 
 def _subspace_from_dict(field, ambient, basis: dict) -> Subspace:
     idx = sorted(basis)
-    return Subspace(field, ambient, tuple(i + 1 for i in idx),
-                    tuple(Vector(field, basis[i]) for i in idx))
+    return _unchecked(Subspace, field, ambient, tuple(i + 1 for i in idx),
+                      tuple(_vector(field, basis[i]) for i in idx))
 
 
 def _mirrored_red(w: Subspace) -> dict:
-    """Red-basis dict of w with every position reversed. Reversal swaps
+    """Raw red-basis dict of w with every position reversed. Reversal swaps
     terminating and originating, so key k holds the lime-basic element for
     lime index ``w.ambient - k``, read backwards."""
     basis: dict = {}
     for v in w.red_basis:
-        _insert_red(basis, list(reversed(v.entries)))
+        _insert_red(basis, [e.value for e in reversed(v.entries)], w.field.modulus)
     return basis
 
 
@@ -315,23 +327,17 @@ def _lime_indices(w: Subspace) -> tuple:
 
 def _lime_from_mirrored(field, ambient, mirrored: dict) -> LimeBasis:
     keys = sorted(mirrored, reverse=True)
-    return LimeBasis(field, ambient, tuple(ambient - k for k in keys),
-                     tuple(Vector(field, mirrored[k][::-1]) for k in keys))
+    return _unchecked(LimeBasis, field, ambient, tuple(ambient - k for k in keys),
+                      tuple(_vector(field, mirrored[k][::-1]) for k in keys))
 
 
 def _common_field_ambient(generators, ambient, field):
     if generators:
         g0 = generators[0]
-        if field is not None and field != g0.field:
-            raise UsageError(f"generators are over {g0.field}, not {field}")
-        if ambient is not None and ambient != len(g0.entries):
-            raise UsageError(f"generators have length {len(g0.entries)}, not {ambient}")
-        field, ambient = g0.field, len(g0.entries)
-        for g in generators[1:]:
-            if g.field != field:
-                raise UsageError("mixed fields among generators")
-            if len(g.entries) != ambient:
-                raise UsageError("mismatched generator lengths")
+        field = g0.field if field is None else field
+        ambient = len(g0.entries) if ambient is None else ambient
+        for g in generators:
+            _check_vector(g, field, ambient)
     elif field is None or ambient is None:
         raise UsageError("an empty generator list needs an explicit field and ambient")
     return field, ambient
@@ -351,7 +357,7 @@ def span_red_basis(generators: Sequence[Vector], ambient: Optional[int] = None,
     field, ambient = _common_field_ambient(generators, ambient, field)
     basis: dict = {}
     for g in generators:
-        _insert_red(basis, list(g.entries))
+        _insert_red(basis, [e.value for e in g.entries], field.modulus)
     return _subspace_from_dict(field, ambient, basis)
 
 
@@ -373,37 +379,32 @@ def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
     the new lime position is cleared from the earlier basis vectors. The
     span grows by exactly the one new vector.
     """
-    if y.field != basis.field:
-        raise UsageError(f"mixed fields: {basis.field} vs {y.field}")
-    if len(y.entries) != basis.ambient:
-        raise UsageError("vector length does not match the basis ambient")
+    _check_vector(y, basis.field, basis.ambient)
     n = basis.ambient
-    work = {n - i: list(reversed(v.entries)) for i, v in zip(basis.lime_indices, basis.vectors)}
-    if _insert_red(work, list(reversed(y.entries))) is None:
+    work = {n - i: [e.value for e in reversed(v.entries)]
+            for i, v in zip(basis.lime_indices, basis.vectors)}
+    if _insert_red(work, [e.value for e in reversed(y.entries)], basis.field.modulus) is None:
         return basis
     return _lime_from_mirrored(basis.field, n, work)
 
 
-def _check_member_args(w: Subspace, x: Vector):
-    if x.field != w.field:
-        raise UsageError(f"mixed fields: {w.field} vs {x.field}")
-    if len(x.entries) != w.ambient:
-        raise UsageError("vector length does not match the subspace ambient")
+def _combine(w: Subspace, coefficients) -> list:
+    """Raw entries of the combination of w's red-basic elements with the
+    given raw coefficients."""
+    acc = [0] * w.ambient
+    for i, c, bv in zip(w.red_indices, coefficients, w.red_basis):
+        if c:  # bv vanishes past its red index i
+            _axpy(acc, -c, [e.value for e in bv.entries[:i]], i, w.field.modulus)
+    return acc
 
 
 def contains_vector(w: Subspace, x: Vector) -> bool:
     """Membership test: x belongs to w exactly when x equals the combination
     of red-basic elements whose coefficients are x's entries at the red
     positions."""
-    _check_member_args(w, x)
-    acc = [w.field.zero] * w.ambient
-    for i, bv in zip(w.red_indices, w.red_basis):
-        c = x.entries[i - 1]
-        if c:
-            for p, e in enumerate(bv.entries):
-                if e:
-                    acc[p] = acc[p] + c * e
-    return tuple(acc) == x.entries
+    _check_vector(x, w.field, w.ambient)
+    values = [e.value for e in x.entries]
+    return _combine(w, [values[i - 1] for i in w.red_indices]) == values
 
 
 def coordinates(w: Subspace, x: Vector) -> tuple:
@@ -416,16 +417,10 @@ def coordinates(w: Subspace, x: Vector) -> tuple:
 
 def element_from_red_entries(w: Subspace, coefficients) -> Vector:
     """The unique member whose red-position entries are the given scalars."""
-    coeffs = [w.field.scalar(c) for c in coefficients]
+    coeffs = [w.field.scalar(c).value for c in coefficients]
     if len(coeffs) != w.dimension:
         raise UsageError(f"expected {w.dimension} coefficients, got {len(coeffs)}")
-    acc = [w.field.zero] * w.ambient
-    for c, bv in zip(coeffs, w.red_basis):
-        if c:
-            for p, e in enumerate(bv.entries):
-                if e:
-                    acc[p] = acc[p] + c * e
-    return Vector(w.field, acc)
+    return _vector(w.field, _combine(w, coeffs))
 
 
 def _check_comparable(w: Subspace, v: Subspace):
@@ -449,9 +444,9 @@ def is_coordinate_system(vectors: Sequence[Vector], w: Subspace) -> bool:
     has exactly one expression as a combination of the list."""
     vectors = list(vectors)
     for v in vectors:
-        _check_member_args(w, v)
+        _check_vector(v, w.field, w.ambient)
     basis: dict = {}
     for v in vectors:
-        if _insert_red(basis, list(v.entries)) is None:
+        if _insert_red(basis, [e.value for e in v.entries], w.field.modulus) is None:
             return False
     return _subspace_from_dict(w.field, w.ambient, basis) == w

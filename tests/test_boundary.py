@@ -1,0 +1,126 @@
+"""Checks at the public boundary, and the objects built behind it.
+
+Arguments are validated once, where they enter a public function. Inside,
+rows are raw values and results are assembled without re-running the public
+constructors, so every result must still be exactly what those constructors
+accept and rebuild unchanged.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import redlime as rl
+from redlime.errors import UsageError
+
+from conftest import GF3, GF5, matrices, scalars, subspaces, vectors
+
+
+# --- one argument check per public entry point ------------------------------
+
+V = rl.Vector.from_values(GF5, (1, 2, 3))
+W = rl.span_red_basis([V])
+A = rl.Matrix.from_values(GF5, [[1, 0, 2], [0, 1, 1]])
+
+BAD_VECTORS = {
+    "wrong type": (1, 2, 3),
+    "wrong field": rl.Vector.from_values(GF3, (1, 2, 0)),
+    "wrong length": rl.Vector.from_values(GF5, (1, 2)),
+}
+
+CALLS = {
+    "dot": lambda x: rl.dot(V, x),
+    "contains_vector": lambda x: rl.contains_vector(W, x),
+    "coordinates": lambda x: rl.coordinates(W, x),
+    "append_lime": lambda x: rl.append_lime(rl.lime_basis(W), x),
+    "is_coordinate_system": lambda x: rl.is_coordinate_system([x], W),
+    "apply_row_centric": lambda x: rl.apply_row_centric(A, x),
+    "apply_column_centric": lambda x: rl.apply_column_centric(A, x),
+    "Vector.__add__": lambda x: V + x,
+    "Vector.__sub__": lambda x: V - x,
+    # a bad vector as a one-column matrix: same wrong field or wrong row count
+    "Matrix.__matmul__": lambda x: A @ (rl.Matrix.from_columns([x])
+                                        if isinstance(x, rl.Vector) else x),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_VECTORS)
+@pytest.mark.parametrize("call", CALLS)
+def test_bad_arguments_are_usage_errors(call, bad):
+    with pytest.raises(UsageError):
+        CALLS[call](BAD_VECTORS[bad])
+
+
+# --- internal builds pass the public constructors ---------------------------
+
+def assert_entries(field, entries):
+    assert type(entries) is tuple
+    for e in entries:
+        assert isinstance(e, rl.Scalar) and e.field == field
+        if field.is_prime_field:
+            assert type(e.value) is int and e.value in range(field.modulus)
+        else:
+            assert type(e.value) is Fraction
+
+
+def assert_rebuilds(obj):
+    """obj holds canonical scalars in tuples, and its public constructor
+    accepts its parts and rebuilds an equal object."""
+    if isinstance(obj, rl.Vector):
+        assert_entries(obj.field, obj.entries)
+        assert rl.Vector(obj.field, obj.entries) == obj
+    elif isinstance(obj, rl.Subspace):
+        assert type(obj.red_indices) is tuple and type(obj.red_basis) is tuple
+        for v in obj.red_basis:
+            assert_rebuilds(v)
+        assert rl.Subspace(obj.field, obj.ambient, obj.red_indices, obj.red_basis) == obj
+    elif isinstance(obj, rl.LimeBasis):
+        assert type(obj.lime_indices) is tuple and type(obj.vectors) is tuple
+        for v in obj.vectors:
+            assert_rebuilds(v)
+        assert rl.LimeBasis(obj.field, obj.ambient, obj.lime_indices, obj.vectors) == obj
+    elif isinstance(obj, rl.Matrix):
+        assert type(obj.rows) is tuple
+        for r in obj.rows:
+            assert_entries(obj.field, r)
+        rebuilt = rl.Matrix(obj.field, obj.rows)
+        assert rebuilt == obj
+        assert (rebuilt.nrows, rebuilt.ncols) == (obj.nrows, obj.ncols)
+    else:
+        raise AssertionError(f"unexpected result type {type(obj).__name__}")
+
+
+@given(subspaces(), st.data())
+def test_subspace_results_rebuild(w, data):
+    y = data.draw(vectors(w.field, w.ambient))
+    coeffs = data.draw(st.lists(scalars(w.field), min_size=w.dimension,
+                                max_size=w.dimension))
+    lb = rl.lime_basis(w)
+    for obj in (w, lb, rl.append_lime(lb, y), rl.complement(w),
+                rl.lime_of_complement_from_red(w), rl.red_of_complement_from_lime(w),
+                rl.element_from_red_entries(w, coeffs)):
+        assert_rebuilds(obj)
+    assert_entries(w.field, (rl.dot(y, y),))
+
+
+@given(matrices(), st.data())
+def test_matrix_results_rebuild(a, data):
+    k = data.draw(st.integers(1, 4))
+    b = rl.Matrix(a.field, data.draw(st.lists(
+        st.lists(scalars(a.field), min_size=k, max_size=k),
+        min_size=a.ncols, max_size=a.ncols)))
+    x = data.draw(vectors(a.field, a.ncols))
+    results = [a.transpose(), a @ b, rl.rref(a), rl.rcef(a), rl.nullspace(a),
+               rl.row_space(a), rl.column_space(a), a.row(1), a.column(1),
+               *a.row_vectors(), *a.column_vectors(),
+               rl.apply_row_centric(a, x), rl.apply_column_centric(a, x)]
+    if not a.is_zero():
+        f = rl.full_rank_factorization(a)
+        results += [f.b, f.g]
+        for complete in (False, True):
+            results += [*rl.rref_factorization(a, complete),
+                        *rl.rcef_factorization(a, complete)]
+    for obj in results:
+        assert_rebuilds(obj)

@@ -259,3 +259,16 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "2\n"
+
+
+def test_results_too_long_to_print_exit_3_with_no_output(tmp_path, capsys):
+    # every entry is inside the parse limit, but the reduced forms hold
+    # values with more digits than the interpreter converts to text
+    path = tmp_path / "huge_q.txt"
+    path.write_text(f"field q\n{3**6000} {5**4000} {7**3500}\n"
+                    f"{11**2800} {13**2600} {2**9900}\n")
+    for argv in (["rref"], ["red-basis"], ["factor", "--kind", "rref"]):
+        code, out, err = cli(capsys, *argv, path)
+        assert code == 3, argv
+        assert out == ""
+        assert str(sys.get_int_max_str_digits()) in err and "Traceback" not in err
