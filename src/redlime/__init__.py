@@ -8,8 +8,7 @@ from .subspace import (LimeBasis, Subspace, Vector, append_lime,
                        contains_vector, coordinates, element_from_red_entries,
                        is_coordinate_system, lime_basis, originating_index,
                        span_red_basis, subspace_leq, terminating_index)
-from .duality import (complement, dot, lime_of_complement_from_red,
-                      red_of_complement_from_lime)
+from .duality import complement, dot, lime_of_complement_from_red
 from .matrix import (FullRankFactors, Matrix, apply_column_centric,
                      apply_row_centric, column_space, dependent_columns,
                      extend_rows_to_invertible, full_rank_factorization,

@@ -11,12 +11,13 @@ positions.
 from __future__ import annotations
 
 from .fields import Scalar
-from .subspace import (LimeBasis, Subspace, Vector, _check_vector, _mirrored_red,
-                       _unchecked, _vector)
+from .subspace import (LimeBasis, Subspace, Vector, _check_type, _check_vector,
+                       _mirrored, _red, _unchecked, _vector)
 
 
 def dot(x: Vector, y: Vector) -> Scalar:
     """Standard symmetric bilinear form: the sum of entrywise products."""
+    _check_type(x, Vector)
     _check_vector(y, x.field, len(x.entries))
     return x.field.scalar(sum(a.value * b.value for a, b in zip(x.entries, y.entries)))
 
@@ -47,18 +48,16 @@ def lime_of_complement_from_red(w: Subspace) -> LimeBasis:
     elsewhere.
     """
     field, n = w.field, w.ambient
-    out = _read_off(n, {i - 1: [e.value for e in v.entries]
-                        for i, v in zip(w.red_indices, w.red_basis)}, field.modulus)
+    out = _read_off(n, _red([v.entries for v in w.red_basis], field.modulus), field.modulus)
     return _unchecked(LimeBasis, field, n, tuple(o + 1 for o, _ in out),
                       tuple(_vector(field, z) for _, z in out))
 
 
-def red_of_complement_from_lime(w: Subspace) -> Subspace:
-    """Read the red basis of the complement off w's lime basis (the mirror
-    construction: reversal keeps the dot product, so this is the lime
-    read-off of the reversed span, reversed back)."""
-    field, n = w.field, w.ambient
-    out = _read_off(n, _mirrored_red(w), field.modulus)[::-1]
+def _complement(field, n, rows) -> Subspace:
+    """Red basis of the complement of the span of rows of Scalars in F^n,
+    read off its lime basis: reversal keeps the dot product, so this is the
+    lime read-off of the reversed span, reversed back."""
+    out = _read_off(n, _mirrored(rows, field.modulus), field.modulus)[::-1]
     return _unchecked(Subspace, field, n, tuple(n - o for o, _ in out),
                       tuple(_vector(field, z[::-1]) for _, z in out))
 
@@ -69,4 +68,4 @@ def complement(w: Subspace) -> Subspace:
     Computed by read-off, never by solving a linear system. Satisfies
     dim w + dim complement(w) = n and complement(complement(w)) = w.
     """
-    return red_of_complement_from_lime(w)
+    return _complement(w.field, w.ambient, [v.entries for v in w.red_basis])

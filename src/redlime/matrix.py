@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .duality import complement, dot
+from .duality import _complement, dot
 from .errors import DomainError, UsageError
 from .fields import FieldSpec, Scalar, _scalars
-from .subspace import (LimeBasis, Subspace, Vector, _axpy, _check_vector,
-                       _lime_indices, _unchecked, _vector, lime_basis,
-                       span_red_basis)
+from .subspace import (LimeBasis, Subspace, Vector, _axpy, _check_type,
+                       _check_vector, _common_field_ambient, _lime, _mirrored,
+                       _red, _span, _unchecked, _vector, span_red_basis)
 
 
 class Matrix:
@@ -51,7 +51,8 @@ class Matrix:
         vectors = list(vectors)
         if not vectors:
             raise UsageError("need at least one row vector")
-        return cls(vectors[0].field, [v.entries for v in vectors])
+        field, _ = _common_field_ambient(vectors, None, None)
+        return cls(field, [v.entries for v in vectors])
 
     @classmethod
     def from_columns(cls, vectors: Sequence[Vector]) -> "Matrix":
@@ -90,14 +91,13 @@ class Matrix:
         return tuple(_unchecked(Vector, self.field, c) for c in zip(*self.rows))
 
     def transpose(self) -> "Matrix":
-        return _unchecked(Matrix, self.field, self.ncols, self.nrows, tuple(zip(*self.rows)))
+        return _matrix(self.field, zip(*self.rows))
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            raise UsageError(f"expected a Matrix, got {type(other).__name__}")
+        _check_type(other, Matrix)
         if other.field != self.field:
             raise UsageError(f"mixed fields: {self.field} vs {other.field}")
         if self.ncols != other.nrows:
@@ -112,7 +112,7 @@ class Matrix:
                 if c:
                     _axpy(acc, -c.value, src, m, p)
             out.append(_scalars(self.field, acc))
-        return _unchecked(Matrix, self.field, self.nrows, m, tuple(out))
+        return _matrix(self.field, out)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -127,6 +127,12 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
+
+
+def _matrix(field: FieldSpec, rows) -> Matrix:
+    """A Matrix of package-made rows (tuples of Scalars of field), unchecked."""
+    rows = tuple(rows)
+    return _unchecked(Matrix, field, len(rows), len(rows[0]), rows)
 
 
 def apply_row_centric(a: Matrix, x: Vector) -> Vector:
@@ -152,23 +158,23 @@ def apply_column_centric(a: Matrix, x: Vector) -> Vector:
 
 def row_space(a: Matrix) -> Subspace:
     """Span of the rows, inside F^m."""
-    return span_red_basis(a.row_vectors(), a.ncols, a.field)
+    return _span(a.field, a.ncols, a.rows)
 
 
 def column_space(a: Matrix) -> Subspace:
     """Span of the columns (the range of a), inside F^n."""
-    return span_red_basis(a.column_vectors(), a.nrows, a.field)
+    return _span(a.field, a.nrows, zip(*a.rows))
 
 
 def nullspace(a: Matrix) -> Subspace:
     """Vectors sent to zero: the complement of the row space, obtained by
     duality read-off rather than by solving."""
-    return complement(row_space(a))
+    return _complement(a.field, a.ncols, a.rows)
 
 
 def rank(a: Matrix) -> int:
     """Common dimension of the row space and the column space."""
-    return row_space(a).dimension
+    return len(_red(a.rows, a.field.modulus))
 
 
 def nullity(a: Matrix) -> int:
@@ -179,7 +185,7 @@ def nullity(a: Matrix) -> int:
 def pivot_columns(a: Matrix) -> tuple:
     """Lime indices of the row space; the columns they select form a basis
     of the column space."""
-    return _lime_indices(row_space(a))
+    return tuple(sorted(a.ncols - k for k in _mirrored(a.rows, a.field.modulus)))
 
 
 def dependent_columns(a: Matrix) -> frozenset:
@@ -192,14 +198,14 @@ def rref(a: Matrix) -> Matrix:
     """Reduced row echelon form: the lime basis of the row space as rows, in
     index order, padded below with zero rows. A pure function of the row
     space, hence unique."""
-    return _padded(a, lime_basis(row_space(a)))
+    return _padded(a, _lime(a.field, a.ncols, a.rows))
 
 
 def _padded(a: Matrix, lb: LimeBasis) -> Matrix:
     """The rows of lb, then zero rows up to a's row count."""
     zero_row = (a.field.zero,) * a.ncols
-    rows = tuple(v.entries for v in lb.vectors) + (zero_row,) * (a.nrows - lb.dimension)
-    return _unchecked(Matrix, a.field, a.nrows, a.ncols, rows)
+    return _matrix(a.field, [v.entries for v in lb.vectors]
+                   + [zero_row] * (a.nrows - lb.dimension))
 
 
 def rcef(a: Matrix) -> Matrix:
@@ -223,22 +229,20 @@ def full_rank_factorization(a: Matrix) -> FullRankFactors:
     Each column of a combines b's columns with coefficients read at those
     indices, and those coefficients across all columns are exactly g.
     """
-    cs = column_space(a)
-    r = cs.dimension
-    if r == 0:
+    lb = _lime(a.field, a.nrows, zip(*a.rows))
+    if lb.dimension == 0:
         raise DomainError("the zero matrix has no full-rank factorization")
-    lb = lime_basis(cs)
-    b = Matrix.from_columns(lb.vectors)
-    g = Matrix(a.field, [a.rows[i - 1] for i in lb.lime_indices])
-    return FullRankFactors(b=b, g=g, rank=r)
+    b = _matrix(a.field, zip(*(v.entries for v in lb.vectors)))
+    g = _matrix(a.field, [a.rows[i - 1] for i in lb.lime_indices])
+    return FullRankFactors(b=b, g=g, rank=lb.dimension)
 
 
-def _completion_rows(a_field, span: Subspace) -> list:
-    """Standard basis vectors at the non-lime indices of a span, ascending."""
-    lime = set(_lime_indices(span))
-    n = span.ambient
-    return [Vector.standard_basis(a_field, n, j)
-            for j in range(1, n + 1) if j not in lime]
+def _completion_rows(field: FieldSpec, n: int, rows) -> list:
+    """Rows of the n-by-n identity at the non-lime indices of the span of
+    rows, ascending."""
+    lime = {n - 1 - k for k in _mirrored(rows, field.modulus)}
+    z, o = field.zero, field.one
+    return [tuple(o if i == j else z for i in range(n)) for j in range(n) if j not in lime]
 
 
 def rcef_factorization(a: Matrix, complete: bool = False) -> tuple:
@@ -250,16 +254,8 @@ def rcef_factorization(a: Matrix, complete: bool = False) -> tuple:
     invertible without changing the product (those rows meet only zero
     columns of the RCEF).
     """
-    f = full_rank_factorization(a)
-    m = a.ncols
-    zero_col = (a.field.zero,) * (m - f.rank)
-    rcef_of_a = Matrix(a.field, [row + zero_col for row in f.b.rows])
-    s_rows = list(f.g.row_vectors())
-    if complete:
-        s_rows.extend(_completion_rows(a.field, row_space(a)))
-    else:
-        s_rows.extend(Vector.zero(a.field, m) for _ in range(m - f.rank))
-    return rcef_of_a, Matrix.from_rows(s_rows)
+    t, r = rref_factorization(a.transpose(), complete)
+    return r.transpose(), t.transpose()
 
 
 def rref_factorization(a: Matrix, complete: bool = False) -> tuple:
@@ -269,17 +265,16 @@ def rref_factorization(a: Matrix, complete: bool = False) -> tuple:
     then zero columns; ``complete`` fills those with standard basis vectors
     at the non-lime indices of the column space, making t invertible.
     """
-    rs = row_space(a)
-    if rs.dimension == 0:
+    lb = _lime(a.field, a.ncols, a.rows)
+    if lb.dimension == 0:
         raise DomainError("the zero matrix has no echelon factorization")
-    lb = lime_basis(rs)
-    t_cols = [a.column(j) for j in lb.lime_indices]
+    columns = list(zip(*a.rows))
+    t_cols = [columns[j - 1] for j in lb.lime_indices]
     if complete:
-        t_cols.extend(_completion_rows(a.field, column_space(a)))
+        t_cols += _completion_rows(a.field, a.nrows, columns)
     else:
-        t_cols.extend(Vector.zero(a.field, a.nrows)
-                      for _ in range(a.nrows - rs.dimension))
-    return Matrix.from_columns(t_cols), _padded(a, lb)
+        t_cols += [(a.field.zero,) * a.nrows] * (a.nrows - lb.dimension)
+    return _matrix(a.field, zip(*t_cols)), _padded(a, lb)
 
 
 def extend_rows_to_invertible(rows: Sequence[Vector]) -> Matrix:
@@ -293,4 +288,5 @@ def extend_rows_to_invertible(rows: Sequence[Vector]) -> Matrix:
     span = span_red_basis(rows)
     if span.dimension != len(rows):
         raise DomainError("input rows are linearly dependent")
-    return Matrix.from_rows(rows + _completion_rows(span.field, span))
+    entries = [v.entries for v in rows]
+    return _matrix(span.field, entries + _completion_rows(span.field, span.ambient, entries))

@@ -13,6 +13,7 @@ Budgets are explicit; these routines are deliberately naive.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Optional
 
 from .errors import ResourceError, UsageError
@@ -118,7 +119,10 @@ def enumerate_subspaces(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Iterato
     row span; distinctness comes from the uniqueness of the pattern.
     """
     field = gf(p)
-    if subspace_count(n, p) > budget:
+    # GF(p)^n has at least 2^(n-1) lines, so a large n is refused without a
+    # count, and the Gaussian binomials are summed only until they pass budget.
+    totals = itertools.accumulate(gaussian_binomial(n, k, p) for k in range(n + 1))
+    if budget < 1 or n - 1 > math.log2(budget) or any(t > budget for t in totals):
         raise ResourceError(f"GF({p})^{n} has more than {budget} subspaces")
     scalars = list(field.elements())
     zero, one = field.zero, field.one

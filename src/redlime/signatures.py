@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .errors import DomainError, ParseError, UsageError
 from .fields import FieldSpec
-from .subspace import (Subspace, Vector, span_red_basis, _last_nonzero,
-                       _lime_indices)
+from .subspace import (Subspace, Vector, _check_type, _last_nonzero, _mirrored,
+                       _red, _span, _unchecked)
 
 
 class Mark(enum.Enum):
@@ -80,7 +80,9 @@ def signature_from_indices(red, lime, n: int) -> Signature:
 def signature(w: Subspace) -> Signature:
     """The subspace's mark string; b- and r-counts sum to the dimension, as
     do b- and l-counts."""
-    return signature_from_indices(w.red_indices, _lime_indices(w), w.ambient)
+    mirrored = _mirrored([v.entries for v in w.red_basis], w.field.modulus)
+    lime = [w.ambient - k for k in mirrored]
+    return signature_from_indices(w.red_indices, lime, w.ambient)
 
 
 def sub_terminal_index(v: Vector) -> int:
@@ -98,8 +100,7 @@ def truncate_right(w: Subspace) -> Subspace:
     F^(n-1). At most one position changes status, and only by gaining red."""
     if w.ambient <= 1:
         raise UsageError("cannot truncate an ambient of 1")
-    shortened = [Vector(w.field, v.entries[:-1]) for v in w.red_basis]
-    return span_red_basis(shortened, w.ambient - 1, w.field)
+    return _span(w.field, w.ambient - 1, [v.entries[:-1] for v in w.red_basis])
 
 
 def is_feasible(sig: Signature) -> bool:
@@ -142,8 +143,8 @@ def subspace_from_pattern(pattern: Sequence, field: FieldSpec) -> Subspace:
         row = [zero] * n
         for p in support[label]:
             row[p] = one
-        generators.append(Vector(field, row))
-    return span_red_basis(generators, n, field)
+        generators.append(row)
+    return _span(field, n, generators)
 
 
 def synthesize(sig: Signature, field: FieldSpec) -> Subspace:
@@ -190,12 +191,13 @@ class Permutation:
 
     def apply(self, v: Vector) -> Vector:
         """Relocate entries: the image vector carries v's entry i at image_of(i)."""
+        _check_type(v, Vector)
         if len(v.entries) != len(self.images):
             raise UsageError("vector length does not match the permutation size")
         out = [v.field.zero] * len(self.images)
         for i, e in enumerate(v.entries):
             out[self.images[i] - 1] = e
-        return Vector(v.field, out)
+        return _unchecked(Vector, v.field, tuple(out))
 
     def is_identity(self) -> bool:
         return all(im == i for i, im in enumerate(self.images, start=1))
@@ -218,9 +220,8 @@ def permute_presenting_positions(w: Subspace, positions) -> tuple:
     k = len(positions)
     if k == 0:
         return Permutation(tuple(range(1, n + 1))), w
-    restricted = [Vector(w.field, tuple(v.entries[p - 1] for p in positions))
-                  for v in w.red_basis]
-    if span_red_basis(restricted, k, w.field).dimension != k:
+    restricted = [[v.entries[p - 1] for p in positions] for v in w.red_basis]
+    if len(_red(restricted, w.field.modulus)) != k:
         raise DomainError("the subspace does not present as the full space there")
     chosen = set(positions)
     images = [0] * n
@@ -232,5 +233,5 @@ def permute_presenting_positions(w: Subspace, positions) -> tuple:
     for offset, p in enumerate(positions, start=1):
         images[p - 1] = n - k + offset
     perm = Permutation(tuple(images))
-    moved = span_red_basis([perm.apply(v) for v in w.red_basis], n, w.field)
+    moved = _span(w.field, n, [perm.apply(v).entries for v in w.red_basis])
     return perm, moved

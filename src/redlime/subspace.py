@@ -115,10 +115,15 @@ def originating_index(v: Vector) -> Optional[int]:
     return None if p is None else len(v.entries) - p
 
 
+def _check_type(x, cls):
+    """UsageError unless x is an instance of cls."""
+    if not isinstance(x, cls):
+        raise UsageError(f"expected a {cls.__name__}, got {type(x).__name__}")
+
+
 def _check_vector(x, field: FieldSpec, n: int):
     """UsageError unless x is a Vector over field with n entries."""
-    if not isinstance(x, Vector):
-        raise UsageError(f"expected a Vector, got {type(x).__name__}")
+    _check_type(x, Vector)
     if x.field != field:
         raise UsageError(f"mixed fields: {field} vs {x.field}")
     if len(x.entries) != n:
@@ -182,6 +187,22 @@ def _insert_red(basis: dict, row: list, p) -> Optional[int]:
             _axpy(piv, piv[t], row, t + 1, p)
     basis[t] = row
     return t
+
+
+def _red(rows, p) -> dict:
+    """Raw red-basis dict of the span of rows of Scalars (p the modulus, None
+    over Q): the one caller of the insertion kernel."""
+    basis: dict = {}
+    for row in rows:
+        _insert_red(basis, [e.value for e in row], p)
+    return basis
+
+
+def _mirrored(rows, p) -> dict:
+    """_red of the position-reversed rows. Reversal swaps terminating and
+    originating, so key k holds the lime-basic element for lime index
+    ``n - k`` (n the row length), read backwards."""
+    return _red(map(reversed, rows), p)
 
 
 def _validate_canonical(field, ambient, indices, vectors, side: str):
@@ -304,36 +325,26 @@ class LimeBasis:
         return f"LimeBasis({self.field}, n={self.ambient}, lime={list(self.lime_indices)})"
 
 
-def _subspace_from_dict(field, ambient, basis: dict) -> Subspace:
+def _span(field, n, rows) -> Subspace:
+    """The span of rows of Scalars in F^n, in canonical red form."""
+    basis = _red(rows, field.modulus)
     idx = sorted(basis)
-    return _unchecked(Subspace, field, ambient, tuple(i + 1 for i in idx),
+    return _unchecked(Subspace, field, n, tuple(i + 1 for i in idx),
                       tuple(_vector(field, basis[i]) for i in idx))
 
 
-def _mirrored_red(w: Subspace) -> dict:
-    """Raw red-basis dict of w with every position reversed. Reversal swaps
-    terminating and originating, so key k holds the lime-basic element for
-    lime index ``w.ambient - k``, read backwards."""
-    basis: dict = {}
-    for v in w.red_basis:
-        _insert_red(basis, [e.value for e in reversed(v.entries)], w.field.modulus)
-    return basis
-
-
-def _lime_indices(w: Subspace) -> tuple:
-    """The lime indices of w, ascending, without building its lime basis."""
-    return tuple(sorted(w.ambient - k for k in _mirrored_red(w)))
-
-
-def _lime_from_mirrored(field, ambient, mirrored: dict) -> LimeBasis:
+def _lime(field, n, rows) -> LimeBasis:
+    """The lime basis of the span of rows of Scalars in F^n."""
+    mirrored = _mirrored(rows, field.modulus)
     keys = sorted(mirrored, reverse=True)
-    return _unchecked(LimeBasis, field, ambient, tuple(ambient - k for k in keys),
+    return _unchecked(LimeBasis, field, n, tuple(n - k for k in keys),
                       tuple(_vector(field, mirrored[k][::-1]) for k in keys))
 
 
 def _common_field_ambient(generators, ambient, field):
     if generators:
         g0 = generators[0]
+        _check_type(g0, Vector)
         field = g0.field if field is None else field
         ambient = len(g0.entries) if ambient is None else ambient
         for g in generators:
@@ -355,10 +366,7 @@ def span_red_basis(generators: Sequence[Vector], ambient: Optional[int] = None,
     """
     generators = list(generators)
     field, ambient = _common_field_ambient(generators, ambient, field)
-    basis: dict = {}
-    for g in generators:
-        _insert_red(basis, [e.value for e in g.entries], field.modulus)
-    return _subspace_from_dict(field, ambient, basis)
+    return _span(field, ambient, [g.entries for g in generators])
 
 
 def lime_basis(w: Subspace) -> LimeBasis:
@@ -367,7 +375,7 @@ def lime_basis(w: Subspace) -> LimeBasis:
 
     The span always has as many lime indices as red ones.
     """
-    return _lime_from_mirrored(w.field, w.ambient, _mirrored_red(w))
+    return _lime(w.field, w.ambient, [v.entries for v in w.red_basis])
 
 
 def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
@@ -380,12 +388,8 @@ def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
     span grows by exactly the one new vector.
     """
     _check_vector(y, basis.field, basis.ambient)
-    n = basis.ambient
-    work = {n - i: [e.value for e in reversed(v.entries)]
-            for i, v in zip(basis.lime_indices, basis.vectors)}
-    if _insert_red(work, [e.value for e in reversed(y.entries)], basis.field.modulus) is None:
-        return basis
-    return _lime_from_mirrored(basis.field, n, work)
+    grown = _lime(basis.field, basis.ambient, [v.entries for v in basis.vectors] + [y.entries])
+    return basis if grown.dimension == basis.dimension else grown
 
 
 def _combine(w: Subspace, coefficients) -> list:
@@ -424,8 +428,7 @@ def element_from_red_entries(w: Subspace, coefficients) -> Vector:
 
 
 def _check_comparable(w: Subspace, v: Subspace):
-    if not isinstance(v, Subspace):
-        raise UsageError(f"expected a Subspace, got {type(v).__name__}")
+    _check_type(v, Subspace)
     if w.field != v.field:
         raise UsageError(f"mixed fields: {w.field} vs {v.field}")
     if w.ambient != v.ambient:
@@ -445,8 +448,5 @@ def is_coordinate_system(vectors: Sequence[Vector], w: Subspace) -> bool:
     vectors = list(vectors)
     for v in vectors:
         _check_vector(v, w.field, w.ambient)
-    basis: dict = {}
-    for v in vectors:
-        if _insert_red(basis, [e.value for e in v.entries], w.field.modulus) is None:
-            return False
-    return _subspace_from_dict(w.field, w.ambient, basis) == w
+    return (len(vectors) == w.dimension
+            and _span(w.field, w.ambient, [v.entries for v in vectors]) == w)

@@ -32,6 +32,10 @@ BAD_VECTORS = {
 
 CALLS = {
     "dot": lambda x: rl.dot(V, x),
+    "dot (first argument)": lambda x: rl.dot(x, V),
+    "span_red_basis": lambda x: rl.span_red_basis([x, V]),
+    "extend_rows_to_invertible": lambda x: rl.extend_rows_to_invertible([x, V]),
+    "Matrix.from_rows": lambda x: rl.Matrix.from_rows([x, V]),
     "contains_vector": lambda x: rl.contains_vector(W, x),
     "coordinates": lambda x: rl.coordinates(W, x),
     "append_lime": lambda x: rl.append_lime(rl.lime_basis(W), x),
@@ -99,7 +103,7 @@ def test_subspace_results_rebuild(w, data):
                                 max_size=w.dimension))
     lb = rl.lime_basis(w)
     for obj in (w, lb, rl.append_lime(lb, y), rl.complement(w),
-                rl.lime_of_complement_from_red(w), rl.red_of_complement_from_lime(w),
+                rl.lime_of_complement_from_red(w), rl.complement(w),
                 rl.element_from_red_entries(w, coeffs)):
         assert_rebuilds(obj)
     assert_entries(w.field, (rl.dot(y, y),))

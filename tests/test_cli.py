@@ -168,6 +168,9 @@ def test_atlas_3_2_characterizes(capsys):
 def test_atlas_budget_exceeded(capsys):
     code, _, err = cli(capsys, "atlas", "5", "2", "--budget", "10")
     assert code == 3
+    start = time.monotonic()  # refused without counting every subspace
+    assert cli(capsys, "atlas", "100000", "2")[0] == 3
+    assert time.monotonic() - start < 2
 
 
 def test_atlas_non_prime_modulus(capsys):

@@ -40,14 +40,14 @@ def test_read_off_lime_of_complement():
 
 def test_read_off_red_of_complement():
     w = span_of(GF2, 3, (1, 1, 0), (0, 1, 1))
-    c = rl.red_of_complement_from_lime(w)
+    c = rl.complement(w)
     assert c.red_indices == (3,)
     assert c.red_basis == (vec(GF2, 1, 1, 1),)
 
-    assert rl.red_of_complement_from_lime(
+    assert rl.complement(
         rl.Subspace.zero_subspace(GF2, 4)) == rl.Subspace.full_space(GF2, 4)
 
-    c = rl.red_of_complement_from_lime(span_of(GF2, 3, (0, 1, 0)))
+    c = rl.complement(span_of(GF2, 3, (0, 1, 0)))
     assert c.red_basis == (vec(GF2, 1, 0, 0), vec(GF2, 0, 0, 1))
 
 
@@ -89,7 +89,7 @@ def test_read_off_is_orthogonal_with_small_overlap(w):
 @given(subspaces())
 def test_both_read_offs_describe_the_same_complement(w):
     via_lime = rl.lime_of_complement_from_red(w)
-    c = rl.red_of_complement_from_lime(w)
+    c = rl.complement(w)
     assert rl.span_red_basis(via_lime.vectors, w.ambient, w.field) == c
     assert rl.lime_basis(c) == via_lime
 

@@ -183,6 +183,31 @@ def test_factorizations_multiply_back(a):
             assert rl.rank(s) == a.ncols
 
 
+@given(matrices())
+def test_matrix_answers_match_the_subspace_route(a):
+    """Each matrix answer comes from one elimination of a's own rows; it must
+    equal the answer built from the row or column space step by step."""
+    rs = rl.span_red_basis(a.row_vectors())
+    cs = rl.span_red_basis(a.column_vectors())
+    assert rl.row_space(a) == rs and rl.column_space(a) == cs
+    assert rl.nullspace(a) == rl.complement(rs)
+    assert rl.rank(a) == rs.dimension
+    lb = rl.lime_basis(rs)
+    assert rl.pivot_columns(a) == lb.lime_indices
+    nonzero = tuple(r for r in rl.rref(a).row_vectors() if not r.is_zero())
+    assert nonzero == lb.vectors
+    if rs.ambient > 1:
+        shortened = [rl.Vector(a.field, v.entries[:-1]) for v in rs.red_basis]
+        assert rl.truncate_right(rs) == rl.span_red_basis(shortened, rs.ambient - 1, a.field)
+    if not a.is_zero():
+        cs_lime = rl.lime_basis(cs)
+        assert rl.full_rank_factorization(a).b.column_vectors() == cs_lime.vectors
+        for complete in (False, True):
+            s = rl.rcef_factorization(a, complete)[1]
+            assert (s.row_vectors()[:rs.dimension]
+                    == tuple(a.row(i) for i in cs_lime.lime_indices))
+
+
 def test_extend_rows_to_invertible():
     out = rl.extend_rows_to_invertible([vec(GF2, 1, 1, 0), vec(GF2, 0, 1, 1)])
     assert out == mat(GF2, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])

@@ -158,6 +158,8 @@ def test_permutation_type():
     assert perm.image_of(1) == 3
     assert perm.apply(vec(GF2, 1, 1, 0)) == vec(GF2, 1, 0, 1)
     with pytest.raises(UsageError):
+        perm.apply((1, 1, 0))
+    with pytest.raises(UsageError):
         rl.Permutation((1, 1, 2))
 
 
