@@ -240,14 +240,18 @@ def _cmd_verify(args) -> int:
         f = full_rank_factorization(a)
         check("full-rank factors multiply back",
               f.b @ f.g == a and rank(f.b) == f.rank == rank(f.g))
-        t, r = rref_factorization(a, complete=True)
+        t, e = rref_factorization(a, complete=True)
         check("rref factorization multiplies back",
-              t @ r == a and rank(t) == a.nrows)
+              t @ e == a and rank(t) == a.nrows)
         c, s = rcef_factorization(a, complete=True)
         check("rcef factorization multiplies back",
               c @ s == a and rank(s) == a.ncols)
 
-    if a.field.is_prime_field:
+    if not a.field.is_prime_field:
+        print("span enumeration: skipped (infinite field)")
+    elif r and a.field.modulus ** r > args.budget:  # the span alone is over budget
+        print("span enumeration: skipped (budget)")
+    else:
         try:
             rows = a.row_vectors()
             red, lime, sig = brute_indices(rows, a.ncols, a.field, budget=args.budget)
@@ -262,8 +266,6 @@ def _cmd_verify(args) -> int:
                   == brute_complement(rows, a.ncols, a.field, budget=args.budget))
         except ResourceError:
             print("span enumeration: skipped (budget)")
-    else:
-        print("span enumeration: skipped (infinite field)")
 
     ok = all(results)
     print(f"verify: {'PASS' if ok else 'FAIL'}")

@@ -18,7 +18,8 @@ from .errors import DomainError, UsageError
 from .fields import FieldSpec, Scalar, _scalars
 from .subspace import (LimeBasis, Subspace, Vector, _axpy, _check_type,
                        _check_vector, _common_field_ambient, _lime, _mirrored,
-                       _red, _span, _unchecked, _vector, span_red_basis)
+                       _pack, _red, _span, _unchecked, _unpack, _vector,
+                       span_red_basis)
 
 
 class Matrix:
@@ -104,15 +105,24 @@ class Matrix:
             raise UsageError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         p, m = self.field.modulus, other.ncols
-        others = [[e.value for e in r] for r in other.rows]
         out = []
-        for r in self.rows:
-            acc = [0] * m
-            for c, src in zip(r, others):
-                if c:
-                    _axpy(acc, -c.value, src, m, p)
-            out.append(_scalars(self.field, acc))
-        return _matrix(self.field, out)
+        if p == 2:  # rows packed into ints: adding a row is one XOR
+            others = [_pack(r)[0] for r in other.rows]
+            for r in self.rows:
+                acc = 0
+                for c, src in zip(r, others):
+                    if c.value:
+                        acc ^= src
+                out.append(_unpack(acc, m))
+        else:
+            others = [[e.value for e in r] for r in other.rows]
+            for r in self.rows:
+                acc = [0] * m
+                for c, src in zip(r, others):
+                    if c:
+                        _axpy(acc, -c.value, src, m, p)
+                out.append(acc)
+        return _matrix(self.field, [_scalars(self.field, acc) for acc in out])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

@@ -66,7 +66,8 @@ def brute_indices(generators, ambient: Optional[int] = None,
 def all_vectors(field: FieldSpec, n: int, budget: int = DEFAULT_BUDGET) -> Iterator[Vector]:
     """Every vector of GF(p)^n, in lexicographic order of entries."""
     _require_finite(field)
-    if field.modulus ** n > budget:
+    # p^n >= 2^n, so a large n is refused before the power is formed.
+    if budget < 1 or n - 1 > math.log2(budget) or field.modulus ** n > budget:
         raise ResourceError(f"enumerating {field}^{n} would exceed {budget} vectors")
     scalars = list(field.elements())
     for combo in itertools.product(scalars, repeat=n):

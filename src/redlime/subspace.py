@@ -189,13 +189,52 @@ def _insert_red(basis: dict, row: list, p) -> Optional[int]:
     return t
 
 
+def _pack(row) -> tuple:
+    """(bits, length) of a row of GF(2) Scalars: bit j is entry j, so the
+    terminating position is ``bits.bit_length() - 1``."""
+    x = n = 0
+    for e in row:
+        if e.value:
+            x |= 1 << n
+        n += 1
+    return x, n
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _unpack(x: int, n: int) -> list:
+    """The n raw entries (0 or 1) packed in x. The bit set at n makes the
+    binary digits exactly n + 1, so reversed and stripped of that bit they
+    are the entries in position order."""
+    return list(bin(x | 1 << n)[:2:-1].encode().translate(_BITS))
+
+
 def _red(rows, p) -> dict:
     """Raw red-basis dict of the span of rows of Scalars (p the modulus, None
-    over Q): the one caller of the insertion kernel."""
+    over Q): the one elimination.
+
+    Over GF(2) the rows are packed into ints, so a row operation is one XOR;
+    every other field goes through the insertion kernel.
+    """
     basis: dict = {}
+    if p != 2:
+        for row in rows:
+            _insert_red(basis, [e.value for e in row], p)
+        return basis
     for row in rows:
-        _insert_red(basis, [e.value for e in row], p)
-    return basis
+        x, n = _pack(row)
+        # clear x at every key; each stored row is zero at the other keys
+        for i, b in basis.items():
+            if x >> i & 1:
+                x ^= b
+        if x:
+            t = x.bit_length() - 1
+            for i, b in basis.items():  # clear the new red position from older rows
+                if i > t and b >> t & 1:
+                    basis[i] = b ^ x
+            basis[t] = x
+    return {t: _unpack(x, n) for t, x in basis.items()}
 
 
 def _mirrored(rows, p) -> dict:

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 import time
@@ -188,6 +189,37 @@ def test_verify_passes_on_fixtures(capsys):
         assert code == 0, name
         assert out.splitlines()[0] == "seed: 0"
         assert out.splitlines()[-1] == "verify: PASS"
+
+
+def test_verify_skips_an_over_budget_span_up_front(tmp_path, capsys):
+    rng = random.Random(20)
+    p = 65521
+    b = [[rng.randrange(p) for _ in range(15)] for _ in range(20)]
+    c = [[rng.randrange(p) for _ in range(20)] for _ in range(15)]
+    rows = [[sum(x * y for x, y in zip(r, col)) % p for col in zip(*c)] for r in b]
+    path = tmp_path / "rank15_gf65521.txt"
+    path.write_text(f"field gf {p}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    start = time.monotonic()  # the 65521 multiples of a row are never built
+    code, out, _ = cli(capsys, "verify", path)
+    assert time.monotonic() - start < 2
+    assert code == 0
+    assert rl.rank(rl.load_matrix(path)) == 15
+    lines = out.splitlines()
+    assert "span enumeration: skipped (budget)" in lines
+    assert lines[-1] == "verify: PASS"
+
+
+def test_verify_budget_between_span_and_ambient(capsys):
+    # a_gf2.txt spans 4 of the 8 vectors of GF(2)^3: a budget of 4 still
+    # checks the red/lime indices and skips only the ambient filter
+    code, out, _ = cli(capsys, "verify", DATA / "a_gf2.txt", "--budget", "4")
+    assert code == 0
+    assert out.splitlines()[-3:] == ["red/lime indices match span enumeration: ok",
+                                     "span enumeration: skipped (budget)",
+                                     "verify: PASS"]
+    code, out, _ = cli(capsys, "verify", DATA / "a_gf2.txt", "--budget", "3")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["span enumeration: skipped (budget)", "verify: PASS"]
 
 
 def test_verify_seed_flag_is_echoed(capsys):

@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 
 import redlime as rl
@@ -73,6 +76,31 @@ def test_brute_complement_trivial_cases():
 def test_all_vectors_budget():
     with pytest.raises(ResourceError):
         list(rl.all_vectors(GF5, 10, budget=1000))
+
+
+def test_all_vectors_refuses_a_huge_ambient_promptly():
+    start = time.monotonic()  # refused without forming 65521 ** 10 ** 6
+    with pytest.raises(ResourceError):
+        list(rl.all_vectors(rl.gf(65521), 10 ** 6))
+    assert time.monotonic() - start < 1
+
+
+def test_all_vectors_refusal_agrees_with_the_count(monkeypatch):
+    # only the refusal is under test: one element per field keeps an
+    # accepted GF(65521)^n from listing its 65521 scalars
+    monkeypatch.setattr(rl.FieldSpec, "elements", lambda field: iter((field.zero,)))
+    budgets = (-1, 0, 0.5, 1, 1.0, 2, 3, 8, 9, 10 ** 6, 1e6, 2 ** 40 - 1, 2 ** 40,
+               float(2 ** 40), 3 ** 25, 1e30, 65521 ** 40, math.inf)
+    for p in (2, 3, 65521):
+        field = rl.gf(p)
+        for n in range(1, 41):
+            for budget in budgets + (p ** n - 1, p ** n, float(p ** n)):
+                vectors = rl.all_vectors(field, n, budget)
+                if p ** n > budget:
+                    with pytest.raises(ResourceError):
+                        next(vectors)
+                else:
+                    assert next(vectors) == rl.Vector.zero(field, n)
 
 
 def test_gaussian_binomials():
