@@ -16,7 +16,7 @@ import sys
 
 from .duality import complement
 from .errors import DomainError, ParseError, ResourceError, UsageError
-from .fields import FieldSpec
+from .fields import FieldSpec, _text
 from .matrix import (Matrix, apply_column_centric, apply_row_centric,
                      column_space, dependent_columns, full_rank_factorization,
                      nullity, nullspace, pivot_columns, rank, rcef,
@@ -40,7 +40,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _print_basis(field, label, indices, vectors):
     lines = [field_header(field), f"# {label}: {' '.join(str(i) for i in indices)}".rstrip()]
-    lines.extend(" ".join(str(e) for e in v.entries) for v in vectors)
+    lines.extend(" ".join(_text(field, e) for e in v._raw) for v in vectors)
     print("\n".join(lines))
 
 
@@ -169,7 +169,7 @@ def _random_scalar(field, rng):
 
 def _shuffled_row_span(a: Matrix, rng) -> Matrix:
     """Apply a few random row-space-preserving operations."""
-    rows = [list(r) for r in a.rows]
+    rows = list(a.row_vectors())
     n = a.nrows
     for _ in range(8):
         op = rng.randrange(3)
@@ -180,13 +180,13 @@ def _shuffled_row_span(a: Matrix, rng) -> Matrix:
         elif op == 1:
             c = _random_scalar(a.field, rng)
             if c:
-                rows[i] = [c * e for e in rows[i]]
+                rows[i] = c * rows[i]
         elif n > 1:
             j = rng.randrange(n)
             if j != i:
                 c = _random_scalar(a.field, rng)
-                rows[i] = [e + c * f for e, f in zip(rows[i], rows[j])]
-    return Matrix(a.field, rows)
+                rows[i] = rows[i] + c * rows[j]
+    return Matrix.from_rows(rows)
 
 
 def _dependent_columns_by_prefix(a: Matrix) -> frozenset:

@@ -10,28 +10,28 @@ positions.
 
 from __future__ import annotations
 
-from .fields import Scalar
+from .fields import FieldSpec, Scalar
 from .subspace import (LimeBasis, Subspace, Vector, _check_type, _check_vector,
-                       _mirrored, _red, _unchecked, _vector)
+                       _mirrored, _unchecked)
 
 
 def dot(x: Vector, y: Vector) -> Scalar:
     """Standard symmetric bilinear form: the sum of entrywise products."""
     _check_type(x, Vector)
-    _check_vector(y, x.field, len(x.entries))
-    return x.field.scalar(sum(a.value * b.value for a, b in zip(x.entries, y.entries)))
+    _check_vector(y, x.field, len(x._raw))
+    return x.field.scalar(sum(a * b for a, b in zip(x._raw, y._raw)))
 
 
-def _read_off(n: int, basis: dict, p) -> list:
-    """lime_of_complement_from_red on a raw red-basis dict with 0-based keys
-    (p the modulus, None over Q): one pair (position, raw entries) per
-    non-key position, ascending."""
+def _read_off(field: FieldSpec, n: int, basis: dict) -> list:
+    """lime_of_complement_from_red on a raw red-basis dict with 0-based keys:
+    one pair (position, raw entries) per non-key position, ascending."""
+    p, zero, one = field.modulus, field._coerce(0), field._coerce(1)
     out = []
     for o in range(n):
         if o in basis:
             continue
-        z = [0] * n
-        z[o] = 1
+        z = [zero] * n
+        z[o] = one
         for i, row in basis.items():
             if i > o and row[o]:
                 z[i] = -row[o] if p is None else p - row[o]
@@ -48,18 +48,18 @@ def lime_of_complement_from_red(w: Subspace) -> LimeBasis:
     elsewhere.
     """
     field, n = w.field, w.ambient
-    out = _read_off(n, _red([v.entries for v in w.red_basis], field.modulus), field.modulus)
+    out = _read_off(field, n, {i - 1: v._raw for i, v in zip(w.red_indices, w.red_basis)})
     return _unchecked(LimeBasis, field, n, tuple(o + 1 for o, _ in out),
-                      tuple(_vector(field, z) for _, z in out))
+                      tuple(_unchecked(Vector, field, tuple(z)) for _, z in out))
 
 
 def _complement(field, n, rows) -> Subspace:
-    """Red basis of the complement of the span of rows of Scalars in F^n,
-    read off its lime basis: reversal keeps the dot product, so this is the
-    lime read-off of the reversed span, reversed back."""
-    out = _read_off(n, _mirrored(rows, field.modulus), field.modulus)[::-1]
+    """Red basis of the complement of the span of raw rows in F^n, read off
+    its lime basis: reversal keeps the dot product, so this is the lime
+    read-off of the reversed span, reversed back."""
+    out = _read_off(field, n, _mirrored(rows, field.modulus))[::-1]
     return _unchecked(Subspace, field, n, tuple(n - o for o, _ in out),
-                      tuple(_vector(field, z[::-1]) for _, z in out))
+                      tuple(_unchecked(Vector, field, tuple(z[::-1])) for _, z in out))
 
 
 def complement(w: Subspace) -> Subspace:
@@ -68,4 +68,4 @@ def complement(w: Subspace) -> Subspace:
     Computed by read-off, never by solving a linear system. Satisfies
     dim w + dim complement(w) = n and complement(complement(w)) = w.
     """
-    return _complement(w.field, w.ambient, [v.entries for v in w.red_basis])
+    return _complement(w.field, w.ambient, [v._raw for v in w.red_basis])

@@ -71,20 +71,25 @@ class FieldSpec:
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, or same-field Scalar into this field."""
+        return Scalar(self, self._coerce(value))
+
+    def _coerce(self, value):
+        """The canonical raw value of an int, Fraction, or same-field Scalar:
+        a Fraction over Q, a residue in range(p) over GF(p)."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise UsageError(f"scalar belongs to {value.field}, not {self}")
-            return value
+            return value.value
         if not isinstance(value, (int, Fraction)):
             raise UsageError(
                 f"cannot make a {self} scalar from {type(value).__name__}")
         if self.modulus is None:
-            return Scalar(self, Fraction(value))
+            return Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise UsageError(f"cannot coerce non-integer {value} into {self}")
             value = value.numerator
-        return Scalar(self, value % self.modulus)
+        return value % self.modulus
 
     @cached_property
     def zero(self) -> "Scalar":
@@ -185,12 +190,7 @@ class Scalar:
         return hash((self.field, self.value))
 
     def __str__(self):
-        try:
-            return str(self.value)
-        except ValueError:  # more digits than int() converts: the limit parse_scalar enforces
-            raise ResourceError(
-                f"a {self.field} value has more than {sys.get_int_max_str_digits()} digits,"
-                " the interpreter's limit for integer text") from None
+        return _text(self.field, self.value)
 
     def __repr__(self):
         return f"Scalar({self.value}, {self.field})"
@@ -206,6 +206,16 @@ def _scalars(field: FieldSpec, values) -> tuple:
     field's cached ``zero`` and ``one``."""
     zero, one = field.zero, field.one
     return tuple(zero if not v else one if v == 1 else Scalar(field, v) for v in values)
+
+
+def _text(field: FieldSpec, value) -> str:
+    """The text of one raw value of field."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than int() converts: the limit parse_scalar enforces
+        raise ResourceError(
+            f"a {field} value has more than {sys.get_int_max_str_digits()} digits,"
+            " the interpreter's limit for integer text") from None
 
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:

@@ -13,39 +13,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .duality import _complement, dot
+from .duality import _complement
 from .errors import DomainError, UsageError
-from .fields import FieldSpec, Scalar, _scalars
+from .fields import FieldSpec, Scalar, _scalars, _text
 from .subspace import (LimeBasis, Subspace, Vector, _axpy, _check_type,
                        _check_vector, _common_field_ambient, _lime, _mirrored,
-                       _pack, _red, _span, _unchecked, _unpack, _vector,
+                       _pack, _red, _span, _unchecked, _unpack, _values,
                        span_red_basis)
 
 
 class Matrix:
-    """An immutable n-by-m grid of same-field scalars (n, m >= 1)."""
+    """An immutable n-by-m grid of same-field scalars (n, m >= 1), stored
+    as rows of raw values; ``rows`` is their Scalar view."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "_raw")
 
     def __init__(self, field: FieldSpec, rows: Iterable[Iterable[Scalar]]):
-        rows = tuple(tuple(r) for r in rows)
+        self._set(field, [_values(field, r, "matrix") for r in rows])
+
+    def _set(self, field: FieldSpec, rows: list):
         if not rows or not rows[0]:
             raise UsageError("a matrix needs at least one row and one column")
         m = len(rows[0])
         for r in rows:
             if len(r) != m:
                 raise UsageError("ragged rows")
-            for e in r:
-                if not isinstance(e, Scalar) or e.field != field:
-                    raise UsageError("matrix entries must be scalars of the matrix field")
         self.field = field
         self.nrows = len(rows)
         self.ncols = m
-        self.rows = rows
+        self._raw = tuple(rows)
 
     @classmethod
     def from_values(cls, field: FieldSpec, values) -> "Matrix":
-        return cls(field, [[field.scalar(v) for v in row] for row in values])
+        a = object.__new__(cls)
+        a._set(field, [tuple(map(field._coerce, row)) for row in values])
+        return a
 
     @classmethod
     def from_rows(cls, vectors: Sequence[Vector]) -> "Matrix":
@@ -53,7 +55,7 @@ class Matrix:
         if not vectors:
             raise UsageError("need at least one row vector")
         field, _ = _common_field_ambient(vectors, None, None)
-        return cls(field, [v.entries for v in vectors])
+        return _matrix(field, [v._raw for v in vectors])
 
     @classmethod
     def from_columns(cls, vectors: Sequence[Vector]) -> "Matrix":
@@ -61,41 +63,43 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.from_values(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, field: FieldSpec, n: int, m: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * m for _ in range(n)])
+        return cls.from_values(field, [[0] * m for _ in range(n)])
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(_scalars(self.field, r) for r in self._raw)
 
     def entry(self, i: int, j: int) -> Scalar:
         """Entry in row i, column j (1-based)."""
         if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
             raise UsageError(f"entry ({i},{j}) outside {self.nrows}x{self.ncols}")
-        return self.rows[i - 1][j - 1]
+        return _scalars(self.field, self._raw[i - 1][j - 1:j])[0]
 
     def row(self, i: int) -> Vector:
         if not 1 <= i <= self.nrows:
             raise UsageError(f"row {i} outside 1..{self.nrows}")
-        return _unchecked(Vector, self.field, self.rows[i - 1])
+        return _unchecked(Vector, self.field, self._raw[i - 1])
 
     def column(self, j: int) -> Vector:
         if not 1 <= j <= self.ncols:
             raise UsageError(f"column {j} outside 1..{self.ncols}")
-        return _unchecked(Vector, self.field, tuple(r[j - 1] for r in self.rows))
+        return _unchecked(Vector, self.field, tuple(r[j - 1] for r in self._raw))
 
     def row_vectors(self) -> tuple:
-        return tuple(_unchecked(Vector, self.field, r) for r in self.rows)
+        return tuple(_unchecked(Vector, self.field, r) for r in self._raw)
 
     def column_vectors(self) -> tuple:
-        return tuple(_unchecked(Vector, self.field, c) for c in zip(*self.rows))
+        return tuple(_unchecked(Vector, self.field, c) for c in zip(*self._raw))
 
     def transpose(self) -> "Matrix":
-        return _matrix(self.field, zip(*self.rows))
+        return _matrix(self.field, zip(*self._raw))
 
     def is_zero(self) -> bool:
-        return not any(any(r) for r in self.rows)
+        return not any(map(any, self._raw))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         _check_type(other, Matrix)
@@ -107,41 +111,41 @@ class Matrix:
         p, m = self.field.modulus, other.ncols
         out = []
         if p == 2:  # rows packed into ints: adding a row is one XOR
-            others = [_pack(r)[0] for r in other.rows]
-            for r in self.rows:
+            others = [_pack(r)[0] for r in other._raw]
+            for r in self._raw:
                 acc = 0
                 for c, src in zip(r, others):
-                    if c.value:
+                    if c:
                         acc ^= src
                 out.append(_unpack(acc, m))
         else:
-            others = [[e.value for e in r] for r in other.rows]
-            for r in self.rows:
-                acc = [0] * m
-                for c, src in zip(r, others):
+            zero = self.field._coerce(0)
+            for r in self._raw:
+                acc = [zero] * m
+                for c, src in zip(r, other._raw):
                     if c:
-                        _axpy(acc, -c.value, src, m, p)
+                        _axpy(acc, -c, src, m, p)
                 out.append(acc)
-        return _matrix(self.field, [_scalars(self.field, acc) for acc in out])
+        return _matrix(self.field, out)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return self.field == other.field and self._raw == other._raw
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self._raw))
 
     def __str__(self):
-        return "\n".join(" ".join(str(e) for e in r) for r in self.rows)
+        return "\n".join(" ".join(_text(self.field, v) for v in r) for r in self._raw)
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 
 
 def _matrix(field: FieldSpec, rows) -> Matrix:
-    """A Matrix of package-made rows (tuples of Scalars of field), unchecked."""
-    rows = tuple(rows)
+    """A Matrix of package-made raw rows of field, unchecked."""
+    rows = tuple(map(tuple, rows))
     return _unchecked(Matrix, field, len(rows), len(rows[0]), rows)
 
 
@@ -149,7 +153,8 @@ def apply_row_centric(a: Matrix, x: Vector) -> Vector:
     """Apply a to x one output entry at a time: the i-th entry is the dot
     product of row i with x."""
     _check_vector(x, a.field, a.ncols)
-    return _unchecked(Vector, a.field, tuple(dot(r, x) for r in a.row_vectors()))
+    return _unchecked(Vector, a.field, tuple(
+        a.field._coerce(sum(c * e for c, e in zip(r, x._raw))) for r in a._raw))
 
 
 def apply_column_centric(a: Matrix, x: Vector) -> Vector:
@@ -159,32 +164,32 @@ def apply_column_centric(a: Matrix, x: Vector) -> Vector:
     each orientation is the cheaper one for some downstream use.
     """
     _check_vector(x, a.field, a.ncols)
-    acc = [0] * a.nrows
-    for c, col in zip(x.entries, zip(*a.rows)):
+    acc = [a.field._coerce(0)] * a.nrows
+    for c, col in zip(x._raw, zip(*a._raw)):
         if c:
-            _axpy(acc, -c.value, [e.value for e in col], a.nrows, a.field.modulus)
-    return _vector(a.field, acc)
+            _axpy(acc, -c, col, a.nrows, a.field.modulus)
+    return _unchecked(Vector, a.field, tuple(acc))
 
 
 def row_space(a: Matrix) -> Subspace:
     """Span of the rows, inside F^m."""
-    return _span(a.field, a.ncols, a.rows)
+    return _span(a.field, a.ncols, a._raw)
 
 
 def column_space(a: Matrix) -> Subspace:
     """Span of the columns (the range of a), inside F^n."""
-    return _span(a.field, a.nrows, zip(*a.rows))
+    return _span(a.field, a.nrows, zip(*a._raw))
 
 
 def nullspace(a: Matrix) -> Subspace:
     """Vectors sent to zero: the complement of the row space, obtained by
     duality read-off rather than by solving."""
-    return _complement(a.field, a.ncols, a.rows)
+    return _complement(a.field, a.ncols, a._raw)
 
 
 def rank(a: Matrix) -> int:
     """Common dimension of the row space and the column space."""
-    return len(_red(a.rows, a.field.modulus))
+    return len(_red(a._raw, a.field.modulus))
 
 
 def nullity(a: Matrix) -> int:
@@ -195,7 +200,7 @@ def nullity(a: Matrix) -> int:
 def pivot_columns(a: Matrix) -> tuple:
     """Lime indices of the row space; the columns they select form a basis
     of the column space."""
-    return tuple(sorted(a.ncols - k for k in _mirrored(a.rows, a.field.modulus)))
+    return tuple(sorted(a.ncols - k for k in _mirrored(a._raw, a.field.modulus)))
 
 
 def dependent_columns(a: Matrix) -> frozenset:
@@ -208,13 +213,13 @@ def rref(a: Matrix) -> Matrix:
     """Reduced row echelon form: the lime basis of the row space as rows, in
     index order, padded below with zero rows. A pure function of the row
     space, hence unique."""
-    return _padded(a, _lime(a.field, a.ncols, a.rows))
+    return _padded(a, _lime(a.field, a.ncols, a._raw))
 
 
 def _padded(a: Matrix, lb: LimeBasis) -> Matrix:
     """The rows of lb, then zero rows up to a's row count."""
-    zero_row = (a.field.zero,) * a.ncols
-    return _matrix(a.field, [v.entries for v in lb.vectors]
+    zero_row = (a.field._coerce(0),) * a.ncols
+    return _matrix(a.field, [v._raw for v in lb.vectors]
                    + [zero_row] * (a.nrows - lb.dimension))
 
 
@@ -239,11 +244,11 @@ def full_rank_factorization(a: Matrix) -> FullRankFactors:
     Each column of a combines b's columns with coefficients read at those
     indices, and those coefficients across all columns are exactly g.
     """
-    lb = _lime(a.field, a.nrows, zip(*a.rows))
+    lb = _lime(a.field, a.nrows, zip(*a._raw))
     if lb.dimension == 0:
         raise DomainError("the zero matrix has no full-rank factorization")
-    b = _matrix(a.field, zip(*(v.entries for v in lb.vectors)))
-    g = _matrix(a.field, [a.rows[i - 1] for i in lb.lime_indices])
+    b = _matrix(a.field, zip(*(v._raw for v in lb.vectors)))
+    g = _matrix(a.field, [a._raw[i - 1] for i in lb.lime_indices])
     return FullRankFactors(b=b, g=g, rank=lb.dimension)
 
 
@@ -251,7 +256,7 @@ def _completion_rows(field: FieldSpec, n: int, rows) -> list:
     """Rows of the n-by-n identity at the non-lime indices of the span of
     rows, ascending."""
     lime = {n - 1 - k for k in _mirrored(rows, field.modulus)}
-    z, o = field.zero, field.one
+    z, o = field._coerce(0), field._coerce(1)
     return [tuple(o if i == j else z for i in range(n)) for j in range(n) if j not in lime]
 
 
@@ -275,15 +280,15 @@ def rref_factorization(a: Matrix, complete: bool = False) -> tuple:
     then zero columns; ``complete`` fills those with standard basis vectors
     at the non-lime indices of the column space, making t invertible.
     """
-    lb = _lime(a.field, a.ncols, a.rows)
+    lb = _lime(a.field, a.ncols, a._raw)
     if lb.dimension == 0:
         raise DomainError("the zero matrix has no echelon factorization")
-    columns = list(zip(*a.rows))
+    columns = list(zip(*a._raw))
     t_cols = [columns[j - 1] for j in lb.lime_indices]
     if complete:
         t_cols += _completion_rows(a.field, a.nrows, columns)
     else:
-        t_cols += [(a.field.zero,) * a.nrows] * (a.nrows - lb.dimension)
+        t_cols += [(a.field._coerce(0),) * a.nrows] * (a.nrows - lb.dimension)
     return _matrix(a.field, zip(*t_cols)), _padded(a, lb)
 
 
@@ -298,5 +303,5 @@ def extend_rows_to_invertible(rows: Sequence[Vector]) -> Matrix:
     span = span_red_basis(rows)
     if span.dimension != len(rows):
         raise DomainError("input rows are linearly dependent")
-    entries = [v.entries for v in rows]
+    entries = [v._raw for v in rows]
     return _matrix(span.field, entries + _completion_rows(span.field, span.ambient, entries))

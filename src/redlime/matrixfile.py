@@ -76,7 +76,7 @@ def load_matrix(path) -> Matrix:
 def render_matrix(a: Matrix, comments=()) -> str:
     lines = [field_header(a.field)]
     lines.extend(f"# {c}" for c in comments)
-    lines.extend(" ".join(str(e) for e in row) for row in a.rows)
+    lines.append(str(a))
     return "\n".join(lines) + "\n"
 
 

@@ -5,8 +5,9 @@ literal sets of combinations, indices are read off those sets, complements
 are found by filtering on dot products, and row reduction is the classical
 swap/eliminate/back-substitute routine. None of it reuses the canonical
 basis machinery it is meant to check, so the two can referee each other.
-It also stays on Scalar arithmetic while the canonical kernels work on raw
-values, so the tests referee that raw kernel with independent arithmetic.
+Values store raw rows and the canonical kernels work on them; this module
+stays on Scalar arithmetic, reading each value's ``entries`` view once, so
+the tests referee that raw kernel with independent arithmetic.
 Budgets are explicit; these routines are deliberately naive.
 """
 
@@ -21,7 +22,7 @@ from .fields import FieldSpec, gf
 from .matrix import Matrix
 from .signatures import signature_from_indices
 from .subspace import (Subspace, Vector, originating_index, span_red_basis,
-                       terminating_index, _common_field_ambient)
+                       terminating_index, _check_space, _common_field_ambient)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -40,14 +41,14 @@ def enumerate_span(generators, ambient: Optional[int] = None,
     field, ambient = _common_field_ambient(generators, ambient, field)
     _require_finite(field)
     scalars = list(field.elements())
-    span = {Vector.zero(field, ambient)}
-    for g in generators:
+    span = {(field.zero,) * ambient}
+    for g in [g.entries for g in generators]:
         if g in span:
             continue
         if len(span) * len(scalars) > budget:
             raise ResourceError(f"span enumeration would exceed {budget} vectors")
-        span = {v + c * g for v in span for c in scalars}
-    return span
+        span = {tuple(a + c * b for a, b in zip(v, g)) for v in span for c in scalars}
+    return {Vector(field, v) for v in span}
 
 
 def brute_indices(generators, ambient: Optional[int] = None,
@@ -65,6 +66,7 @@ def brute_indices(generators, ambient: Optional[int] = None,
 
 def all_vectors(field: FieldSpec, n: int, budget: int = DEFAULT_BUDGET) -> Iterator[Vector]:
     """Every vector of GF(p)^n, in lexicographic order of entries."""
+    _check_space(field, n)
     _require_finite(field)
     # p^n >= 2^n, so a large n is refused before the power is formed.
     if budget < 1 or n - 1 > math.log2(budget) or field.modulus ** n > budget:
@@ -82,11 +84,13 @@ def brute_complement(generators, ambient: Optional[int] = None,
     generators = list(generators)
     field, ambient = _common_field_ambient(generators, ambient, field)
     _require_finite(field)
+    generators = [g.entries for g in generators]
     out = set()
     for x in all_vectors(field, ambient, budget):
+        entries = x.entries
         for g in generators:
             acc = field.zero
-            for a, b in zip(x.entries, g.entries):
+            for a, b in zip(entries, g):
                 if a and b:
                     acc = acc + a * b
             if acc:

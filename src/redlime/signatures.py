@@ -80,7 +80,7 @@ def signature_from_indices(red, lime, n: int) -> Signature:
 def signature(w: Subspace) -> Signature:
     """The subspace's mark string; b- and r-counts sum to the dimension, as
     do b- and l-counts."""
-    mirrored = _mirrored([v.entries for v in w.red_basis], w.field.modulus)
+    mirrored = _mirrored([v._raw for v in w.red_basis], w.field.modulus)
     lime = [w.ambient - k for k in mirrored]
     return signature_from_indices(w.red_indices, lime, w.ambient)
 
@@ -88,10 +88,10 @@ def signature(w: Subspace) -> Signature:
 def sub_terminal_index(v: Vector) -> int:
     """Position of the second-to-last nonzero entry, or 0 when the vector
     has fewer than two nonzero entries."""
-    t = _last_nonzero(v.entries)
+    t = _last_nonzero(v._raw)
     if t is None:
         return 0
-    s = _last_nonzero(v.entries, below=t)
+    s = _last_nonzero(v._raw, below=t)
     return 0 if s is None else s + 1
 
 
@@ -100,7 +100,7 @@ def truncate_right(w: Subspace) -> Subspace:
     F^(n-1). At most one position changes status, and only by gaining red."""
     if w.ambient <= 1:
         raise UsageError("cannot truncate an ambient of 1")
-    return _span(w.field, w.ambient - 1, [v.entries[:-1] for v in w.red_basis])
+    return _span(w.field, w.ambient - 1, [v._raw[:-1] for v in w.red_basis])
 
 
 def is_feasible(sig: Signature) -> bool:
@@ -127,24 +127,10 @@ def subspace_from_pattern(pattern: Sequence, field: FieldSpec) -> Subspace:
     pattern = list(pattern)
     if not pattern:
         raise UsageError("empty pattern")
-    n = len(pattern)
-    order = []
-    support: dict = {}
-    for pos, label in enumerate(pattern):
-        if label is None or label == 0:
-            continue
-        if label not in support:
-            support[label] = []
-            order.append(label)
-        support[label].append(pos)
-    zero, one = field.zero, field.one
-    generators = []
-    for label in order:
-        row = [zero] * n
-        for p in support[label]:
-            row[p] = one
-        generators.append(row)
-    return _span(field, n, generators)
+    zero, one = field._coerce(0), field._coerce(1)
+    labels = dict.fromkeys(label for label in pattern if label is not None and label != 0)
+    return _span(field, len(pattern),
+                 [[one if x == label else zero for x in pattern] for label in labels])
 
 
 def synthesize(sig: Signature, field: FieldSpec) -> Subspace:
@@ -192,10 +178,10 @@ class Permutation:
     def apply(self, v: Vector) -> Vector:
         """Relocate entries: the image vector carries v's entry i at image_of(i)."""
         _check_type(v, Vector)
-        if len(v.entries) != len(self.images):
+        if len(v._raw) != len(self.images):
             raise UsageError("vector length does not match the permutation size")
-        out = [v.field.zero] * len(self.images)
-        for i, e in enumerate(v.entries):
+        out = [v.field._coerce(0)] * len(self.images)
+        for i, e in enumerate(v._raw):
             out[self.images[i] - 1] = e
         return _unchecked(Vector, v.field, tuple(out))
 
@@ -220,18 +206,12 @@ def permute_presenting_positions(w: Subspace, positions) -> tuple:
     k = len(positions)
     if k == 0:
         return Permutation(tuple(range(1, n + 1))), w
-    restricted = [[v.entries[p - 1] for p in positions] for v in w.red_basis]
+    restricted = [[v._raw[p - 1] for p in positions] for v in w.red_basis]
     if len(_red(restricted, w.field.modulus)) != k:
         raise DomainError("the subspace does not present as the full space there")
     chosen = set(positions)
-    images = [0] * n
-    slot = 0
-    for q in range(1, n + 1):
-        if q not in chosen:
-            slot += 1
-            images[q - 1] = slot
-    for offset, p in enumerate(positions, start=1):
-        images[p - 1] = n - k + offset
-    perm = Permutation(tuple(images))
-    moved = _span(w.field, n, [perm.apply(v).entries for v in w.red_basis])
+    order = [q for q in range(1, n + 1) if q not in chosen] + positions
+    slot = {q: s for s, q in enumerate(order, start=1)}
+    perm = Permutation(tuple(slot[q] for q in range(1, n + 1)))
+    moved = _span(w.field, n, [perm.apply(v)._raw for v in w.red_basis])
     return perm, moved

@@ -18,72 +18,78 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, UsageError
-from .fields import FieldSpec, Scalar, _inverse, _scalars
+from .fields import FieldSpec, Scalar, _inverse, _scalars, _text
 
 
 class Vector:
-    """An immutable tuple of same-field scalars; positions are 1-based."""
+    """An immutable tuple of same-field scalars, stored as raw values;
+    ``entries`` is their Scalar view. Positions are 1-based."""
 
-    __slots__ = ("field", "entries")
+    __slots__ = ("field", "_raw")
 
     def __init__(self, field: FieldSpec, entries: Iterable[Scalar]):
-        entries = tuple(entries)
-        if not entries:
+        self._set(field, _values(field, entries, "vector"))
+
+    def _set(self, field: FieldSpec, raw: tuple):
+        if not raw:
             raise UsageError("a vector needs at least one entry")
-        for e in entries:
-            if not isinstance(e, Scalar) or e.field != field:
-                raise UsageError("vector entries must be scalars of the vector's field")
         self.field = field
-        self.entries = entries
+        self._raw = raw
 
     @classmethod
     def from_values(cls, field: FieldSpec, values) -> "Vector":
         """Build a vector by coercing ints/Fractions through the field."""
-        return cls(field, tuple(field.scalar(v) for v in values))
+        v = object.__new__(cls)
+        v._set(field, tuple(map(field._coerce, values)))
+        return v
 
     @classmethod
     def zero(cls, field: FieldSpec, n: int) -> "Vector":
-        return cls(field, (field.zero,) * n)
+        return cls.from_values(field, (0,) * n)
 
     @classmethod
     def standard_basis(cls, field: FieldSpec, n: int, k: int) -> "Vector":
         """E_k in F^n: a 1 in position k, zeros elsewhere."""
         if not 1 <= k <= n:
             raise UsageError(f"position {k} outside 1..{n}")
-        z, o = field.zero, field.one
-        return cls(field, tuple(o if p == k else z for p in range(1, n + 1)))
+        return cls.from_values(field, [int(p == k) for p in range(1, n + 1)])
+
+    @property
+    def entries(self) -> tuple:
+        return _scalars(self.field, self._raw)
 
     def entry(self, i: int) -> Scalar:
         """The entry in position i (1-based)."""
-        if not 1 <= i <= len(self.entries):
-            raise UsageError(f"position {i} outside 1..{len(self.entries)}")
-        return self.entries[i - 1]
+        if not 1 <= i <= len(self._raw):
+            raise UsageError(f"position {i} outside 1..{len(self._raw)}")
+        return _scalars(self.field, self._raw[i - 1:i])[0]
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self._raw)
+
+    def _minus(self, c, src: "Vector") -> "Vector":
+        """self - c * src on raw values, c a raw value."""
+        _check_vector(src, self.field, len(self._raw))
+        row = list(self._raw)
+        _axpy(row, c, src._raw, len(row), self.field.modulus)
+        return _unchecked(Vector, self.field, tuple(row))
 
     def __add__(self, other):
-        _check_vector(other, self.field, len(self.entries))
-        return _unchecked(Vector, self.field,
-                          tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._minus(-1, other)
 
     def __sub__(self, other):
-        _check_vector(other, self.field, len(self.entries))
-        return _unchecked(Vector, self.field,
-                          tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._minus(1, other)
 
     def __rmul__(self, c):
         if not isinstance(c, Scalar):
             return NotImplemented
-        if c.field != self.field:
-            raise UsageError(f"mixed fields: {c.field} vs {self.field}")
-        return _unchecked(Vector, self.field, tuple(c * e for e in self.entries))
+        return self._minus(1 - self.field._coerce(c), self)  # c * v is v - (1 - c) * v
 
     def __neg__(self):
-        return _unchecked(Vector, self.field, tuple(-e for e in self.entries))
+        return self._minus(2, self)  # -v is v - 2 * v
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._raw)
 
     def __iter__(self):
         return iter(self.entries)
@@ -91,13 +97,13 @@ class Vector:
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.field == other.field and self.entries == other.entries
+        return self.field == other.field and self._raw == other._raw
 
     def __hash__(self):
-        return hash((self.field, self.entries))
+        return hash((self.field, self._raw))
 
     def __str__(self):
-        return "(" + ", ".join(str(e) for e in self.entries) + ")"
+        return "(" + ", ".join(_text(self.field, v) for v in self._raw) + ")"
 
     def __repr__(self):
         return f"Vector({self.field}, {self.entries!r})"
@@ -105,14 +111,24 @@ class Vector:
 
 def terminating_index(v: Vector) -> Optional[int]:
     """Position of the last nonzero entry; None for the zero vector."""
-    p = _last_nonzero(v.entries)
+    p = _last_nonzero(v._raw)
     return None if p is None else p + 1
 
 
 def originating_index(v: Vector) -> Optional[int]:
     """Position of the first nonzero entry; None for the zero vector."""
-    p = _last_nonzero(v.entries[::-1])
-    return None if p is None else len(v.entries) - p
+    p = _last_nonzero(v._raw[::-1])
+    return None if p is None else len(v._raw) - p
+
+
+def _values(field: FieldSpec, entries, what: str) -> tuple:
+    """The raw values of a caller's Scalars; UsageError unless each is a
+    Scalar of field."""
+    entries = tuple(entries)
+    for e in entries:
+        if not isinstance(e, Scalar) or e.field != field:
+            raise UsageError(f"{what} entries must be scalars of the {what}'s field")
+    return tuple(e.value for e in entries)
 
 
 def _check_type(x, cls):
@@ -126,8 +142,15 @@ def _check_vector(x, field: FieldSpec, n: int):
     _check_type(x, Vector)
     if x.field != field:
         raise UsageError(f"mixed fields: {field} vs {x.field}")
-    if len(x.entries) != n:
-        raise UsageError(f"vector of length {len(x.entries)} where {n} is needed")
+    if len(x._raw) != n:
+        raise UsageError(f"vector of length {len(x._raw)} where {n} is needed")
+
+
+def _check_space(field: FieldSpec, ambient: int):
+    """UsageError unless field is a FieldSpec and ambient an int of at least 1."""
+    _check_type(field, FieldSpec)
+    if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 1:
+        raise UsageError(f"ambient dimension must be an int of at least 1, not {ambient!r}")
 
 
 def _unchecked(cls, *values):
@@ -137,10 +160,6 @@ def _unchecked(cls, *values):
     for name, value in zip(cls.__slots__, values):
         setattr(obj, name, value)
     return obj
-
-
-def _vector(field: FieldSpec, values) -> Vector:
-    return _unchecked(Vector, field, _scalars(field, values))
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +208,15 @@ def _insert_red(basis: dict, row: list, p) -> Optional[int]:
     return t
 
 
-def _pack(row) -> tuple:
-    """(bits, length) of a row of GF(2) Scalars: bit j is entry j, so the
-    terminating position is ``bits.bit_length() - 1``."""
-    x = n = 0
-    for e in row:
-        if e.value:
-            x |= 1 << n
-        n += 1
-    return x, n
-
-
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack(row) -> tuple:
+    """(bits, length) of a raw GF(2) row: bit j is entry j, so the
+    terminating position is ``bits.bit_length() - 1``."""
+    b = bytes(row)
+    return int(b[::-1].translate(_DIGITS), 2), len(b)
 
 
 def _unpack(x: int, n: int) -> list:
@@ -211,8 +227,8 @@ def _unpack(x: int, n: int) -> list:
 
 
 def _red(rows, p) -> dict:
-    """Raw red-basis dict of the span of rows of Scalars (p the modulus, None
-    over Q): the one elimination.
+    """Raw red-basis dict of the span of raw rows (p the modulus, None over
+    Q): the one elimination.
 
     Over GF(2) the rows are packed into ints, so a row operation is one XOR;
     every other field goes through the insertion kernel.
@@ -220,7 +236,7 @@ def _red(rows, p) -> dict:
     basis: dict = {}
     if p != 2:
         for row in rows:
-            _insert_red(basis, [e.value for e in row], p)
+            _insert_red(basis, list(row), p)
         return basis
     for row in rows:
         x, n = _pack(row)
@@ -244,47 +260,72 @@ def _mirrored(rows, p) -> dict:
     return _red(map(reversed, rows), p)
 
 
-def _validate_canonical(field, ambient, indices, vectors, side: str):
-    if len(indices) != len(vectors):
-        raise UsageError("index and vector counts differ")
-    prev = 0
-    for i in indices:
-        if not isinstance(i, int) or not prev < i <= ambient:
-            raise UsageError(f"{side} indices must be strictly increasing within 1..{ambient}")
-        prev = i
-    index_set = set(indices)
-    for i, v in zip(indices, vectors):
-        if not isinstance(v, Vector) or v.field != field or len(v.entries) != ambient:
-            raise UsageError(f"{side}-basic element has the wrong field or length")
-        if not v.entries[i - 1].is_one():
-            raise UsageError(f"{side}-basic element for index {i} must carry a 1 there")
-        outside = range(i, ambient) if side == "red" else range(0, i - 1)
-        for p in outside:
-            if v.entries[p]:
-                raise UsageError(
-                    f"{side}-basic element for index {i} must vanish at position {p + 1}")
-        for l in index_set:
-            if l != i and v.entries[l - 1]:
-                raise UsageError(
-                    f"{side}-basic element for index {i} must vanish at {side} index {l}")
+class _Canonical:
+    """What Subspace (the red side) and LimeBasis (the lime side) share: a
+    field, an ambient dimension, then the indices and their basic elements in
+    index order, checked once as they enter and compared as stored."""
+
+    __slots__ = ()
+    _side = ""
+
+    def _set(self, field: FieldSpec, ambient: int, indices, vectors):
+        _check_space(field, ambient)
+        indices, vectors, side = tuple(indices), tuple(vectors), self._side
+        if len(indices) != len(vectors):
+            raise UsageError("index and vector counts differ")
+        prev = 0
+        for i in indices:
+            if not isinstance(i, int) or not prev < i <= ambient:
+                raise UsageError(f"{side} indices must be strictly increasing within 1..{ambient}")
+            prev = i
+        for i, v in zip(indices, vectors):
+            if not isinstance(v, Vector) or v.field != field or len(v._raw) != ambient:
+                raise UsageError(f"{side}-basic element has the wrong field or length")
+            if v._raw[i - 1] != 1:
+                raise UsageError(f"{side}-basic element for index {i} must carry a 1 there")
+            outside = range(i, ambient) if side == "red" else range(0, i - 1)
+            for p in outside:
+                if v._raw[p]:
+                    raise UsageError(
+                        f"{side}-basic element for index {i} must vanish at position {p + 1}")
+            for l in indices:
+                if l != i and v._raw[l - 1]:
+                    raise UsageError(
+                        f"{side}-basic element for index {i} must vanish at {side} index {l}")
+        for name, value in zip(self.__slots__, (field, ambient, indices, vectors)):
+            setattr(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    @property
+    def dimension(self) -> int:
+        """Number of indices; a subspace has as many red indices as lime ones,
+        and that is the common length of all its coordinate systems."""
+        return len(getattr(self, self.__slots__[2]))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        indices = list(self._key()[2])
+        return f"{type(self).__name__}({self.field}, n={self.ambient}, {self._side}={indices})"
 
 
-class Subspace:
+class Subspace(_Canonical):
     """A subspace held as its red basis; structural equality is set equality."""
 
     __slots__ = ("field", "ambient", "red_indices", "red_basis")
+    _side = "red"
 
     def __init__(self, field: FieldSpec, ambient: int,
                  red_indices: Sequence[int], red_basis: Sequence[Vector]):
-        if ambient < 1:
-            raise UsageError("ambient dimension must be at least 1")
-        red_indices = tuple(red_indices)
-        red_basis = tuple(red_basis)
-        _validate_canonical(field, ambient, red_indices, red_basis, "red")
-        self.field = field
-        self.ambient = ambient
-        self.red_indices = red_indices
-        self.red_basis = red_basis
+        self._set(field, ambient, red_indices, red_basis)
 
     @classmethod
     def zero_subspace(cls, field: FieldSpec, ambient: int) -> "Subspace":
@@ -295,12 +336,6 @@ class Subspace:
         basis = tuple(Vector.standard_basis(field, ambient, k) for k in range(1, ambient + 1))
         return cls(field, ambient, tuple(range(1, ambient + 1)), basis)
 
-    @property
-    def dimension(self) -> int:
-        """Number of red indices; equals the number of lime indices and the
-        common length of all coordinate systems."""
-        return len(self.red_indices)
-
     def is_zero(self) -> bool:
         return not self.red_indices
 
@@ -310,74 +345,37 @@ class Subspace:
     def __le__(self, other: "Subspace") -> bool:
         return subspace_leq(self, other)
 
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (self.field == other.field and self.ambient == other.ambient
-                and self.red_indices == other.red_indices
-                and self.red_basis == other.red_basis)
 
-    def __hash__(self):
-        return hash((self.field, self.ambient, self.red_indices, self.red_basis))
-
-    def __repr__(self):
-        return f"Subspace({self.field}, n={self.ambient}, red={list(self.red_indices)})"
-
-
-class LimeBasis:
+class LimeBasis(_Canonical):
     """Canonical originating-side basis: each vector starts with a 1 at its
     lime index and is zero at every other lime index."""
 
     __slots__ = ("field", "ambient", "lime_indices", "vectors")
+    _side = "lime"
 
     def __init__(self, field: FieldSpec, ambient: int,
                  lime_indices: Sequence[int], vectors: Sequence[Vector]):
-        if ambient < 1:
-            raise UsageError("ambient dimension must be at least 1")
-        lime_indices = tuple(lime_indices)
-        vectors = tuple(vectors)
-        _validate_canonical(field, ambient, lime_indices, vectors, "lime")
-        self.field = field
-        self.ambient = ambient
-        self.lime_indices = lime_indices
-        self.vectors = vectors
+        self._set(field, ambient, lime_indices, vectors)
 
     @classmethod
     def empty(cls, field: FieldSpec, ambient: int) -> "LimeBasis":
         return cls(field, ambient, (), ())
 
-    @property
-    def dimension(self) -> int:
-        return len(self.lime_indices)
-
-    def __eq__(self, other):
-        if not isinstance(other, LimeBasis):
-            return NotImplemented
-        return (self.field == other.field and self.ambient == other.ambient
-                and self.lime_indices == other.lime_indices
-                and self.vectors == other.vectors)
-
-    def __hash__(self):
-        return hash((self.field, self.ambient, self.lime_indices, self.vectors))
-
-    def __repr__(self):
-        return f"LimeBasis({self.field}, n={self.ambient}, lime={list(self.lime_indices)})"
-
 
 def _span(field, n, rows) -> Subspace:
-    """The span of rows of Scalars in F^n, in canonical red form."""
+    """The span of raw rows in F^n, in canonical red form."""
     basis = _red(rows, field.modulus)
     idx = sorted(basis)
     return _unchecked(Subspace, field, n, tuple(i + 1 for i in idx),
-                      tuple(_vector(field, basis[i]) for i in idx))
+                      tuple(_unchecked(Vector, field, tuple(basis[i])) for i in idx))
 
 
 def _lime(field, n, rows) -> LimeBasis:
-    """The lime basis of the span of rows of Scalars in F^n."""
+    """The lime basis of the span of raw rows in F^n."""
     mirrored = _mirrored(rows, field.modulus)
     keys = sorted(mirrored, reverse=True)
     return _unchecked(LimeBasis, field, n, tuple(n - k for k in keys),
-                      tuple(_vector(field, mirrored[k][::-1]) for k in keys))
+                      tuple(_unchecked(Vector, field, tuple(mirrored[k][::-1])) for k in keys))
 
 
 def _common_field_ambient(generators, ambient, field):
@@ -385,11 +383,12 @@ def _common_field_ambient(generators, ambient, field):
         g0 = generators[0]
         _check_type(g0, Vector)
         field = g0.field if field is None else field
-        ambient = len(g0.entries) if ambient is None else ambient
-        for g in generators:
-            _check_vector(g, field, ambient)
+        ambient = len(g0._raw) if ambient is None else ambient
     elif field is None or ambient is None:
         raise UsageError("an empty generator list needs an explicit field and ambient")
+    _check_space(field, ambient)
+    for g in generators:
+        _check_vector(g, field, ambient)
     return field, ambient
 
 
@@ -405,7 +404,7 @@ def span_red_basis(generators: Sequence[Vector], ambient: Optional[int] = None,
     """
     generators = list(generators)
     field, ambient = _common_field_ambient(generators, ambient, field)
-    return _span(field, ambient, [g.entries for g in generators])
+    return _span(field, ambient, [g._raw for g in generators])
 
 
 def lime_basis(w: Subspace) -> LimeBasis:
@@ -414,7 +413,7 @@ def lime_basis(w: Subspace) -> LimeBasis:
 
     The span always has as many lime indices as red ones.
     """
-    return _lime(w.field, w.ambient, [v.entries for v in w.red_basis])
+    return _lime(w.field, w.ambient, [v._raw for v in w.red_basis])
 
 
 def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
@@ -427,17 +426,17 @@ def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
     span grows by exactly the one new vector.
     """
     _check_vector(y, basis.field, basis.ambient)
-    grown = _lime(basis.field, basis.ambient, [v.entries for v in basis.vectors] + [y.entries])
+    grown = _lime(basis.field, basis.ambient, [v._raw for v in basis.vectors] + [y._raw])
     return basis if grown.dimension == basis.dimension else grown
 
 
 def _combine(w: Subspace, coefficients) -> list:
     """Raw entries of the combination of w's red-basic elements with the
     given raw coefficients."""
-    acc = [0] * w.ambient
+    acc = [w.field._coerce(0)] * w.ambient
     for i, c, bv in zip(w.red_indices, coefficients, w.red_basis):
         if c:  # bv vanishes past its red index i
-            _axpy(acc, -c, [e.value for e in bv.entries[:i]], i, w.field.modulus)
+            _axpy(acc, -c, bv._raw, i, w.field.modulus)
     return acc
 
 
@@ -446,8 +445,7 @@ def contains_vector(w: Subspace, x: Vector) -> bool:
     of red-basic elements whose coefficients are x's entries at the red
     positions."""
     _check_vector(x, w.field, w.ambient)
-    values = [e.value for e in x.entries]
-    return _combine(w, [values[i - 1] for i in w.red_indices]) == values
+    return _combine(w, [x._raw[i - 1] for i in w.red_indices]) == list(x._raw)
 
 
 def coordinates(w: Subspace, x: Vector) -> tuple:
@@ -455,15 +453,15 @@ def coordinates(w: Subspace, x: Vector) -> tuple:
     positions, in index order. DomainError if x is not a member."""
     if not contains_vector(w, x):
         raise DomainError("vector is not a member of the subspace")
-    return tuple(x.entries[i - 1] for i in w.red_indices)
+    return _scalars(w.field, [x._raw[i - 1] for i in w.red_indices])
 
 
 def element_from_red_entries(w: Subspace, coefficients) -> Vector:
     """The unique member whose red-position entries are the given scalars."""
-    coeffs = [w.field.scalar(c).value for c in coefficients]
+    coeffs = [w.field._coerce(c) for c in coefficients]
     if len(coeffs) != w.dimension:
         raise UsageError(f"expected {w.dimension} coefficients, got {len(coeffs)}")
-    return _vector(w.field, _combine(w, coeffs))
+    return _unchecked(Vector, w.field, tuple(_combine(w, coeffs)))
 
 
 def _check_comparable(w: Subspace, v: Subspace):
@@ -488,4 +486,4 @@ def is_coordinate_system(vectors: Sequence[Vector], w: Subspace) -> bool:
     for v in vectors:
         _check_vector(v, w.field, w.ambient)
     return (len(vectors) == w.dimension
-            and _span(w.field, w.ambient, [v.entries for v in vectors]) == w)
+            and _span(w.field, w.ambient, [v._raw for v in vectors]) == w)

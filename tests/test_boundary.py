@@ -57,6 +57,26 @@ def test_bad_arguments_are_usage_errors(call, bad):
         CALLS[call](BAD_VECTORS[bad])
 
 
+# --- one check of the field and the ambient dimension -----------------------
+
+BAD_SPACES = {
+    "span_red_basis, ambient 0": lambda: rl.span_red_basis([], 0, rl.gf(2)),
+    "span_red_basis, ambient -3": lambda: rl.span_red_basis([], -3, rl.gf(2)),
+    "brute_complement, ambient -2": lambda: rl.brute_complement([], -2, rl.gf(2)),
+    "all_vectors, ambient -1": lambda: list(rl.all_vectors(rl.gf(2), -1)),
+    "Subspace, float ambient": lambda: rl.Subspace(GF5, 3.0, (), ()),
+    "Subspace, text ambient": lambda: rl.Subspace(GF5, "3", (), ()),
+    "Subspace, text field": lambda: rl.Subspace("x", 3, (), ()),
+    "LimeBasis, bool ambient": lambda: rl.LimeBasis(GF5, True, (), ()),
+}
+
+
+@pytest.mark.parametrize("call", BAD_SPACES)
+def test_bad_field_or_ambient_is_a_usage_error(call):
+    with pytest.raises(UsageError):
+        BAD_SPACES[call]()
+
+
 # --- internal builds pass the public constructors ---------------------------
 
 def assert_entries(field, entries):
@@ -69,10 +89,24 @@ def assert_entries(field, entries):
             assert type(e.value) is Fraction
 
 
+def assert_raw(field, raw):
+    """The stored values themselves are canonical, not only their views:
+    ``_scalars`` would map an int 0 in a Q row to a canonical zero, and ``==``
+    would not tell an int 1 from Fraction(1)."""
+    assert type(raw) is tuple
+    for v in raw:
+        if field.is_prime_field:
+            assert type(v) is int and v in range(field.modulus)
+        else:
+            assert type(v) is Fraction
+
+
 def assert_rebuilds(obj):
-    """obj holds canonical scalars in tuples, and its public constructor
-    accepts its parts and rebuilds an equal object."""
+    """obj stores canonical raw values in tuples and its views hold canonical
+    scalars in tuples, and its public constructor accepts its parts and
+    rebuilds an equal object."""
     if isinstance(obj, rl.Vector):
+        assert_raw(obj.field, obj._raw)
         assert_entries(obj.field, obj.entries)
         assert rl.Vector(obj.field, obj.entries) == obj
     elif isinstance(obj, rl.Subspace):
@@ -86,8 +120,9 @@ def assert_rebuilds(obj):
             assert_rebuilds(v)
         assert rl.LimeBasis(obj.field, obj.ambient, obj.lime_indices, obj.vectors) == obj
     elif isinstance(obj, rl.Matrix):
-        assert type(obj.rows) is tuple
-        for r in obj.rows:
+        assert type(obj.rows) is tuple and type(obj._raw) is tuple
+        for raw, r in zip(obj._raw, obj.rows, strict=True):
+            assert_raw(obj.field, raw)
             assert_entries(obj.field, r)
         rebuilt = rl.Matrix(obj.field, obj.rows)
         assert rebuilt == obj
@@ -101,10 +136,13 @@ def test_subspace_results_rebuild(w, data):
     y = data.draw(vectors(w.field, w.ambient))
     coeffs = data.draw(st.lists(scalars(w.field), min_size=w.dimension,
                                 max_size=w.dimension))
+    c = data.draw(scalars(w.field))
     lb = rl.lime_basis(w)
     for obj in (w, lb, rl.append_lime(lb, y), rl.complement(w),
                 rl.lime_of_complement_from_red(w), rl.complement(w),
-                rl.element_from_red_entries(w, coeffs)):
+                rl.element_from_red_entries(w, coeffs),
+                y + y, y - y, c * y, -y, rl.Vector.zero(w.field, w.ambient),
+                rl.Vector.standard_basis(w.field, w.ambient, w.ambient)):
         assert_rebuilds(obj)
     assert_entries(w.field, (rl.dot(y, y),))
 
@@ -117,6 +155,7 @@ def test_matrix_results_rebuild(a, data):
         min_size=a.ncols, max_size=a.ncols)))
     x = data.draw(vectors(a.field, a.ncols))
     results = [a.transpose(), a @ b, rl.rref(a), rl.rcef(a), rl.nullspace(a),
+               rl.Matrix.identity(a.field, a.nrows), rl.Matrix.zero(a.field, a.nrows, a.ncols),
                rl.row_space(a), rl.column_space(a), a.row(1), a.column(1),
                *a.row_vectors(), *a.column_vectors(),
                rl.apply_row_centric(a, x), rl.apply_column_centric(a, x)]
