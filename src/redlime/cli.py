@@ -16,7 +16,7 @@ import sys
 
 from .duality import complement
 from .errors import DomainError, ParseError, ResourceError, UsageError
-from .fields import FieldSpec, _text
+from .fields import FieldSpec, _random_scalar, _text
 from .matrix import (Matrix, apply_column_centric, apply_row_centric,
                      column_space, dependent_columns, full_rank_factorization,
                      nullity, nullspace, pivot_columns, rank, rcef,
@@ -160,13 +160,6 @@ def _cmd_atlas(args) -> int:
     return 0 if ok else 3
 
 
-def _random_scalar(field, rng):
-    if field.is_prime_field:
-        return field.scalar(rng.randrange(field.modulus))
-    from fractions import Fraction
-    return field.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-
-
 def _shuffled_row_span(a: Matrix, rng) -> Matrix:
     """Apply a few random row-space-preserving operations."""
     rows = list(a.row_vectors())
@@ -178,13 +171,13 @@ def _shuffled_row_span(a: Matrix, rng) -> Matrix:
             j = rng.randrange(n)
             rows[i], rows[j] = rows[j], rows[i]
         elif op == 1:
-            c = _random_scalar(a.field, rng)
+            c = _random_scalar(a.field, rng, 9)
             if c:
                 rows[i] = c * rows[i]
         elif n > 1:
             j = rng.randrange(n)
             if j != i:
-                c = _random_scalar(a.field, rng)
+                c = _random_scalar(a.field, rng, 9)
                 rows[i] = rows[i] + c * rows[j]
     return Matrix.from_rows(rows)
 
@@ -220,7 +213,7 @@ def _cmd_verify(args) -> int:
 
     agree = True
     for _ in range(5):
-        x = Vector(a.field, tuple(_random_scalar(a.field, rng) for _ in range(a.ncols)))
+        x = Vector(a.field, tuple(_random_scalar(a.field, rng, 9) for _ in range(a.ncols)))
         if apply_row_centric(a, x) != apply_column_centric(a, x):
             agree = False
     check("row- and column-centric application agree", agree)

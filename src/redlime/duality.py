@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .fields import FieldSpec, Scalar
 from .subspace import (LimeBasis, Subspace, Vector, _check_type, _check_vector,
-                       _mirrored, _unchecked)
+                       _mirrored, _unchecked, _vector)
 
 
 def dot(x: Vector, y: Vector) -> Scalar:
@@ -25,7 +25,7 @@ def dot(x: Vector, y: Vector) -> Scalar:
 def _read_off(field: FieldSpec, n: int, basis: dict) -> list:
     """lime_of_complement_from_red on a raw red-basis dict with 0-based keys:
     one pair (position, raw entries) per non-key position, ascending."""
-    p, zero, one = field.modulus, field._coerce(0), field._coerce(1)
+    p, zero, one = field.modulus, field.zero.value, field.one.value
     out = []
     for o in range(n):
         if o in basis:
@@ -47,10 +47,11 @@ def lime_of_complement_from_red(w: Subspace) -> LimeBasis:
     index where that element terminates (for red indices past o), and zeros
     elsewhere.
     """
+    _check_type(w, Subspace)
     field, n = w.field, w.ambient
     out = _read_off(field, n, {i - 1: v._raw for i, v in zip(w.red_indices, w.red_basis)})
     return _unchecked(LimeBasis, field, n, tuple(o + 1 for o, _ in out),
-                      tuple(_unchecked(Vector, field, tuple(z)) for _, z in out))
+                      tuple(_vector(field, tuple(z)) for _, z in out))
 
 
 def _complement(field, n, rows) -> Subspace:
@@ -59,7 +60,7 @@ def _complement(field, n, rows) -> Subspace:
     read-off of the reversed span, reversed back."""
     out = _read_off(field, n, _mirrored(rows, field.modulus))[::-1]
     return _unchecked(Subspace, field, n, tuple(n - o for o, _ in out),
-                      tuple(_unchecked(Vector, field, tuple(z[::-1])) for _, z in out))
+                      tuple(_vector(field, tuple(z[::-1])) for _, z in out))
 
 
 def complement(w: Subspace) -> Subspace:
@@ -68,4 +69,5 @@ def complement(w: Subspace) -> Subspace:
     Computed by read-off, never by solving a linear system. Satisfies
     dim w + dim complement(w) = n and complement(complement(w)) = w.
     """
+    _check_type(w, Subspace)
     return _complement(w.field, w.ambient, [v._raw for v in w.red_basis])

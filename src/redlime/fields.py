@@ -91,6 +91,16 @@ class FieldSpec:
             value = value.numerator
         return value % self.modulus
 
+    def _coerce_row(self, values) -> tuple:
+        """``_coerce`` of each value, as a tuple. Over GF(p) a row whose
+        values are all exactly ``int`` is reduced in one pass; any other row
+        goes value by value, with the same checks and errors."""
+        values = tuple(values)
+        p = self.modulus
+        if p is not None and set(map(type, values)) == {int}:
+            return tuple([v % p for v in values])
+        return tuple(map(self._coerce, values))
+
     @cached_property
     def zero(self) -> "Scalar":
         return self.scalar(0)
@@ -206,6 +216,14 @@ def _scalars(field: FieldSpec, values) -> tuple:
     field's cached ``zero`` and ``one``."""
     zero, one = field.zero, field.one
     return tuple(zero if not v else one if v == 1 else Scalar(field, v) for v in values)
+
+
+def _random_scalar(field: FieldSpec, rng, bound: int) -> Scalar:
+    """A scalar drawn from rng: any residue over GF(p); over Q, a/b with
+    -bound <= a <= bound and 1 <= b <= bound."""
+    if field.is_prime_field:
+        return field.scalar(rng.randrange(field.modulus))
+    return field.scalar(Fraction(rng.randint(-bound, bound), rng.randint(1, bound)))
 
 
 def _text(field: FieldSpec, value) -> str:

@@ -11,6 +11,7 @@ reduction argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .duality import _complement
@@ -18,8 +19,8 @@ from .errors import DomainError, UsageError
 from .fields import FieldSpec, Scalar, _scalars, _text
 from .subspace import (LimeBasis, Subspace, Vector, _axpy, _check_type,
                        _check_vector, _common_field_ambient, _lime, _mirrored,
-                       _pack, _red, _span, _unchecked, _unpack, _values,
-                       span_red_basis)
+                       _pack, _red, _slot_bytes, _span, _unchecked, _unpack,
+                       _values, _vector, span_red_basis)
 
 
 class Matrix:
@@ -46,7 +47,7 @@ class Matrix:
     @classmethod
     def from_values(cls, field: FieldSpec, values) -> "Matrix":
         a = object.__new__(cls)
-        a._set(field, [tuple(map(field._coerce, row)) for row in values])
+        a._set(field, [field._coerce_row(row) for row in values])
         return a
 
     @classmethod
@@ -82,18 +83,18 @@ class Matrix:
     def row(self, i: int) -> Vector:
         if not 1 <= i <= self.nrows:
             raise UsageError(f"row {i} outside 1..{self.nrows}")
-        return _unchecked(Vector, self.field, self._raw[i - 1])
+        return _vector(self.field, self._raw[i - 1])
 
     def column(self, j: int) -> Vector:
         if not 1 <= j <= self.ncols:
             raise UsageError(f"column {j} outside 1..{self.ncols}")
-        return _unchecked(Vector, self.field, tuple(r[j - 1] for r in self._raw))
+        return _vector(self.field, tuple(r[j - 1] for r in self._raw))
 
     def row_vectors(self) -> tuple:
-        return tuple(_unchecked(Vector, self.field, r) for r in self._raw)
+        return tuple(_vector(self.field, r) for r in self._raw)
 
     def column_vectors(self) -> tuple:
-        return tuple(_unchecked(Vector, self.field, c) for c in zip(*self._raw))
+        return tuple(_vector(self.field, c) for c in zip(*self._raw))
 
     def transpose(self) -> "Matrix":
         return _matrix(self.field, zip(*self._raw))
@@ -111,15 +112,23 @@ class Matrix:
         p, m = self.field.modulus, other.ncols
         out = []
         if p == 2:  # rows packed into ints: adding a row is one XOR
-            others = [_pack(r)[0] for r in other._raw]
+            others = [_pack(r) for r in other._raw]
             for r in self._raw:
                 acc = 0
                 for c, src in zip(r, others):
                     if c:
                         acc ^= src
                 out.append(_unpack(acc, m))
+        elif p is not None:
+            # rows packed into slots, reduced once per output row: a slot
+            # sums at most other.nrows products of two residues below p
+            k = _slot_bytes(2 * p.bit_length() + other.nrows.bit_length())
+            others = [_pack(r, k) for r in other._raw]
+            for r in self._raw:
+                acc = sum(map(mul, r, others))
+                out.append([v % p for v in _unpack(acc, m, k)])
         else:
-            zero = self.field._coerce(0)
+            zero = self.field.zero.value
             for r in self._raw:
                 acc = [zero] * m
                 for c, src in zip(r, other._raw):
@@ -152,8 +161,9 @@ def _matrix(field: FieldSpec, rows) -> Matrix:
 def apply_row_centric(a: Matrix, x: Vector) -> Vector:
     """Apply a to x one output entry at a time: the i-th entry is the dot
     product of row i with x."""
+    _check_type(a, Matrix)
     _check_vector(x, a.field, a.ncols)
-    return _unchecked(Vector, a.field, tuple(
+    return _vector(a.field, tuple(
         a.field._coerce(sum(c * e for c, e in zip(r, x._raw))) for r in a._raw))
 
 
@@ -163,32 +173,37 @@ def apply_column_centric(a: Matrix, x: Vector) -> Vector:
     Agrees entrywise with apply_row_centric; both stay available because
     each orientation is the cheaper one for some downstream use.
     """
+    _check_type(a, Matrix)
     _check_vector(x, a.field, a.ncols)
-    acc = [a.field._coerce(0)] * a.nrows
+    acc = [a.field.zero.value] * a.nrows
     for c, col in zip(x._raw, zip(*a._raw)):
         if c:
             _axpy(acc, -c, col, a.nrows, a.field.modulus)
-    return _unchecked(Vector, a.field, tuple(acc))
+    return _vector(a.field, tuple(acc))
 
 
 def row_space(a: Matrix) -> Subspace:
     """Span of the rows, inside F^m."""
+    _check_type(a, Matrix)
     return _span(a.field, a.ncols, a._raw)
 
 
 def column_space(a: Matrix) -> Subspace:
     """Span of the columns (the range of a), inside F^n."""
+    _check_type(a, Matrix)
     return _span(a.field, a.nrows, zip(*a._raw))
 
 
 def nullspace(a: Matrix) -> Subspace:
     """Vectors sent to zero: the complement of the row space, obtained by
     duality read-off rather than by solving."""
+    _check_type(a, Matrix)
     return _complement(a.field, a.ncols, a._raw)
 
 
 def rank(a: Matrix) -> int:
     """Common dimension of the row space and the column space."""
+    _check_type(a, Matrix)
     return len(_red(a._raw, a.field.modulus))
 
 
@@ -200,6 +215,7 @@ def nullity(a: Matrix) -> int:
 def pivot_columns(a: Matrix) -> tuple:
     """Lime indices of the row space; the columns they select form a basis
     of the column space."""
+    _check_type(a, Matrix)
     return tuple(sorted(a.ncols - k for k in _mirrored(a._raw, a.field.modulus)))
 
 
@@ -213,18 +229,20 @@ def rref(a: Matrix) -> Matrix:
     """Reduced row echelon form: the lime basis of the row space as rows, in
     index order, padded below with zero rows. A pure function of the row
     space, hence unique."""
+    _check_type(a, Matrix)
     return _padded(a, _lime(a.field, a.ncols, a._raw))
 
 
 def _padded(a: Matrix, lb: LimeBasis) -> Matrix:
     """The rows of lb, then zero rows up to a's row count."""
-    zero_row = (a.field._coerce(0),) * a.ncols
+    zero_row = (a.field.zero.value,) * a.ncols
     return _matrix(a.field, [v._raw for v in lb.vectors]
                    + [zero_row] * (a.nrows - lb.dimension))
 
 
 def rcef(a: Matrix) -> Matrix:
     """Reduced column echelon form, via transposition."""
+    _check_type(a, Matrix)
     return rref(a.transpose()).transpose()
 
 
@@ -244,6 +262,7 @@ def full_rank_factorization(a: Matrix) -> FullRankFactors:
     Each column of a combines b's columns with coefficients read at those
     indices, and those coefficients across all columns are exactly g.
     """
+    _check_type(a, Matrix)
     lb = _lime(a.field, a.nrows, zip(*a._raw))
     if lb.dimension == 0:
         raise DomainError("the zero matrix has no full-rank factorization")
@@ -256,7 +275,7 @@ def _completion_rows(field: FieldSpec, n: int, rows) -> list:
     """Rows of the n-by-n identity at the non-lime indices of the span of
     rows, ascending."""
     lime = {n - 1 - k for k in _mirrored(rows, field.modulus)}
-    z, o = field._coerce(0), field._coerce(1)
+    z, o = field.zero.value, field.one.value
     return [tuple(o if i == j else z for i in range(n)) for j in range(n) if j not in lime]
 
 
@@ -269,6 +288,7 @@ def rcef_factorization(a: Matrix, complete: bool = False) -> tuple:
     invertible without changing the product (those rows meet only zero
     columns of the RCEF).
     """
+    _check_type(a, Matrix)
     t, r = rref_factorization(a.transpose(), complete)
     return r.transpose(), t.transpose()
 
@@ -280,6 +300,7 @@ def rref_factorization(a: Matrix, complete: bool = False) -> tuple:
     then zero columns; ``complete`` fills those with standard basis vectors
     at the non-lime indices of the column space, making t invertible.
     """
+    _check_type(a, Matrix)
     lb = _lime(a.field, a.ncols, a._raw)
     if lb.dimension == 0:
         raise DomainError("the zero matrix has no echelon factorization")
@@ -288,7 +309,7 @@ def rref_factorization(a: Matrix, complete: bool = False) -> tuple:
     if complete:
         t_cols += _completion_rows(a.field, a.nrows, columns)
     else:
-        t_cols += [(a.field._coerce(0),) * a.nrows] * (a.nrows - lb.dimension)
+        t_cols += [(a.field.zero.value,) * a.nrows] * (a.nrows - lb.dimension)
     return _matrix(a.field, zip(*t_cols)), _padded(a, lb)
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 from .errors import DomainError, ParseError, UsageError
 from .fields import FieldSpec
 from .subspace import (Subspace, Vector, _check_type, _last_nonzero, _mirrored,
-                       _red, _span, _unchecked)
+                       _red, _span, _vector)
 
 
 class Mark(enum.Enum):
@@ -80,6 +80,7 @@ def signature_from_indices(red, lime, n: int) -> Signature:
 def signature(w: Subspace) -> Signature:
     """The subspace's mark string; b- and r-counts sum to the dimension, as
     do b- and l-counts."""
+    _check_type(w, Subspace)
     mirrored = _mirrored([v._raw for v in w.red_basis], w.field.modulus)
     lime = [w.ambient - k for k in mirrored]
     return signature_from_indices(w.red_indices, lime, w.ambient)
@@ -88,6 +89,7 @@ def signature(w: Subspace) -> Signature:
 def sub_terminal_index(v: Vector) -> int:
     """Position of the second-to-last nonzero entry, or 0 when the vector
     has fewer than two nonzero entries."""
+    _check_type(v, Vector)
     t = _last_nonzero(v._raw)
     if t is None:
         return 0
@@ -98,6 +100,7 @@ def sub_terminal_index(v: Vector) -> int:
 def truncate_right(w: Subspace) -> Subspace:
     """Drop the last coordinate of every member, yielding a subspace of
     F^(n-1). At most one position changes status, and only by gaining red."""
+    _check_type(w, Subspace)
     if w.ambient <= 1:
         raise UsageError("cannot truncate an ambient of 1")
     return _span(w.field, w.ambient - 1, [v._raw[:-1] for v in w.red_basis])
@@ -106,6 +109,7 @@ def truncate_right(w: Subspace) -> Subspace:
 def is_feasible(sig: Signature) -> bool:
     """True iff l's and r's balance like matched parentheses: equal counts
     overall, and strictly more r's than l's to the right of every l."""
+    _check_type(sig, Signature)
     rho = lam = 0
     for mark in reversed(sig.marks):
         if mark is Mark.RED_ONLY:
@@ -124,10 +128,11 @@ def subspace_from_pattern(pattern: Sequence, field: FieldSpec) -> Subspace:
     coefficient and a label of 0/None pins the position to zero. The
     generators are the 0/1 indicator vectors of the label supports.
     """
+    _check_type(field, FieldSpec)
     pattern = list(pattern)
     if not pattern:
         raise UsageError("empty pattern")
-    zero, one = field._coerce(0), field._coerce(1)
+    zero, one = field.zero.value, field.one.value
     labels = dict.fromkeys(label for label in pattern if label is not None and label != 0)
     return _span(field, len(pattern),
                  [[one if x == label else zero for x in pattern] for label in labels])
@@ -180,10 +185,10 @@ class Permutation:
         _check_type(v, Vector)
         if len(v._raw) != len(self.images):
             raise UsageError("vector length does not match the permutation size")
-        out = [v.field._coerce(0)] * len(self.images)
+        out = [v.field.zero.value] * len(self.images)
         for i, e in enumerate(v._raw):
             out[self.images[i] - 1] = e
-        return _unchecked(Vector, v.field, tuple(out))
+        return _vector(v.field, tuple(out))
 
     def is_identity(self) -> bool:
         return all(im == i for i, im in enumerate(self.images, start=1))
@@ -198,6 +203,7 @@ def permute_presenting_positions(w: Subspace, positions) -> tuple:
     last k positions is red; when k equals dim w they are all of its red
     positions.
     """
+    _check_type(w, Subspace)
     positions = sorted(set(positions))
     n = w.ambient
     for p in positions:

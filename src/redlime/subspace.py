@@ -15,6 +15,8 @@ Positions are 1-based at every public interface.
 
 from __future__ import annotations
 
+import struct
+from itertools import chain, islice
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, UsageError
@@ -40,7 +42,7 @@ class Vector:
     def from_values(cls, field: FieldSpec, values) -> "Vector":
         """Build a vector by coercing ints/Fractions through the field."""
         v = object.__new__(cls)
-        v._set(field, tuple(map(field._coerce, values)))
+        v._set(field, field._coerce_row(values))
         return v
 
     @classmethod
@@ -72,7 +74,7 @@ class Vector:
         _check_vector(src, self.field, len(self._raw))
         row = list(self._raw)
         _axpy(row, c, src._raw, len(row), self.field.modulus)
-        return _unchecked(Vector, self.field, tuple(row))
+        return _vector(self.field, tuple(row))
 
     def __add__(self, other):
         return self._minus(-1, other)
@@ -111,12 +113,14 @@ class Vector:
 
 def terminating_index(v: Vector) -> Optional[int]:
     """Position of the last nonzero entry; None for the zero vector."""
+    _check_type(v, Vector)
     p = _last_nonzero(v._raw)
     return None if p is None else p + 1
 
 
 def originating_index(v: Vector) -> Optional[int]:
     """Position of the first nonzero entry; None for the zero vector."""
+    _check_type(v, Vector)
     p = _last_nonzero(v._raw[::-1])
     return None if p is None else len(v._raw) - p
 
@@ -151,6 +155,15 @@ def _check_space(field: FieldSpec, ambient: int):
     _check_type(field, FieldSpec)
     if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 1:
         raise UsageError(f"ambient dimension must be an int of at least 1, not {ambient!r}")
+
+
+def _vector(field: FieldSpec, raw: tuple) -> Vector:
+    """A Vector of package-made canonical raw values of field, unchecked:
+    ``_unchecked`` for the most built class, with plain attribute stores."""
+    v = object.__new__(Vector)
+    v.field = field
+    v._raw = raw
+    return v
 
 
 def _unchecked(cls, *values):
@@ -210,36 +223,82 @@ def _insert_red(basis: dict, row: list, p) -> Optional[int]:
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+# struct formats by slot size: slots of 1, 2, 4 or 8 bytes pack in C
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _pack(row) -> tuple:
-    """(bits, length) of a raw GF(2) row: bit j is entry j, so the
-    terminating position is ``bits.bit_length() - 1``."""
-    b = bytes(row)
-    return int(b[::-1].translate(_DIGITS), 2), len(b)
+def _slot_bytes(bits: int) -> int:
+    """Bytes per slot for values below 2**bits: the next struct size (1, 2,
+    4 or 8) when one is wide enough."""
+    k = -(-bits // 8)
+    return 1 << (k - 1).bit_length() if k <= 8 else k
 
 
-def _unpack(x: int, n: int) -> list:
-    """The n raw entries (0 or 1) packed in x. The bit set at n makes the
-    binary digits exactly n + 1, so reversed and stripped of that bit they
-    are the entries in position order."""
-    return list(bin(x | 1 << n)[:2:-1].encode().translate(_BITS))
+def _pack(row, k: int = 0) -> int:
+    """One int holding a raw row (a sequence) of values below 256**k, entry
+    j in the k bytes from byte k*j; with k = 0 a GF(2) row (any iterable),
+    bit j holding entry j, so the terminating position is
+    ``x.bit_length() - 1``."""
+    if not k:
+        return int(bytes(row)[::-1].translate(_DIGITS), 2)
+    if k in _FORMATS:
+        return int.from_bytes(struct.pack(f"<{len(row)}{_FORMATS[k]}", *row), "little")
+    return int.from_bytes(b"".join([v.to_bytes(k, "little") for v in row]), "little")
+
+
+def _unpack(x: int, n: int, k: int = 0):
+    """The n entries packed in x by ``_pack(row, k)``. For k = 0 the bit set
+    at n makes the binary digits exactly n + 1, so reversed and stripped of
+    that bit they are the entries in position order."""
+    if not k:
+        return list(bin(x | 1 << n)[:2:-1].encode().translate(_BITS))
+    b = x.to_bytes(k * n, "little")
+    if k in _FORMATS:
+        return struct.unpack(f"<{n}{_FORMATS[k]}", b)
+    return [int.from_bytes(b[j:j + k], "little") for j in range(0, k * n, k)]
+
+
+# Over odd p the insertion kernel builds the first _SLOTS_FROM keys, and the
+# slot kernel takes over only when at least _SLOTS_FROM rows follow: on fewer
+# keys, or for the last few rows, packing, unpacking and repacking a row cost
+# more than the row operations they replace (measured in CHANGES.md).
+_SLOTS_FROM = 4
 
 
 def _red(rows, p) -> dict:
     """Raw red-basis dict of the span of raw rows (p the modulus, None over
     Q): the one elimination.
 
-    Over GF(2) the rows are packed into ints, so a row operation is one XOR;
-    every other field goes through the insertion kernel.
+    Over GF(2) the rows are packed as bits (``_red_bits``). Every other
+    field starts on the insertion kernel; over odd p, once the basis holds
+    ``_SLOTS_FROM`` keys and at least that many rows follow, the rest of
+    the rows go through the slot kernel (``_red_slots``), whose docstring
+    states the slot width and proves that no slot overflows it. Every path
+    returns the same dict.
     """
+    if p == 2:
+        return _red_bits(rows)
     basis: dict = {}
-    if p != 2:
-        for row in rows:
-            _insert_red(basis, list(row), p)
-        return basis
+    rows = iter(rows)
     for row in rows:
-        x, n = _pack(row)
+        _insert_red(basis, list(row), p)
+        if p is not None and len(basis) == _SLOTS_FROM:
+            ahead = list(islice(rows, _SLOTS_FROM))
+            if len(ahead) == _SLOTS_FROM:
+                return _red_slots(basis, chain(ahead, rows), p)
+            for row in ahead:
+                _insert_red(basis, list(row), p)
+    return basis
+
+
+def _red_bits(rows) -> dict:
+    """_red over GF(2): rows packed as bits, so a row operation is one XOR."""
+    basis: dict = {}
+    n = 0
+    for row in rows:
+        row = bytes(row)
+        n = len(row)
+        x = _pack(row)
         # clear x at every key; each stored row is zero at the other keys
         for i, b in basis.items():
             if x >> i & 1:
@@ -251,6 +310,59 @@ def _red(rows, p) -> dict:
                     basis[i] = b ^ x
             basis[t] = x
     return {t: _unpack(x, n) for t, x in basis.items()}
+
+
+def _red_slots(basis: dict, rows, p: int) -> dict:
+    """_red over GF(p), p odd, going on from a nonempty raw red-basis dict
+    with the remaining rows, all of n entries: each row is packed into one
+    int, entry j in slot j of w bits, so a row operation is one big-int
+    multiply-add ``x += (p - c) * b``. A stored row b is zero mod p at every
+    key but its own, so adding it leaves x's residues at the other keys
+    alone: the coefficients c that clear a new row at every key are its own
+    entries there, and one sum clears it.
+
+    Slots are never reduced inside that arithmetic, only when a row is
+    unpacked, so the width must hold every value a slot can reach. With
+    q = p - 1, every slot holds a nonnegative integer congruent to its
+    entry, and as long as none reaches 2**w, no slot carries into the next:
+
+    - a reduced row has slots of at most q;
+    - a stored row enters reduced and scaled. It then changes only when a
+      new key t below its own is inserted, gaining (p - c)·x for the new
+      reduced row x, with 1 <= p - c <= q: at most q² per slot. At most
+      n - 1 keys come after it, so its slots stay at most q + (n - 1)·q²;
+    - a new row starts at most q and gains (p - c)·b once for each of the
+      at most n stored rows b. So its slots stay at most
+      q + n·q·(q + (n - 1)·q²) = q + n·q² + n(n - 1)·q³, which is below
+      n²·q³ because q >= 2 gives n·q³ >= 2n·q² >= n·q² + q.
+
+    n²·q³ < 2**(2·bits(n) + 3·bits(p)), so that many bits per slot suffice.
+    A row is unpacked and reduced once per insertion (for its terminating
+    index and its scale) and once at the end.
+    """
+    n = len(next(iter(basis.values())))
+    k = _slot_bytes(3 * p.bit_length() + 2 * n.bit_length())
+    w = 8 * k
+    mask = (1 << w) - 1
+    basis = {t: _pack(row, k) for t, row in basis.items()}
+    for row in rows:
+        row = tuple(row)
+        x = sum([(p - row[i]) * b for i, b in basis.items() if row[i]], _pack(row, k))
+        row = [v % p for v in _unpack(x, n, k)]
+        t = _last_nonzero(row)
+        if t is None:
+            continue
+        if row[t] != 1:
+            inv = pow(row[t], -1, p)
+            row = [v * inv % p for v in row]
+        x = _pack(row, k)
+        for i, b in basis.items():  # clear the new red position from older rows
+            if i > t:
+                c = (b >> w * t & mask) % p
+                if c:
+                    basis[i] = b + (p - c) * x
+        basis[t] = x
+    return {t: [v % p for v in _unpack(x, n, k)] for t, x in basis.items()}
 
 
 def _mirrored(rows, p) -> dict:
@@ -367,7 +479,7 @@ def _span(field, n, rows) -> Subspace:
     basis = _red(rows, field.modulus)
     idx = sorted(basis)
     return _unchecked(Subspace, field, n, tuple(i + 1 for i in idx),
-                      tuple(_unchecked(Vector, field, tuple(basis[i])) for i in idx))
+                      tuple(_vector(field, tuple(basis[i])) for i in idx))
 
 
 def _lime(field, n, rows) -> LimeBasis:
@@ -375,7 +487,7 @@ def _lime(field, n, rows) -> LimeBasis:
     mirrored = _mirrored(rows, field.modulus)
     keys = sorted(mirrored, reverse=True)
     return _unchecked(LimeBasis, field, n, tuple(n - k for k in keys),
-                      tuple(_unchecked(Vector, field, tuple(mirrored[k][::-1])) for k in keys))
+                      tuple(_vector(field, tuple(mirrored[k][::-1])) for k in keys))
 
 
 def _common_field_ambient(generators, ambient, field):
@@ -413,6 +525,7 @@ def lime_basis(w: Subspace) -> LimeBasis:
 
     The span always has as many lime indices as red ones.
     """
+    _check_type(w, Subspace)
     return _lime(w.field, w.ambient, [v._raw for v in w.red_basis])
 
 
@@ -425,6 +538,7 @@ def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
     the new lime position is cleared from the earlier basis vectors. The
     span grows by exactly the one new vector.
     """
+    _check_type(basis, LimeBasis)
     _check_vector(y, basis.field, basis.ambient)
     grown = _lime(basis.field, basis.ambient, [v._raw for v in basis.vectors] + [y._raw])
     return basis if grown.dimension == basis.dimension else grown
@@ -433,7 +547,7 @@ def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
 def _combine(w: Subspace, coefficients) -> list:
     """Raw entries of the combination of w's red-basic elements with the
     given raw coefficients."""
-    acc = [w.field._coerce(0)] * w.ambient
+    acc = [w.field.zero.value] * w.ambient
     for i, c, bv in zip(w.red_indices, coefficients, w.red_basis):
         if c:  # bv vanishes past its red index i
             _axpy(acc, -c, bv._raw, i, w.field.modulus)
@@ -444,6 +558,7 @@ def contains_vector(w: Subspace, x: Vector) -> bool:
     """Membership test: x belongs to w exactly when x equals the combination
     of red-basic elements whose coefficients are x's entries at the red
     positions."""
+    _check_type(w, Subspace)
     _check_vector(x, w.field, w.ambient)
     return _combine(w, [x._raw[i - 1] for i in w.red_indices]) == list(x._raw)
 
@@ -458,13 +573,15 @@ def coordinates(w: Subspace, x: Vector) -> tuple:
 
 def element_from_red_entries(w: Subspace, coefficients) -> Vector:
     """The unique member whose red-position entries are the given scalars."""
+    _check_type(w, Subspace)
     coeffs = [w.field._coerce(c) for c in coefficients]
     if len(coeffs) != w.dimension:
         raise UsageError(f"expected {w.dimension} coefficients, got {len(coeffs)}")
-    return _unchecked(Vector, w.field, tuple(_combine(w, coeffs)))
+    return _vector(w.field, tuple(_combine(w, coeffs)))
 
 
 def _check_comparable(w: Subspace, v: Subspace):
+    _check_type(w, Subspace)
     _check_type(v, Subspace)
     if w.field != v.field:
         raise UsageError(f"mixed fields: {w.field} vs {v.field}")
@@ -482,6 +599,7 @@ def is_coordinate_system(vectors: Sequence[Vector], w: Subspace) -> bool:
     """True iff the list spans w, starts with a nonzero vector, and no entry
     lies in the span of its predecessors; equivalently, every member of w
     has exactly one expression as a combination of the list."""
+    _check_type(w, Subspace)
     vectors = list(vectors)
     for v in vectors:
         _check_vector(v, w.field, w.ambient)

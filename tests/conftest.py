@@ -1,7 +1,6 @@
 """Shared fields, hypothesis strategies, and small builders for the suite."""
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 import redlime as rl
+from redlime.fields import _random_scalar
 
 settings.register_profile(
     "suite",
@@ -102,20 +102,14 @@ def matrices(draw, max_rows=4, max_cols=4):
 
 def random_member(w, rng):
     """A random element of w via random red-entry coefficients."""
-    coeffs = [_random_scalar(w.field, rng) for _ in range(w.dimension)]
+    coeffs = [_random_scalar(w.field, rng, 6) for _ in range(w.dimension)]
     return rl.element_from_red_entries(w, coeffs)
 
 
-def _random_scalar(field, rng):
-    if field.is_prime_field:
-        return field.scalar(rng.randrange(field.modulus))
-    return field.scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
-
-
 def random_vector(field, n, rng):
-    return rl.Vector(field, tuple(_random_scalar(field, rng) for _ in range(n)))
+    return rl.Vector(field, tuple(_random_scalar(field, rng, 6) for _ in range(n)))
 
 
 def random_matrix(field, n, m, rng):
-    return rl.Matrix(field, [[_random_scalar(field, rng) for _ in range(m)]
+    return rl.Matrix(field, [[_random_scalar(field, rng, 6) for _ in range(m)]
                              for _ in range(n)])

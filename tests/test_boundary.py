@@ -30,6 +30,12 @@ BAD_VECTORS = {
     "wrong length": rl.Vector.from_values(GF5, (1, 2)),
 }
 
+def _not_a_vector(x):
+    """A bad vector as the wrong type where any vector is accepted: inside a
+    one-column matrix, with the same wrong field or row count."""
+    return rl.Matrix.from_columns([x]) if isinstance(x, rl.Vector) else x
+
+
 CALLS = {
     "dot": lambda x: rl.dot(V, x),
     "dot (first argument)": lambda x: rl.dot(x, V),
@@ -45,8 +51,28 @@ CALLS = {
     "Vector.__add__": lambda x: V + x,
     "Vector.__sub__": lambda x: V - x,
     # a bad vector as a one-column matrix: same wrong field or wrong row count
-    "Matrix.__matmul__": lambda x: A @ (rl.Matrix.from_columns([x])
-                                        if isinstance(x, rl.Vector) else x),
+    "Matrix.__matmul__": lambda x: A @ _not_a_vector(x),
+    "terminating_index": lambda x: rl.terminating_index(_not_a_vector(x)),
+    "originating_index": lambda x: rl.originating_index(_not_a_vector(x)),
+    "sub_terminal_index": lambda x: rl.sub_terminal_index(_not_a_vector(x)),
+    "append_lime (basis)": lambda x: rl.append_lime(x, V),
+    "contains_vector (subspace)": lambda x: rl.contains_vector(x, V),
+    "coordinates (subspace)": lambda x: rl.coordinates(x, V),
+    "element_from_red_entries": lambda x: rl.element_from_red_entries(x, [1]),
+    "subspace_leq": lambda x: rl.subspace_leq(x, W),
+    "subspace_leq (second argument)": lambda x: rl.subspace_leq(W, x),
+    "is_coordinate_system (subspace)": lambda x: rl.is_coordinate_system([V], x),
+    "apply_row_centric (matrix)": lambda x: rl.apply_row_centric(x, V),
+    "apply_column_centric (matrix)": lambda x: rl.apply_column_centric(x, V),
+    "permute_presenting_positions": lambda x: rl.permute_presenting_positions(x, [1]),
+    "synthesize": lambda x: rl.synthesize(x, GF5),
+    "subspace_from_pattern": lambda x: rl.subspace_from_pattern([1, 0, 1], x),
+    # functions of one Matrix, Subspace or Signature: no vector is one
+    **{name: getattr(rl, name) for name in (
+        "row_space", "column_space", "nullspace", "rank", "nullity", "pivot_columns",
+        "dependent_columns", "rref", "rcef", "full_rank_factorization",
+        "rcef_factorization", "rref_factorization", "lime_basis", "complement",
+        "lime_of_complement_from_red", "signature", "truncate_right", "is_feasible")},
 }
 
 

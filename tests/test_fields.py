@@ -132,3 +132,29 @@ def test_representation_is_unique():
     assert hash(Q.scalar(Fraction(2, 4))) == hash(Q.scalar(Fraction(1, 2)))
     assert GF5.scalar(12) == GF5.scalar(2)
     assert GF5.scalar(12).value == 2
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS + (rl.gf(65521),), ids=str)
+def test_row_coercion_matches_coercion_of_each_value(field):
+    ints = (0, 1, -1, 7, -12, 65521, 10**30, -(10**30))
+    mixed = ints + (True, False, Fraction(6), Fraction(-4, 2), field.scalar(3), field.zero)
+    rows = [ints, mixed, (True, 2), (field.one,), [5, -5]]
+    if not field.is_prime_field:
+        rows.append((Fraction(1, 3), 2))
+    for row in rows:
+        got, want = field._coerce_row(row), tuple(map(field._coerce, row))
+        assert got == want and list(map(type, got)) == list(map(type, want))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+def test_row_coercion_refuses_what_coercion_refuses(field):
+    other = GF3 if field != GF3 else GF5
+    bad = [1.0, "1", other.scalar(1)]
+    if field.is_prime_field:
+        bad.append(Fraction(1, 2))
+    for value in bad:
+        with pytest.raises(UsageError) as one:
+            field._coerce(value)
+        with pytest.raises(UsageError) as row:
+            field._coerce_row((1, value, 2))
+        assert str(row.value) == str(one.value)
