@@ -16,7 +16,7 @@ import sys
 
 from .duality import complement
 from .errors import DomainError, ParseError, ResourceError, UsageError
-from .fields import FieldSpec, _random_scalar, _text
+from .fields import FieldSpec, _random_scalar, _text, gf
 from .matrix import (Matrix, apply_column_centric, apply_row_centric,
                      column_space, dependent_columns, full_rank_factorization,
                      nullity, nullspace, pivot_columns, rank, rcef,
@@ -144,6 +144,10 @@ def _cmd_factor(args) -> int:
 def _cmd_atlas(args) -> int:
     if args.n < 1:
         raise UsageError("ambient dimension must be at least 1")
+    try:  # the modulus is an argument, as with --field
+        gf(args.p)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from None
     counts: dict = {}
     for w in enumerate_subspaces(args.n, args.p, budget=args.budget):
         key = str(signature(w))

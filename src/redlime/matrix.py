@@ -11,16 +11,14 @@ reduction argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterable, Sequence
 
 from .duality import _complement
 from .errors import DomainError, UsageError
 from .fields import FieldSpec, Scalar, _scalars, _text
-from .subspace import (LimeBasis, Subspace, Vector, _axpy, _check_type,
-                       _check_vector, _common_field_ambient, _lime, _mirrored,
-                       _pack, _red, _slot_bytes, _span, _unchecked, _unpack,
-                       _values, _vector, span_red_basis)
+from .subspace import (LimeBasis, Subspace, Vector, _check_type, _check_vector,
+                       _common_field_ambient, _lime, _mirrored, _product, _red,
+                       _span, _unchecked, _values, _vector, span_red_basis)
 
 
 class Matrix:
@@ -109,33 +107,7 @@ class Matrix:
         if self.ncols != other.nrows:
             raise UsageError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        p, m = self.field.modulus, other.ncols
-        out = []
-        if p == 2:  # rows packed into ints: adding a row is one XOR
-            others = [_pack(r) for r in other._raw]
-            for r in self._raw:
-                acc = 0
-                for c, src in zip(r, others):
-                    if c:
-                        acc ^= src
-                out.append(_unpack(acc, m))
-        elif p is not None:
-            # rows packed into slots, reduced once per output row: a slot
-            # sums at most other.nrows products of two residues below p
-            k = _slot_bytes(2 * p.bit_length() + other.nrows.bit_length())
-            others = [_pack(r, k) for r in other._raw]
-            for r in self._raw:
-                acc = sum(map(mul, r, others))
-                out.append([v % p for v in _unpack(acc, m, k)])
-        else:
-            zero = self.field.zero.value
-            for r in self._raw:
-                acc = [zero] * m
-                for c, src in zip(r, other._raw):
-                    if c:
-                        _axpy(acc, -c, src, m, p)
-                out.append(acc)
-        return _matrix(self.field, out)
+        return _matrix(self.field, _product(self.field, self._raw, other._raw, other.ncols))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -175,11 +147,7 @@ def apply_column_centric(a: Matrix, x: Vector) -> Vector:
     """
     _check_type(a, Matrix)
     _check_vector(x, a.field, a.ncols)
-    acc = [a.field.zero.value] * a.nrows
-    for c, col in zip(x._raw, zip(*a._raw)):
-        if c:
-            _axpy(acc, -c, col, a.nrows, a.field.modulus)
-    return _vector(a.field, tuple(acc))
+    return _vector(a.field, tuple(_product(a.field, [x._raw], list(zip(*a._raw)), a.nrows)[0]))
 
 
 def row_space(a: Matrix) -> Subspace:
@@ -191,7 +159,7 @@ def row_space(a: Matrix) -> Subspace:
 def column_space(a: Matrix) -> Subspace:
     """Span of the columns (the range of a), inside F^n."""
     _check_type(a, Matrix)
-    return _span(a.field, a.nrows, zip(*a._raw))
+    return _span(a.field, a.nrows, list(zip(*a._raw)))
 
 
 def nullspace(a: Matrix) -> Subspace:

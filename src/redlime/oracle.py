@@ -22,7 +22,7 @@ from .fields import FieldSpec, gf
 from .matrix import Matrix
 from .signatures import signature_from_indices
 from .subspace import (Subspace, Vector, originating_index, span_red_basis,
-                       terminating_index, _check_space, _common_field_ambient)
+                       terminating_index, _check_space, _check_type, _common_field_ambient)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -100,8 +100,15 @@ def brute_complement(generators, ambient: Optional[int] = None,
     return out
 
 
+def _check_counts(n, p, k=0):
+    """UsageError unless n, k and p are ints (not bools) and p is at least 2."""
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (n, k, p)) or p < 2:
+        raise UsageError(f"expected ints n, k and p with p >= 2, not {n!r}, {k!r}, {p!r}")
+
+
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of GF(p)^n."""
+    _check_counts(n, p, k)
     if k < 0 or k > n:
         return 0
     num = den = 1
@@ -113,6 +120,7 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 def subspace_count(n: int, p: int) -> int:
     """Total number of subspaces of GF(p)^n."""
+    _check_counts(n, p)
     return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
 
 
@@ -124,6 +132,7 @@ def enumerate_subspaces(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Iterato
     row span; distinctness comes from the uniqueness of the pattern.
     """
     field = gf(p)
+    _check_space(field, n)
     # GF(p)^n has at least 2^(n-1) lines, so a large n is refused without a
     # count, and the Gaussian binomials are summed only until they pass budget.
     totals = itertools.accumulate(gaussian_binomial(n, k, p) for k in range(n + 1))
@@ -150,6 +159,7 @@ def textbook_rref(a: Matrix) -> Matrix:
     """Classical Gauss-Jordan reduction: forward elimination picking the
     first row with a nonzero entry in each pivot column, then pivot scaling
     to 1 and upward back-substitution."""
+    _check_type(a, Matrix)
     rows = [list(r) for r in a.rows]
     n, m = a.nrows, a.ncols
     pivots = []

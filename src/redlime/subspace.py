@@ -16,7 +16,9 @@ Positions are 1-based at every public interface.
 from __future__ import annotations
 
 import struct
-from itertools import chain, islice
+from functools import reduce
+from itertools import compress
+from operator import mul, xor
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, UsageError
@@ -258,36 +260,29 @@ def _unpack(x: int, n: int, k: int = 0):
     return [int.from_bytes(b[j:j + k], "little") for j in range(0, k * n, k)]
 
 
-# Over odd p the insertion kernel builds the first _SLOTS_FROM keys, and the
-# slot kernel takes over only when at least _SLOTS_FROM rows follow: on fewer
-# keys, or for the last few rows, packing, unpacking and repacking a row cost
-# more than the row operations they replace (measured in CHANGES.md).
-_SLOTS_FROM = 4
+# Over odd p, _red runs the slot kernel when both the row count and the width,
+# and so the rank bound, are at least _SLOTS_FROM, and the insertion kernel
+# otherwise: below it packing and unpacking each row cost more than the row
+# operations saved (scripts/kernel_crossover.py; CHANGES.md).
+_SLOTS_FROM = 8
 
 
 def _red(rows, p) -> dict:
-    """Raw red-basis dict of the span of raw rows (p the modulus, None over
-    Q): the one elimination.
-
-    Over GF(2) the rows are packed as bits (``_red_bits``). Every other
-    field starts on the insertion kernel; over odd p, once the basis holds
-    ``_SLOTS_FROM`` keys and at least that many rows follow, the rest of
-    the rows go through the slot kernel (``_red_slots``), whose docstring
-    states the slot width and proves that no slot overflows it. Every path
-    returns the same dict.
+    """Raw red-basis dict of the span of a sequence of raw rows (p the
+    modulus, None over Q): the one elimination, by one kernel chosen from
+    the field and the shape before any row is eliminated. Over GF(2) the
+    rows are packed as bits (``_red_bits``); over odd p, on at least
+    ``_SLOTS_FROM`` rows of at least ``_SLOTS_FROM`` entries, into slots
+    (``_red_slots``, whose docstring proves the slot width); otherwise they
+    go through the insertion kernel. Every kernel returns the same dict.
     """
     if p == 2:
         return _red_bits(rows)
+    if p is not None and len(rows) >= _SLOTS_FROM and len(rows[0]) >= _SLOTS_FROM:
+        return _red_slots(rows, p)
     basis: dict = {}
-    rows = iter(rows)
     for row in rows:
         _insert_red(basis, list(row), p)
-        if p is not None and len(basis) == _SLOTS_FROM:
-            ahead = list(islice(rows, _SLOTS_FROM))
-            if len(ahead) == _SLOTS_FROM:
-                return _red_slots(basis, chain(ahead, rows), p)
-            for row in ahead:
-                _insert_red(basis, list(row), p)
     return basis
 
 
@@ -312,14 +307,13 @@ def _red_bits(rows) -> dict:
     return {t: _unpack(x, n) for t, x in basis.items()}
 
 
-def _red_slots(basis: dict, rows, p: int) -> dict:
-    """_red over GF(p), p odd, going on from a nonempty raw red-basis dict
-    with the remaining rows, all of n entries: each row is packed into one
-    int, entry j in slot j of w bits, so a row operation is one big-int
-    multiply-add ``x += (p - c) * b``. A stored row b is zero mod p at every
-    key but its own, so adding it leaves x's residues at the other keys
-    alone: the coefficients c that clear a new row at every key are its own
-    entries there, and one sum clears it.
+def _red_slots(rows, p: int) -> dict:
+    """_red over GF(p), p odd, on a nonempty sequence of raw rows of n entries:
+    each row is packed into one int, entry j in slot j of w bits, so a row
+    operation is one big-int multiply-add ``x += (p - c) * b``. A stored row
+    b is zero mod p at every key but its own, so adding it leaves x's
+    residues at the other keys alone: the coefficients c that clear a new
+    row at every key are its own entries there, and one sum clears it.
 
     Slots are never reduced inside that arithmetic, only when a row is
     unpacked, so the width must hold every value a slot can reach. With
@@ -337,16 +331,15 @@ def _red_slots(basis: dict, rows, p: int) -> dict:
       n²·q³ because q >= 2 gives n·q³ >= 2n·q² >= n·q² + q.
 
     n²·q³ < 2**(2·bits(n) + 3·bits(p)), so that many bits per slot suffice.
-    A row is unpacked and reduced once per insertion (for its terminating
-    index and its scale) and once at the end.
+    A row is unpacked and reduced once as it enters (for its terminating
+    index and its scale), and each stored row once at the end.
     """
-    n = len(next(iter(basis.values())))
+    n = len(rows[0])
     k = _slot_bytes(3 * p.bit_length() + 2 * n.bit_length())
     w = 8 * k
     mask = (1 << w) - 1
-    basis = {t: _pack(row, k) for t, row in basis.items()}
+    basis: dict = {}
     for row in rows:
-        row = tuple(row)
         x = sum([(p - row[i]) * b for i, b in basis.items() if row[i]], _pack(row, k))
         row = [v % p for v in _unpack(x, n, k)]
         t = _last_nonzero(row)
@@ -365,11 +358,36 @@ def _red_slots(basis: dict, rows, p: int) -> dict:
     return {t: [v % p for v in _unpack(x, n, k)] for t, x in basis.items()}
 
 
+def _product(field: FieldSpec, coefficient_rows, rows, m: int) -> list:
+    """Raw rows of the product: for each coefficient row c, the sum of
+    c[j]·rows[j] over raw rows of m entries, packed as in ``_red`` (bits
+    over GF(2); slots over odd p, one sum reduced once per output row: a
+    slot adds at most len(rows) products of two residues, so
+    2·bits(p) + bits(len(rows)) bits hold it); ``_axpy`` adds them over Q."""
+    p = field.modulus
+    if p == 2:
+        others = [_pack(r) for r in rows]
+        return [_unpack(reduce(xor, compress(others, r), 0), m) for r in coefficient_rows]
+    if p is not None:
+        k = _slot_bytes(2 * p.bit_length() + len(rows).bit_length())
+        others = [_pack(r, k) for r in rows]
+        return [[v % p for v in _unpack(sum(map(mul, r, others)), m, k)]
+                for r in coefficient_rows]
+    out = []
+    for r in coefficient_rows:
+        acc = [field.zero.value] * m
+        for c, src in zip(r, rows):
+            if c:
+                _axpy(acc, -c, src, m, p)
+        out.append(acc)
+    return out
+
+
 def _mirrored(rows, p) -> dict:
     """_red of the position-reversed rows. Reversal swaps terminating and
     originating, so key k holds the lime-basic element for lime index
     ``n - k`` (n the row length), read backwards."""
-    return _red(map(reversed, rows), p)
+    return _red([r[::-1] for r in rows], p)
 
 
 class _Canonical:
@@ -530,13 +548,12 @@ def lime_basis(w: Subspace) -> LimeBasis:
 
 
 def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
-    """Absorb one vector into a canonical lime basis.
+    """The lime basis of the span of basis and y.
 
-    If y lies in the current span the basis is returned unchanged; otherwise
-    y is pre-reduced until its leading position is not yet lime, scaled to
-    originate with 1, cleaned at the later lime positions, and inserted, and
-    the new lime position is cleared from the earlier basis vectors. The
-    span grows by exactly the one new vector.
+    The basis's vectors and y are eliminated afresh, as one list of rows,
+    rather than y being inserted into the existing basis. If y lies in the
+    current span, basis itself is returned; otherwise the span grows by
+    exactly one dimension.
     """
     _check_type(basis, LimeBasis)
     _check_vector(y, basis.field, basis.ambient)
@@ -547,11 +564,7 @@ def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
 def _combine(w: Subspace, coefficients) -> list:
     """Raw entries of the combination of w's red-basic elements with the
     given raw coefficients."""
-    acc = [w.field.zero.value] * w.ambient
-    for i, c, bv in zip(w.red_indices, coefficients, w.red_basis):
-        if c:  # bv vanishes past its red index i
-            _axpy(acc, -c, bv._raw, i, w.field.modulus)
-    return acc
+    return _product(w.field, [coefficients], [v._raw for v in w.red_basis], w.ambient)[0]
 
 
 def contains_vector(w: Subspace, x: Vector) -> bool:

@@ -72,7 +72,8 @@ CALLS = {
         "row_space", "column_space", "nullspace", "rank", "nullity", "pivot_columns",
         "dependent_columns", "rref", "rcef", "full_rank_factorization",
         "rcef_factorization", "rref_factorization", "lime_basis", "complement",
-        "lime_of_complement_from_red", "signature", "truncate_right", "is_feasible")},
+        "lime_of_complement_from_red", "signature", "truncate_right", "is_feasible",
+        "textbook_rref")},
 }
 
 
@@ -94,6 +95,11 @@ BAD_SPACES = {
     "Subspace, text ambient": lambda: rl.Subspace(GF5, "3", (), ()),
     "Subspace, text field": lambda: rl.Subspace("x", 3, (), ()),
     "LimeBasis, bool ambient": lambda: rl.LimeBasis(GF5, True, (), ()),
+    "gaussian_binomial, tuple n": lambda: rl.gaussian_binomial((1, 2, 3), 1, 2),
+    "gaussian_binomial, field size 1": lambda: rl.gaussian_binomial(3, 1, 1),
+    "gaussian_binomial, bool n": lambda: rl.gaussian_binomial(True, 1, 2),
+    "subspace_count, tuple n": lambda: rl.subspace_count((1, 2, 3), 2),
+    "enumerate_subspaces, text n": lambda: list(rl.enumerate_subspaces("x", 2)),
 }
 
 

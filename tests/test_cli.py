@@ -175,7 +175,8 @@ def test_atlas_budget_exceeded(capsys):
 
 
 def test_atlas_non_prime_modulus(capsys):
-    assert cli(capsys, "atlas", "3", "4")[0] == 3
+    assert cli(capsys, "atlas", "3", "4")[0] == 1
+    assert cli(capsys, "atlas", "3", "1")[0] == 1
 
 
 def test_atlas_rejects_non_positive_ambient(capsys):

@@ -1,12 +1,17 @@
 """The packed eliminations and products against the generic kernels.
 
-``subspace._red`` and ``Matrix.__matmul__`` work on rows packed into ints:
-as bits over GF(2), and in wide slots over odd p, where a row operation is
-one multiply-add and slots are reduced only when a row is unpacked.
-``_insert_red`` and ``_axpy`` still serve Q; here they referee both packed
-paths on wide rows (past one machine word), low rank, zero and duplicate
-rows, rows that drive the unreduced slots to their largest values, and
-every row form the callers pass.
+``subspace._red`` and ``subspace._product`` (behind ``@``, membership and
+``apply_column_centric``) work on rows packed into ints: as bits over
+GF(2), and in wide slots over odd p, where a row operation is one
+multiply-add and slots are reduced only when a row is unpacked. Over odd p,
+``_red`` runs the slot kernel when both the row count and the width are at
+least ``_SLOTS_FROM``, and the insertion kernel otherwise. ``_insert_red``
+and ``_axpy`` still serve Q; here they referee the packed paths on wide
+rows (past one machine word), low rank, zero and duplicate rows, row counts
+and widths on both sides of the kernel choice, rows that drive the
+unreduced slots to their largest values, and every row form the callers
+pass; a white-box check watches the slot values themselves against the
+width the code asks for.
 """
 
 import pytest
@@ -16,10 +21,10 @@ from hypothesis import strategies as st
 import redlime as rl
 from redlime import duality, matrix, signatures, subspace
 from redlime.errors import DomainError
-from redlime.fields import MODULUS_LIMIT, _is_prime
+from redlime.fields import MODULUS_LIMIT, _is_prime, _random_scalar
 from redlime.subspace import _axpy, _insert_red, _red
 
-from conftest import GF2, GF3, GF5, random_matrix
+from conftest import GF2, GF3, GF5, Q, random_matrix
 
 WIDTHS = (1, 2, 3, 4, 5, 8, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 200)
 # odd primes from one-byte slots to the largest modulus the fields accept
@@ -36,17 +41,21 @@ def _generic_red(rows, p):
     return basis
 
 
+def _generic_combination(field, coefficients, rows, m):
+    """The sum of c·row over raw coefficients and raw rows of m entries, by
+    the generic raw row operation."""
+    acc = [field.zero.value] * m
+    for c, src in zip(coefficients, rows):
+        if c:
+            _axpy(acc, -c, src, m, field.modulus)
+    return acc
+
+
 def _generic_matmul(a, b):
     """a @ b by the generic raw row operation, on raw rows read off the views."""
     b_rows = [[e.value for e in src] for src in b.rows]
-    out = []
-    for r in a.rows:
-        acc = [0] * b.ncols
-        for c, src in zip(r, b_rows):
-            if c:
-                _axpy(acc, -c.value, src, b.ncols, a.field.modulus)
-        out.append(acc)
-    return rl.Matrix.from_values(a.field, out)
+    return rl.Matrix.from_values(a.field, [
+        _generic_combination(a.field, [c.value for c in r], b_rows, b.ncols) for r in a.rows])
 
 
 def _bits(x, n):
@@ -70,10 +79,10 @@ def _gf2_rows(rng, n, m, rank):
     return [tuple(_bits(x, m)) for x in rows]
 
 
-ROW_FORMS = {
+ROW_FORMS = {  # the sequences the callers of _red pass
     "tuples": lambda rows: rows,
-    "reversed": lambda rows: map(reversed, rows),
-    "columns": lambda rows: zip(*rows),
+    "reversed": lambda rows: [r[::-1] for r in rows],
+    "columns": lambda rows: list(zip(*rows)),
 }
 
 
@@ -118,6 +127,31 @@ def test_slot_red_matches_insertion_kernel(rng, form, p):
                 continue
             rows = _gfp_rows(rng, p, n, m, min(rank, m))
             assert _red(make(rows), p) == _generic_red(make(rows), p), (m, n, rank)
+    s = subspace._SLOTS_FROM  # row counts and widths on both sides of the kernel choice
+    for m in sorted({*WIDTHS, s - 1, s, s + 1}):
+        for n in (s - 1, s, s + 1):
+            for rank in (min(n, m), min(2, m)):
+                rows = _rows_of_rank(rng, p, n, m, rank)
+                assert len(_generic_red(rows, p)) == rank
+                assert _red(make(rows), p) == _generic_red(make(rows), p), (m, n, rank)
+
+
+def _rows_of_rank(rng, p, n, m, rank):
+    """n rows of width m over GF(p) of rank exactly ``rank``: ``rank`` rows
+    that each carry a 1 at a column where the others carry 0, then random
+    combinations of those, shuffled."""
+    pivots = rng.sample(range(m), rank)
+    rows = []
+    for i in range(rank):
+        row = [rng.randrange(p) for _ in range(m)]
+        for j, c in enumerate(pivots):
+            row[c] = int(i == j)
+        rows.append(row)
+    while len(rows) < n:
+        cs = [rng.randrange(p) for _ in range(rank)]
+        rows.append([sum(c * b[j] for c, b in zip(cs, rows)) % p for j in range(m)])
+    rng.shuffle(rows)
+    return [tuple(r) for r in rows]
 
 
 def _max_carry_rows(rng, p, m):
@@ -139,6 +173,47 @@ def test_slot_red_at_the_largest_slot_values(rng, p):
         for form in ("tuples", "reversed"):
             make = ROW_FORMS[form]
             assert _red(make(rows), p) == _generic_red(make(rows), p), (m, form)
+
+
+def _watch_slots(monkeypatch):
+    """Make every slot width the code asks for 8 bytes wider, and record the
+    bits it asks for and the largest slot value it unpacks: a value past the
+    width asked for then shows instead of carrying into the next slot."""
+    asked, largest = [], [0]
+    slot_bytes, unpack = subspace._slot_bytes, subspace._unpack
+
+    def wider(bits):
+        asked.append(bits)
+        return slot_bytes(bits) + 8
+
+    def watched(x, n, k=0):
+        values = unpack(x, n, k)
+        if k:
+            largest[0] = max(largest[0], *values, 0)
+        return values
+
+    monkeypatch.setattr(subspace, "_slot_bytes", wider)
+    monkeypatch.setattr(subspace, "_unpack", watched)
+    return asked, largest
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p):
+    asked, largest = _watch_slots(monkeypatch)
+    field, q = rl.gf(p), p - 1
+    for m in (8, 31, 64, 129, 200):
+        rows = _max_carry_rows(rng, p, m)
+        calls = {
+            "_red": lambda: _red(rows, p),
+            "_red of reversed rows": lambda: subspace._mirrored(rows, p),
+            "@": lambda: (rl.Matrix.from_values(field, [[q] * m] * 3)
+                          @ rl.Matrix.from_values(field, [[q] * 5] * m)),
+        }
+        for name, call in calls.items():
+            asked.clear()
+            largest[0] = 0
+            call()
+            assert len(asked) == 1 and 0 < largest[0] < 2 ** asked[0], (m, name)
 
 
 def test_slot_red_trivial_inputs():
@@ -191,8 +266,9 @@ def _answers(a):
 @st.composite
 def gfp_matrices(draw, fields=st.sampled_from((GF3, GF5, GF65521)),
                  nrows=st.integers(1, 14), ncols=st.integers(1, 40)):
-    """Matrices over odd p whose rows combine a few drawn rows; most reach
-    the rank at which the slot kernel takes over."""
+    """Matrices over odd p whose rows combine a few drawn rows; their row
+    and column counts fall on both sides of the count from which ``_red``
+    runs the slot kernel."""
     field = draw(fields)
     p, n, m = field.modulus, draw(nrows), draw(ncols)
     row = st.lists(st.integers(0, p - 1), min_size=m, max_size=m)
@@ -245,6 +321,39 @@ def test_slot_matmul_matches_the_generic_row_operation(a, data):
                                ncols=st.integers(1, 12)))
     assert a @ b == _generic_matmul(a, b)
     assert a.transpose() @ a == _generic_matmul(a.transpose(), a)
+
+
+@pytest.mark.parametrize("field", (GF2, GF3, GF65521, Q), ids=str)
+def test_membership_and_column_products_match_the_generic_row_operation(rng, field):
+    """contains_vector, coordinates, element_from_red_entries and
+    apply_column_centric all go through ``_product``; the zero subspace
+    sends it an empty row list."""
+    def raw(n):
+        return [_random_scalar(field, rng, 6).value for _ in range(n)]
+
+    for m in (1, 4, 9, 33, 70):
+        for rank in sorted({0, 1, min(3, m), m}):
+            base = [raw(m) for _ in range(rank)]
+            w = rl.span_red_basis([rl.Vector.from_values(field, r) for r in base], m, field)
+            red = [v._raw for v in w.red_basis]
+            coefficients = raw(w.dimension)
+            member = _generic_combination(field, coefficients, red, m)
+            assert rl.element_from_red_entries(w, coefficients)._raw == tuple(member)
+            for x in (member, raw(m)):
+                x = rl.Vector.from_values(field, x)
+                at_red = [x._raw[i - 1] for i in w.red_indices]
+                inside = _generic_combination(field, at_red, red, m) == list(x._raw)
+                assert rl.contains_vector(w, x) == inside, (m, rank)
+                if inside:
+                    assert [c.value for c in rl.coordinates(w, x)] == at_red
+                else:
+                    with pytest.raises(DomainError):
+                        rl.coordinates(w, x)
+            a = rl.Matrix.from_values(field, [raw(m) for _ in range(rank + 1)])
+            x = rl.Vector.from_values(field, raw(m))
+            column_product = _generic_combination(field, x._raw, list(zip(*a._raw)), a.nrows)
+            assert rl.apply_column_centric(a, x)._raw == tuple(column_product), (m, rank)
+            assert rl.apply_column_centric(a, x) == rl.apply_row_centric(a, x)
 
 
 def test_packed_rref_matches_textbook_on_a_large_matrix(rng):
