@@ -17,7 +17,14 @@ the fewest b from which no case, at any prime, takes the slot kernel more
 than TOLERANCE times the insertion kernel's time (a margin for timing
 noise): the rule that sets ``_SLOTS_FROM``.
 
-    PYTHONPATH=src python3 scripts/kernel_crossover.py [--rounds 7]
+With ``--field q`` it times Q instead, where ``_red`` has no crossover:
+the integer kernel (``_red_ints``) against the ``_insert_red`` loop on
+Fractions (the kernel ``_red`` ran over Q before it), on random rows of
+small fractions, 1-12 rows, widths 1-30, measured the same way. A ratio
+below 1 means the integer kernel is faster; the last line gives the
+largest ratio.
+
+    PYTHONPATH=src python3 scripts/kernel_crossover.py [--rounds 7] [--field q]
 """
 
 import argparse
@@ -25,6 +32,7 @@ import os
 import random
 import statistics
 import timeit
+from fractions import Fraction
 
 from redlime import subspace
 
@@ -48,12 +56,57 @@ def best_time(samples, p, slots_from, number):
         subspace._SLOTS_FROM = DEFAULT
 
 
+def insertion_red(rows):
+    """The red-basis dict of rows over Q by the insertion kernel."""
+    basis = {}
+    for row in rows:
+        subspace._insert_red(basis, list(row), None)
+    return basis
+
+
+Q_ROWS = (1, 2, 3, 4, 6, 8, 10, 12)
+Q_WIDTHS = (1, 2, 4, 8, 16, 30)
+Q_KERNELS = {"insertion": insertion_red, "ints": subspace._red_ints}
+
+
+def q_time(samples, kind, number):
+    kernel = Q_KERNELS[kind]
+    return min(timeit.repeat(lambda: [kernel(rows) for rows in samples],
+                             number=number, repeat=REPEAT)) / number
+
+
+def q_table(rounds):
+    """Median time ratio of the integer kernel to the insertion kernel over Q."""
+    rng = random.Random(SEED)
+    cases = {(n, m): [[tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m))
+                       for _ in range(n)] for _ in range(SAMPLES)]
+             for n in Q_ROWS for m in Q_WIDTHS}
+    numbers = {case: max(1, int(2e-3 / q_time(samples, "insertion", 1)))
+               for case, samples in cases.items()}
+    ratios = {case: [] for case in cases}
+    for r in range(rounds):
+        order = ("insertion", "ints") if r % 2 == 0 else ("ints", "insertion")
+        for case, samples in cases.items():
+            t = {kind: q_time(samples, kind, numbers[case]) for kind in order}
+            ratios[case].append(t["ints"] / t["insertion"])
+    median = {case: statistics.median(v) for case, v in ratios.items()}
+    print(f"Q: integer kernel time / insertion kernel time, median of {rounds} rounds "
+          f"of best-of-{REPEAT}")
+    print("rows " + "".join(f"{'w=' + str(m):>7}" for m in Q_WIDTHS))
+    for n in Q_ROWS:
+        print(f"{n:4} " + "".join(f"{median[n, m]:7.2f}" for m in Q_WIDTHS))
+    print(f"\nlargest ratio {max(median.values()):.2f}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rounds", type=int, default=7)
+    ap.add_argument("--field", choices=("odd-p", "q"), default="odd-p")
     args = ap.parse_args()
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    if args.field == "q":
+        return q_table(args.rounds)
     rng = random.Random(SEED)
     cases = {(p, n, m): [[tuple(rng.randrange(p) for _ in range(m)) for _ in range(n)]
                          for _ in range(SAMPLES)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .fields import FieldSpec, Scalar
 from .subspace import (LimeBasis, Subspace, Vector, _check_type, _check_vector,
-                       _mirrored, _unchecked, _vector)
+                       _lime_basis, _mirrored, _subspace, _vector)
 
 
 def dot(x: Vector, y: Vector) -> Scalar:
@@ -50,8 +50,8 @@ def lime_of_complement_from_red(w: Subspace) -> LimeBasis:
     _check_type(w, Subspace)
     field, n = w.field, w.ambient
     out = _read_off(field, n, {i - 1: v._raw for i, v in zip(w.red_indices, w.red_basis)})
-    return _unchecked(LimeBasis, field, n, tuple(o + 1 for o, _ in out),
-                      tuple(_vector(field, tuple(z)) for _, z in out))
+    return _lime_basis(field, n, tuple(o + 1 for o, _ in out),
+                       tuple(_vector(field, tuple(z)) for _, z in out))
 
 
 def _complement(field, n, rows) -> Subspace:
@@ -59,8 +59,8 @@ def _complement(field, n, rows) -> Subspace:
     its lime basis: reversal keeps the dot product, so this is the lime
     read-off of the reversed span, reversed back."""
     out = _read_off(field, n, _mirrored(rows, field.modulus))[::-1]
-    return _unchecked(Subspace, field, n, tuple(n - o for o, _ in out),
-                      tuple(_vector(field, tuple(z[::-1])) for _, z in out))
+    return _subspace(field, n, tuple(n - o for o, _ in out),
+                     tuple(_vector(field, tuple(z[::-1])) for _, z in out))
 
 
 def complement(w: Subspace) -> Subspace:

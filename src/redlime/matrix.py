@@ -18,7 +18,7 @@ from .errors import DomainError, UsageError
 from .fields import FieldSpec, Scalar, _scalars, _text
 from .subspace import (LimeBasis, Subspace, Vector, _check_type, _check_vector,
                        _common_field_ambient, _lime, _mirrored, _product, _red,
-                       _span, _unchecked, _values, _vector, span_red_basis)
+                       _span, _values, _vector, span_red_basis)
 
 
 class Matrix:
@@ -127,7 +127,12 @@ class Matrix:
 def _matrix(field: FieldSpec, rows) -> Matrix:
     """A Matrix of package-made raw rows of field, unchecked."""
     rows = tuple(map(tuple, rows))
-    return _unchecked(Matrix, field, len(rows), len(rows[0]), rows)
+    a = object.__new__(Matrix)
+    a.field = field
+    a.nrows = len(rows)
+    a.ncols = len(rows[0])
+    a._raw = rows
+    return a
 
 
 def apply_row_centric(a: Matrix, x: Vector) -> Vector:

@@ -16,8 +16,10 @@ Positions are 1-based at every public interface.
 from __future__ import annotations
 
 import struct
+from fractions import Fraction
 from functools import reduce
 from itertools import compress
+from math import gcd, lcm
 from operator import mul, xor
 from typing import Iterable, Optional, Sequence
 
@@ -160,26 +162,17 @@ def _check_space(field: FieldSpec, ambient: int):
 
 
 def _vector(field: FieldSpec, raw: tuple) -> Vector:
-    """A Vector of package-made canonical raw values of field, unchecked:
-    ``_unchecked`` for the most built class, with plain attribute stores."""
+    """A Vector of package-made canonical raw values of field, unchecked."""
     v = object.__new__(Vector)
     v.field = field
     v._raw = raw
     return v
 
 
-def _unchecked(cls, *values):
-    """An instance of cls with its __slots__ set to values in order, without
-    running __init__: only for objects built here from already-valid parts."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        setattr(obj, name, value)
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # internal mutable-row kernels (0-based); public surfaces convert to 1-based.
-# Rows hold raw values: Fractions over Q, residues in range(p) over GF(p).
+# Rows hold raw values: Fractions over Q, residues in range(p) over GF(p);
+# only ``_red_ints`` works on int rows over Q, between its input and answer.
 
 def _axpy(row: list, c, src, stop: int, p) -> None:
     """row[:stop] -= c * src[:stop] on raw values, reduced mod p unless p is None."""
@@ -203,7 +196,9 @@ def _insert_red(basis: dict, row: list, p) -> Optional[int]:
 
     Returns the new key when the row enlarged the span, else None. The dict
     stays canonical throughout: each stored row terminates with a 1 at its
-    key and is zero at every other key.
+    key and is zero at every other key. ``_red`` runs it over odd p on
+    inputs below ``_SLOTS_FROM``; over Q, on Fractions, it is the tests'
+    referee for ``_red_ints``.
     """
     t = _last_nonzero(row)
     while t is not None and t in basis:
@@ -270,20 +265,68 @@ _SLOTS_FROM = 8
 def _red(rows, p) -> dict:
     """Raw red-basis dict of the span of a sequence of raw rows (p the
     modulus, None over Q): the one elimination, by one kernel chosen from
-    the field and the shape before any row is eliminated. Over GF(2) the
-    rows are packed as bits (``_red_bits``); over odd p, on at least
-    ``_SLOTS_FROM`` rows of at least ``_SLOTS_FROM`` entries, into slots
-    (``_red_slots``, whose docstring proves the slot width); otherwise they
-    go through the insertion kernel. Every kernel returns the same dict.
+    the field and the shape before any row is eliminated. Over Q the rows
+    are eliminated as integers (``_red_ints``); over GF(2) they are packed
+    as bits (``_red_bits``); over odd p, on at least ``_SLOTS_FROM`` rows
+    of at least ``_SLOTS_FROM`` entries, into slots (``_red_slots``, whose
+    docstring proves the slot width); otherwise they go through the
+    insertion kernel. Every kernel returns the same dict.
     """
+    if p is None:
+        return _red_ints(rows)
     if p == 2:
         return _red_bits(rows)
-    if p is not None and len(rows) >= _SLOTS_FROM and len(rows[0]) >= _SLOTS_FROM:
+    if len(rows) >= _SLOTS_FROM and len(rows[0]) >= _SLOTS_FROM:
         return _red_slots(rows, p)
     basis: dict = {}
     for row in rows:
         _insert_red(basis, list(row), p)
     return basis
+
+
+def _red_ints(rows) -> dict:
+    """_red over Q, fraction-free: each row's denominators are cleared once,
+    and the stored rows are primitive int lists, each nonzero at its own key
+    and zero at every other key (its pivot need not be 1).
+
+    A new row x is cleared at each key t by ``x = d·x - c·b`` for the stored
+    row b, with d = b[t] and c = x[t] both divided by their gcd; b is zero
+    at the other keys, so these steps leave x's entries there nonzero or
+    zero as they were, and their order does not matter. A nonzero x is
+    divided by its content, and its new position is cleared from the older
+    rows the same way, each changed row divided by its content. Fractions
+    are built only in the answer: entry v of the row stored at t is
+    ``Fraction(v, b[t])``.
+    """
+    basis: dict = {}
+    for row in rows:
+        den = lcm(*[v.denominator for v in row])
+        x = [v.numerator * (den // v.denominator) for v in row]
+        for t, b in basis.items():
+            c = x[t]
+            if c:
+                d = b[t]
+                g = gcd(d, c)
+                d, c = d // g, c // g
+                x = [d * u - c * v for u, v in zip(x, b)]
+        g = gcd(*x)
+        if not g:
+            continue
+        if g != 1:
+            x = [u // g for u in x]
+        t = _last_nonzero(x)
+        d = x[t]
+        for i, b in basis.items():  # clear the new red position from older rows
+            c = b[t]
+            if c:
+                g = gcd(d, c)
+                e, c = d // g, c // g
+                b = [e * v - c * u for u, v in zip(x, b)]
+                g = gcd(*b)
+                basis[i] = [v // g for v in b] if g != 1 else b
+        basis[t] = x
+    zero = Fraction(0)
+    return {t: [Fraction(v, b[t]) if v else zero for v in b] for t, b in basis.items()}
 
 
 def _red_bits(rows) -> dict:
@@ -492,20 +535,40 @@ class LimeBasis(_Canonical):
         return cls(field, ambient, (), ())
 
 
+def _subspace(field: FieldSpec, ambient: int, indices: tuple, basis: tuple) -> Subspace:
+    """A Subspace of package-made canonical parts, unchecked."""
+    w = object.__new__(Subspace)
+    w.field = field
+    w.ambient = ambient
+    w.red_indices = indices
+    w.red_basis = basis
+    return w
+
+
+def _lime_basis(field: FieldSpec, ambient: int, indices: tuple, vectors: tuple) -> LimeBasis:
+    """A LimeBasis of package-made canonical parts, unchecked."""
+    b = object.__new__(LimeBasis)
+    b.field = field
+    b.ambient = ambient
+    b.lime_indices = indices
+    b.vectors = vectors
+    return b
+
+
 def _span(field, n, rows) -> Subspace:
     """The span of raw rows in F^n, in canonical red form."""
     basis = _red(rows, field.modulus)
     idx = sorted(basis)
-    return _unchecked(Subspace, field, n, tuple(i + 1 for i in idx),
-                      tuple(_vector(field, tuple(basis[i])) for i in idx))
+    return _subspace(field, n, tuple(i + 1 for i in idx),
+                     tuple(_vector(field, tuple(basis[i])) for i in idx))
 
 
 def _lime(field, n, rows) -> LimeBasis:
     """The lime basis of the span of raw rows in F^n."""
     mirrored = _mirrored(rows, field.modulus)
     keys = sorted(mirrored, reverse=True)
-    return _unchecked(LimeBasis, field, n, tuple(n - k for k in keys),
-                      tuple(_vector(field, tuple(mirrored[k][::-1])) for k in keys))
+    return _lime_basis(field, n, tuple(n - k for k in keys),
+                       tuple(_vector(field, tuple(mirrored[k][::-1])) for k in keys))
 
 
 def _common_field_ambient(generators, ambient, field):

@@ -1,18 +1,24 @@
-"""The packed eliminations and products against the generic kernels.
+"""The packed and integer eliminations and products against the generic kernels.
 
 ``subspace._red`` and ``subspace._product`` (behind ``@``, membership and
 ``apply_column_centric``) work on rows packed into ints: as bits over
 GF(2), and in wide slots over odd p, where a row operation is one
 multiply-add and slots are reduced only when a row is unpacked. Over odd p,
 ``_red`` runs the slot kernel when both the row count and the width are at
-least ``_SLOTS_FROM``, and the insertion kernel otherwise. ``_insert_red``
-and ``_axpy`` still serve Q; here they referee the packed paths on wide
+least ``_SLOTS_FROM``, and the insertion kernel otherwise. Over Q, ``_red``
+eliminates integer rows (``_red_ints``) and builds Fractions only in its
+answer, while ``_product`` still adds Fraction rows with ``_axpy``.
+``_insert_red`` and ``_axpy`` referee the packed and integer paths on wide
 rows (past one machine word), low rank, zero and duplicate rows, row counts
 and widths on both sides of the kernel choice, rows that drive the
-unreduced slots to their largest values, and every row form the callers
-pass; a white-box check watches the slot values themselves against the
-width the code asks for.
+unreduced slots to their largest values, Q rows with 200-bit numerators or
+distinct large prime denominators, and every row form the callers pass; a
+white-box check watches the slot values themselves against the width the
+code asks for.
 """
+
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -22,7 +28,7 @@ import redlime as rl
 from redlime import duality, matrix, signatures, subspace
 from redlime.errors import DomainError
 from redlime.fields import MODULUS_LIMIT, _is_prime, _random_scalar
-from redlime.subspace import _axpy, _insert_red, _red
+from redlime.subspace import _axpy, _insert_red, _last_nonzero, _red
 
 from conftest import GF2, GF3, GF5, Q, random_matrix
 
@@ -229,6 +235,87 @@ def test_largest_prime_is_the_largest_modulus():
     assert not any(_is_prime(q) for q in range(LARGEST_PRIME + 1, MODULUS_LIMIT))
 
 
+def _large_primes():
+    """max(WIDTHS) distinct primes of 60 to 81 bits (``_is_prime`` is exact
+    below MODULUS_LIMIT, about 2**81), drawn once from a fixed seed."""
+    rng, primes = random.Random(81), set()
+    while len(primes) < max(WIDTHS):
+        q = rng.getrandbits(rng.randint(60, 81)) | 1 << 59 | 1
+        if _is_prime(q):
+            primes.add(q)
+    return sorted(primes)
+
+
+LARGE_PRIMES = _large_primes()
+
+# row makers over Q: (rng, width) -> a row of Fractions
+Q_ENTRIES = {
+    "small": lambda rng, m: [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)],
+    "200-bit numerators": lambda rng, m: [
+        Fraction(rng.getrandbits(200) - 2**199, rng.randint(1, 2**16)) for _ in range(m)],
+    # distinct primes in one row, so the row's lcm is their product
+    "prime denominators": lambda rng, m: [
+        Fraction(rng.randint(-2**20, 2**20), q) for q in rng.sample(LARGE_PRIMES, m)],
+}
+
+
+def _q_rows(rng, entry, n, m, rank):
+    """n rows of width m over Q spanning at most ``rank`` dimensions:
+    ``rank`` rows drawn by entry, then small-fraction combinations of two
+    earlier rows, with one row zero and one repeated."""
+    rows = [entry(rng, m) for _ in range(rank)]
+    while len(rows) < n:
+        c, d = (Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(2))
+        rows.append([c * x + d * y for x, y in zip(rng.choice(rows), rng.choice(rows))])
+    rows[rng.randrange(n)] = [Fraction(0)] * m
+    rows.append(rows[rng.randrange(n)])
+    rng.shuffle(rows)
+    return [tuple(r) for r in rows]
+
+
+def _assert_int_red_matches(rows):
+    """_red over Q equals the insertion kernel's dict, and every entry is a
+    Fraction (an int would compare equal but is not the canonical raw value)."""
+    red = _red(rows, None)
+    assert red == _generic_red(rows, None)
+    assert all(type(v) is Fraction for row in red.values() for v in row)
+    return red
+
+
+@pytest.mark.parametrize("kind", sorted(Q_ENTRIES))
+@pytest.mark.parametrize("form", sorted(ROW_FORMS))
+def test_int_red_matches_insertion_kernel(rng, form, kind):
+    make, entry = ROW_FORMS[form], Q_ENTRIES[kind]
+    # keeps the referee's cost in check: its row operations per case, fewer for larger entries
+    budget = {"small": 40_000, "200-bit numerators": 8_000, "prime denominators": 4_000}[kind]
+    for m in WIDTHS:
+        for n, rank in ((1, 1), (5, 1), (6, 3), (12, 12), (m + 3, 8), (m + 3, m)):
+            rank = min(rank, m)
+            if n * rank * m > budget:
+                continue
+            rows = _q_rows(rng, entry, n, m, rank)
+            _assert_int_red_matches(make(rows))
+
+
+def test_int_red_single_entry_and_trivial_rows(rng):
+    assert _red([], None) == {}
+    assert _red([(Fraction(0),) * 70] * 3, None) == {}
+    assert _assert_int_red_matches([(Fraction(-3, 7),)]) == {0: [Fraction(1)]}
+    for m in WIDTHS:
+        rows = []
+        for _ in range(min(m, 12)):  # one nonzero entry each, positions repeating
+            row = [Fraction(0)] * m
+            row[rng.randrange(m)] = Fraction(rng.choice((-1, 1)) * rng.getrandbits(200) + 1,
+                                             rng.randint(1, 2**70))
+            rows.append(tuple(row))
+        red = _assert_int_red_matches(rows)
+        assert red == {j: [Fraction(int(i == j)) for i in range(m)]
+                       for j in {_last_nonzero(r) for r in rows}}
+    units = [[Fraction(int(i == j)) for j in range(9)] for i in range(9)]
+    scaled = [tuple(Fraction(5, 3) * v for v in u) for u in units]
+    assert _assert_int_red_matches(scaled + scaled[::-1]) == dict(enumerate(units))
+
+
 @st.composite
 def gf2_matrices(draw, nrows=st.integers(1, 10), ncols=st.integers(1, 130)):
     """GF(2) matrices whose rows combine a few drawn rows, so low rank, zero
@@ -305,6 +392,29 @@ def test_packed_answers_match_the_generic_kernel(a):
 
 @given(gfp_matrices())
 def test_slot_answers_match_the_generic_kernel(a):
+    _assert_answers_match_the_generic_kernel(a)
+
+
+@st.composite
+def q_matrices(draw, nrows=st.integers(1, 8), ncols=st.integers(1, 12)):
+    """Matrices over Q whose rows combine a few drawn rows, entries small
+    fractions or up to 200-bit numerators."""
+    n, m = draw(nrows), draw(ncols)
+    entry = st.builds(Fraction, st.integers(-9, 9) | st.integers(-2**200, 2**200),
+                      st.integers(1, 9) | st.integers(1, 2**64))
+    base = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=n))
+    coefficient = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    coefficients = st.lists(coefficient, min_size=len(base), max_size=len(base))
+    rows = []
+    for _ in range(n):
+        cs = draw(coefficients)
+        rows.append([sum(c * b[j] for c, b in zip(cs, base)) for j in range(m)])
+    return rl.Matrix.from_values(Q, rows)
+
+
+@given(q_matrices())
+def test_int_answers_match_the_generic_kernel(a):
+    _assert_int_red_matches(a._raw)
     _assert_answers_match_the_generic_kernel(a)
 
 
