@@ -13,6 +13,7 @@ import argparse
 import itertools
 import random
 import sys
+from collections import Counter
 
 from .duality import complement
 from .errors import DomainError, ParseError, ResourceError, UsageError
@@ -38,9 +39,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 # Each command renders its whole output before printing any of it, so a
 # value too large to render leaves no partial output behind.
 
-def _print_basis(field, label, indices, vectors):
-    lines = [field_header(field), f"# {label}: {' '.join(str(i) for i in indices)}".rstrip()]
-    lines.extend(" ".join(_text(field, e) for e in v._raw) for v in vectors)
+def _print_basis(w):
+    """Print a Subspace or LimeBasis: field header, indices, one raw row a line."""
+    indices = " ".join(str(i) for i in w._indices)
+    lines = [field_header(w.field), f"# {w._side} indices: {indices}".rstrip()]
+    lines.extend(" ".join(_text(w.field, e) for e in r) for r in w._raw)
     print("\n".join(lines))
 
 
@@ -56,14 +59,12 @@ def _field_from_flag(tokens) -> FieldSpec:
 
 
 def _cmd_red_basis(args) -> int:
-    w = row_space(load_matrix(args.file))
-    _print_basis(w.field, "red indices", w.red_indices, w.red_basis)
+    _print_basis(row_space(load_matrix(args.file)))
     return 0
 
 
 def _cmd_lime_basis(args) -> int:
-    lb = lime_basis(row_space(load_matrix(args.file)))
-    _print_basis(lb.field, "lime indices", lb.lime_indices, lb.vectors)
+    _print_basis(lime_basis(row_space(load_matrix(args.file))))
     return 0
 
 
@@ -83,14 +84,12 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_nullspace(args) -> int:
-    w = nullspace(load_matrix(args.file))
-    _print_basis(w.field, "red indices", w.red_indices, w.red_basis)
+    _print_basis(nullspace(load_matrix(args.file)))
     return 0
 
 
 def _cmd_complement(args) -> int:
-    w = complement(row_space(load_matrix(args.file)))
-    _print_basis(w.field, "red indices", w.red_indices, w.red_basis)
+    _print_basis(complement(row_space(load_matrix(args.file))))
     return 0
 
 
@@ -120,9 +119,7 @@ def _cmd_feasible(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    sig = Signature.from_string(args.sig)
-    w = synthesize(sig, _field_from_flag(args.field))
-    _print_basis(w.field, "red indices", w.red_indices, w.red_basis)
+    _print_basis(synthesize(Signature.from_string(args.sig), _field_from_flag(args.field)))
     return 0
 
 
@@ -142,24 +139,16 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    if args.n < 1:
-        raise UsageError("ambient dimension must be at least 1")
     try:  # the modulus is an argument, as with --field
         gf(args.p)
     except DomainError as exc:
         raise UsageError(str(exc)) from None
-    counts: dict = {}
-    for w in enumerate_subspaces(args.n, args.p, budget=args.budget):
-        key = str(signature(w))
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(str(signature(w))
+                     for w in enumerate_subspaces(args.n, args.p, budget=args.budget))
     for key in sorted(counts):
         print(f"{key} {counts[key]}")
-    feasible = set()
-    for marks in itertools.product(tuple(Mark), repeat=args.n):
-        sig = Signature(marks)
-        if is_feasible(sig):
-            feasible.add(str(sig))
-    ok = set(counts) == feasible
+    marks = itertools.product(tuple(Mark), repeat=args.n)
+    ok = set(counts) == {str(sig) for sig in map(Signature, marks) if is_feasible(sig)}
     print(f"characterization: {'OK' if ok else 'FAIL'}")
     return 0 if ok else 3
 
@@ -195,8 +184,7 @@ def _dependent_columns_by_prefix(a: Matrix) -> frozenset:
         if contains_vector(running, col):
             out.add(j)
         else:
-            running = span_red_basis(list(running.red_basis) + [col],
-                                     a.nrows, a.field)
+            running = span_red_basis([*running.red_basis, col], a.nrows, a.field)
     return frozenset(out)
 
 

@@ -10,9 +10,9 @@ positions.
 
 from __future__ import annotations
 
+from .errors import _check_type
 from .fields import FieldSpec, Scalar
-from .subspace import (LimeBasis, Subspace, Vector, _check_type, _check_vector,
-                       _lime_basis, _mirrored, _subspace, _vector)
+from .subspace import LimeBasis, Subspace, Vector, _check_vector, _mirrored
 
 
 def dot(x: Vector, y: Vector) -> Scalar:
@@ -49,9 +49,9 @@ def lime_of_complement_from_red(w: Subspace) -> LimeBasis:
     """
     _check_type(w, Subspace)
     field, n = w.field, w.ambient
-    out = _read_off(field, n, {i - 1: v._raw for i, v in zip(w.red_indices, w.red_basis)})
-    return _lime_basis(field, n, tuple(o + 1 for o, _ in out),
-                       tuple(_vector(field, tuple(z)) for _, z in out))
+    out = _read_off(field, n, {i - 1: r for i, r in zip(w.red_indices, w._raw)})
+    return LimeBasis._made(field, n, tuple(o + 1 for o, _ in out),
+                           tuple([tuple(z) for _, z in out]))
 
 
 def _complement(field, n, rows) -> Subspace:
@@ -59,8 +59,8 @@ def _complement(field, n, rows) -> Subspace:
     its lime basis: reversal keeps the dot product, so this is the lime
     read-off of the reversed span, reversed back."""
     out = _read_off(field, n, _mirrored(rows, field.modulus))[::-1]
-    return _subspace(field, n, tuple(n - o for o, _ in out),
-                     tuple(_vector(field, tuple(z[::-1])) for _, z in out))
+    return Subspace._made(field, n, tuple(n - o for o, _ in out),
+                          tuple([tuple(z[::-1]) for _, z in out]))
 
 
 def complement(w: Subspace) -> Subspace:
@@ -70,4 +70,4 @@ def complement(w: Subspace) -> Subspace:
     dim w + dim complement(w) = n and complement(complement(w)) = w.
     """
     _check_type(w, Subspace)
-    return _complement(w.field, w.ambient, [v._raw for v in w.red_basis])
+    return _complement(w.field, w.ambient, w._raw)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every redlime module.
+"""Exception hierarchy shared by every redlime module, and its type check.
 
 The CLI maps these onto exit codes: UsageError -> 1, ParseError -> 2,
 DomainError and ResourceError -> 3.
@@ -24,3 +24,9 @@ class DomainError(RedlimeError):
 class ResourceError(RedlimeError):
     """An enumeration would exceed its configured budget, or a result is too
     large to render as text."""
+
+
+def _check_type(x, cls):
+    """UsageError unless x is an instance of cls."""
+    if not isinstance(x, cls):
+        raise UsageError(f"expected a {cls.__name__}, got {type(x).__name__}")

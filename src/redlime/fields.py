@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DomainError, ParseError, ResourceError, UsageError
+from .errors import DomainError, ParseError, ResourceError, UsageError, _check_type
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _FRACTION_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)\Z")
@@ -238,6 +238,13 @@ def _text(field: FieldSpec, value) -> str:
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     """Parse one scalar token: ``-?[0-9]+`` anywhere, ``a/b`` over Q only."""
+    _check_type(text, str)
+    _check_type(field, FieldSpec)
+    return _parse_scalar(text, field)
+
+
+def _parse_scalar(text: str, field: FieldSpec) -> Scalar:
+    """parse_scalar of a str and a FieldSpec, unchecked."""
     m = _FRACTION_RE.match(text)
     if not (m or _INT_RE.match(text)):
         raise ParseError(f"malformed scalar token {text!r}")

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .duality import _complement
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _check_type
 from .fields import FieldSpec, Scalar, _scalars, _text
-from .subspace import (LimeBasis, Subspace, Vector, _check_type, _check_vector,
+from .subspace import (LimeBasis, Subspace, Vector, _check_space, _check_vector,
                        _common_field_ambient, _lime, _mirrored, _product, _red,
                        _span, _values, _vector, span_red_basis)
 
@@ -44,6 +44,7 @@ class Matrix:
 
     @classmethod
     def from_values(cls, field: FieldSpec, values) -> "Matrix":
+        _check_type(field, FieldSpec)
         a = object.__new__(cls)
         a._set(field, [field._coerce_row(row) for row in values])
         return a
@@ -62,10 +63,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
+        _check_space(field, n)
         return cls.from_values(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, field: FieldSpec, n: int, m: int) -> "Matrix":
+        _check_space(field, n)
+        _check_space(field, m)
         return cls.from_values(field, [[0] * m for _ in range(n)])
 
     @property
@@ -209,8 +213,7 @@ def rref(a: Matrix) -> Matrix:
 def _padded(a: Matrix, lb: LimeBasis) -> Matrix:
     """The rows of lb, then zero rows up to a's row count."""
     zero_row = (a.field.zero.value,) * a.ncols
-    return _matrix(a.field, [v._raw for v in lb.vectors]
-                   + [zero_row] * (a.nrows - lb.dimension))
+    return _matrix(a.field, lb._raw + (zero_row,) * (a.nrows - lb.dimension))
 
 
 def rcef(a: Matrix) -> Matrix:
@@ -239,7 +242,7 @@ def full_rank_factorization(a: Matrix) -> FullRankFactors:
     lb = _lime(a.field, a.nrows, zip(*a._raw))
     if lb.dimension == 0:
         raise DomainError("the zero matrix has no full-rank factorization")
-    b = _matrix(a.field, zip(*(v._raw for v in lb.vectors)))
+    b = _matrix(a.field, zip(*lb._raw))
     g = _matrix(a.field, [a._raw[i - 1] for i in lb.lime_indices])
     return FullRankFactors(b=b, g=g, rank=lb.dimension)
 

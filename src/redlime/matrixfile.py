@@ -8,13 +8,14 @@ the shared token grammar (integers everywhere, ``a/b`` over q only).
 
 from __future__ import annotations
 
-from .errors import DomainError, ParseError, UsageError
-from .fields import RATIONALS, FieldSpec, gf, parse_scalar
+from .errors import DomainError, ParseError, UsageError, _check_type
+from .fields import RATIONALS, FieldSpec, _parse_scalar, gf
 from .matrix import Matrix
 from .subspace import Vector
 
 
 def field_header(field: FieldSpec) -> str:
+    _check_type(field, FieldSpec)
     return "field q" if not field.is_prime_field else f"field gf {field.modulus}"
 
 
@@ -35,6 +36,7 @@ def parse_field_tokens(tokens) -> FieldSpec:
 
 
 def parse_matrix_text(text: str) -> Matrix:
+    _check_type(text, str)
     field = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -48,7 +50,7 @@ def parse_matrix_text(text: str) -> Matrix:
             field = parse_field_tokens(tokens[1:])
             continue
         try:
-            rows.append([parse_scalar(tok, field) for tok in tokens])
+            rows.append([_parse_scalar(tok, field) for tok in tokens])
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     if field is None:
@@ -74,6 +76,7 @@ def load_matrix(path) -> Matrix:
 
 
 def render_matrix(a: Matrix, comments=()) -> str:
+    _check_type(a, Matrix)
     lines = [field_header(a.field)]
     lines.extend(f"# {c}" for c in comments)
     lines.append(str(a))
@@ -81,7 +84,9 @@ def render_matrix(a: Matrix, comments=()) -> str:
 
 
 def parse_vector_text(text: str, field: FieldSpec) -> Vector:
+    _check_type(text, str)
+    _check_type(field, FieldSpec)
     tokens = text.split()
     if not tokens:
         raise ParseError("empty vector text")
-    return Vector(field, tuple(parse_scalar(tok, field) for tok in tokens))
+    return Vector(field, tuple(_parse_scalar(tok, field) for tok in tokens))

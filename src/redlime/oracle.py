@@ -17,19 +17,23 @@ import itertools
 import math
 from typing import Iterator, Optional
 
-from .errors import ResourceError, UsageError
+from .errors import ResourceError, UsageError, _check_type
 from .fields import FieldSpec, gf
 from .matrix import Matrix
 from .signatures import signature_from_indices
 from .subspace import (Subspace, Vector, originating_index, span_red_basis,
-                       terminating_index, _check_space, _check_type, _common_field_ambient)
+                       terminating_index, _check_space, _common_field_ambient)
 
 DEFAULT_BUDGET = 10 ** 6
 
 
-def _require_finite(field: FieldSpec):
+def _check_enumeration(field: FieldSpec, budget):
+    """UsageError unless field is finite and budget is an int or a float
+    (math.inf too), not a bool or NaN."""
     if not field.is_prime_field:
         raise UsageError("enumeration needs a finite field")
+    if isinstance(budget, bool) or not isinstance(budget, (int, float)) or budget != budget:
+        raise UsageError(f"budget must be an int or a float, not {budget!r}")
 
 
 def enumerate_span(generators, ambient: Optional[int] = None,
@@ -39,7 +43,7 @@ def enumerate_span(generators, ambient: Optional[int] = None,
     generator at a time. Result size is p^dim."""
     generators = list(generators)
     field, ambient = _common_field_ambient(generators, ambient, field)
-    _require_finite(field)
+    _check_enumeration(field, budget)
     scalars = list(field.elements())
     span = {(field.zero,) * ambient}
     for g in [g.entries for g in generators]:
@@ -67,7 +71,7 @@ def brute_indices(generators, ambient: Optional[int] = None,
 def all_vectors(field: FieldSpec, n: int, budget: int = DEFAULT_BUDGET) -> Iterator[Vector]:
     """Every vector of GF(p)^n, in lexicographic order of entries."""
     _check_space(field, n)
-    _require_finite(field)
+    _check_enumeration(field, budget)
     # p^n >= 2^n, so a large n is refused before the power is formed.
     if budget < 1 or n - 1 > math.log2(budget) or field.modulus ** n > budget:
         raise ResourceError(f"enumerating {field}^{n} would exceed {budget} vectors")
@@ -83,7 +87,7 @@ def brute_complement(generators, ambient: Optional[int] = None,
     ambient space on literal dot products."""
     generators = list(generators)
     field, ambient = _common_field_ambient(generators, ambient, field)
-    _require_finite(field)
+    _check_enumeration(field, budget)
     generators = [g.entries for g in generators]
     out = set()
     for x in all_vectors(field, ambient, budget):
@@ -133,6 +137,7 @@ def enumerate_subspaces(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Iterato
     """
     field = gf(p)
     _check_space(field, n)
+    _check_enumeration(field, budget)
     # GF(p)^n has at least 2^(n-1) lines, so a large n is refused without a
     # count, and the Gaussian binomials are summed only until they pass budget.
     totals = itertools.accumulate(gaussian_binomial(n, k, p) for k in range(n + 1))

@@ -16,10 +16,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, ParseError, UsageError
+from .errors import DomainError, ParseError, UsageError, _check_type
 from .fields import FieldSpec
-from .subspace import (Subspace, Vector, _check_type, _last_nonzero, _mirrored,
-                       _red, _span, _vector)
+from .subspace import Subspace, Vector, _last_nonzero, _mirrored, _red, _span, _vector
 
 
 class Mark(enum.Enum):
@@ -44,6 +43,7 @@ class Signature:
 
     @classmethod
     def from_string(cls, text: str) -> "Signature":
+        _check_type(text, str)
         try:
             marks = tuple(Mark(ch) for ch in text)
         except ValueError:
@@ -81,7 +81,7 @@ def signature(w: Subspace) -> Signature:
     """The subspace's mark string; b- and r-counts sum to the dimension, as
     do b- and l-counts."""
     _check_type(w, Subspace)
-    mirrored = _mirrored([v._raw for v in w.red_basis], w.field.modulus)
+    mirrored = _mirrored(w._raw, w.field.modulus)
     lime = [w.ambient - k for k in mirrored]
     return signature_from_indices(w.red_indices, lime, w.ambient)
 
@@ -103,7 +103,7 @@ def truncate_right(w: Subspace) -> Subspace:
     _check_type(w, Subspace)
     if w.ambient <= 1:
         raise UsageError("cannot truncate an ambient of 1")
-    return _span(w.field, w.ambient - 1, [v._raw[:-1] for v in w.red_basis])
+    return _span(w.field, w.ambient - 1, [r[:-1] for r in w._raw])
 
 
 def is_feasible(sig: Signature) -> bool:
@@ -171,8 +171,9 @@ class Permutation:
     images: tuple
 
     def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
+        images = self.images
+        if (not isinstance(images, (tuple, list)) or any(type(i) is not int for i in images)
+                or sorted(images) != list(range(1, len(images) + 1))):
             raise UsageError("images must be a bijection on 1..n")
 
     def image_of(self, i: int) -> int:
@@ -212,12 +213,12 @@ def permute_presenting_positions(w: Subspace, positions) -> tuple:
     k = len(positions)
     if k == 0:
         return Permutation(tuple(range(1, n + 1))), w
-    restricted = [[v._raw[p - 1] for p in positions] for v in w.red_basis]
+    restricted = [[r[p - 1] for p in positions] for r in w._raw]
     if len(_red(restricted, w.field.modulus)) != k:
         raise DomainError("the subspace does not present as the full space there")
     chosen = set(positions)
     order = [q for q in range(1, n + 1) if q not in chosen] + positions
     slot = {q: s for s, q in enumerate(order, start=1)}
     perm = Permutation(tuple(slot[q] for q in range(1, n + 1)))
-    moved = _span(w.field, n, [perm.apply(v)._raw for v in w.red_basis])
+    moved = _span(w.field, n, [[r[q - 1] for q in order] for r in w._raw])
     return perm, moved

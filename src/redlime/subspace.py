@@ -6,9 +6,10 @@ some member of W terminates there, and *lime* (left-standard) when some
 member originates there. For each red index i, W holds exactly one member
 that terminates with a 1 at i and is zero at every other red index; these
 red-basic elements, in index order, form the red basis. That basis is the
-canonical form a Subspace stores: two Subspace values describe the same set
-of vectors exactly when they compare equal. LimeBasis is the originating
-mirror, derivable on demand.
+canonical form a Subspace stores, as one tuple of raw rows (Vector and Matrix
+store theirs the same way; Scalars and Vectors exist only in the public
+views): two Subspace values describe the same set of vectors exactly when
+they compare equal. LimeBasis is the originating mirror, derivable on demand.
 
 Positions are 1-based at every public interface.
 """
@@ -23,7 +24,7 @@ from math import gcd, lcm
 from operator import mul, xor
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _check_type
 from .fields import FieldSpec, Scalar, _inverse, _scalars, _text
 
 
@@ -45,19 +46,22 @@ class Vector:
     @classmethod
     def from_values(cls, field: FieldSpec, values) -> "Vector":
         """Build a vector by coercing ints/Fractions through the field."""
+        _check_type(field, FieldSpec)
         v = object.__new__(cls)
         v._set(field, field._coerce_row(values))
         return v
 
     @classmethod
     def zero(cls, field: FieldSpec, n: int) -> "Vector":
+        _check_space(field, n)
         return cls.from_values(field, (0,) * n)
 
     @classmethod
     def standard_basis(cls, field: FieldSpec, n: int, k: int) -> "Vector":
         """E_k in F^n: a 1 in position k, zeros elsewhere."""
-        if not 1 <= k <= n:
-            raise UsageError(f"position {k} outside 1..{n}")
+        _check_space(field, n)
+        if not isinstance(k, int) or not 1 <= k <= n:
+            raise UsageError(f"position {k!r} outside 1..{n}")
         return cls.from_values(field, [int(p == k) for p in range(1, n + 1)])
 
     @property
@@ -137,12 +141,6 @@ def _values(field: FieldSpec, entries, what: str) -> tuple:
         if not isinstance(e, Scalar) or e.field != field:
             raise UsageError(f"{what} entries must be scalars of the {what}'s field")
     return tuple(e.value for e in entries)
-
-
-def _check_type(x, cls):
-    """UsageError unless x is an instance of cls."""
-    if not isinstance(x, cls):
-        raise UsageError(f"expected a {cls.__name__}, got {type(x).__name__}")
 
 
 def _check_vector(x, field: FieldSpec, n: int):
@@ -435,10 +433,12 @@ def _mirrored(rows, p) -> dict:
 
 class _Canonical:
     """What Subspace (the red side) and LimeBasis (the lime side) share: a
-    field, an ambient dimension, then the indices and their basic elements in
-    index order, checked once as they enter and compared as stored."""
+    field, an ambient dimension, the indices, and the basic elements in index
+    order as one tuple of raw rows (``_raw``), whose public Vector view builds
+    fresh Vectors on each access. The public constructor checks the parts once;
+    package-made parts enter unchecked through ``_made``."""
 
-    __slots__ = ()
+    __slots__ = ("field", "ambient", "_indices", "_raw")
     _side = ""
 
     def _set(self, field: FieldSpec, ambient: int, indices, vectors):
@@ -451,50 +451,56 @@ class _Canonical:
             if not isinstance(i, int) or not prev < i <= ambient:
                 raise UsageError(f"{side} indices must be strictly increasing within 1..{ambient}")
             prev = i
-        for i, v in zip(indices, vectors):
-            if not isinstance(v, Vector) or v.field != field or len(v._raw) != ambient:
-                raise UsageError(f"{side}-basic element has the wrong field or length")
-            if v._raw[i - 1] != 1:
+        for v in vectors:
+            _check_vector(v, field, ambient)
+        raw = tuple(v._raw for v in vectors)
+        for i, r in zip(indices, raw):
+            if r[i - 1] != 1:
                 raise UsageError(f"{side}-basic element for index {i} must carry a 1 there")
             outside = range(i, ambient) if side == "red" else range(0, i - 1)
-            for p in outside:
-                if v._raw[p]:
+            for p in [*outside, *(l - 1 for l in indices if l != i)]:
+                if r[p]:
                     raise UsageError(
                         f"{side}-basic element for index {i} must vanish at position {p + 1}")
-            for l in indices:
-                if l != i and v._raw[l - 1]:
-                    raise UsageError(
-                        f"{side}-basic element for index {i} must vanish at {side} index {l}")
-        for name, value in zip(self.__slots__, (field, ambient, indices, vectors)):
-            setattr(self, name, value)
+        self.field, self.ambient, self._indices, self._raw = field, ambient, indices, raw
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    @classmethod
+    def _made(cls, field: FieldSpec, ambient: int, indices: tuple, raw: tuple):
+        """A value of package-made canonical parts (raw rows as tuples), unchecked."""
+        w = object.__new__(cls)
+        w.field, w.ambient, w._indices, w._raw = field, ambient, indices, raw
+        return w
+
+    def _vectors(self) -> tuple:
+        return tuple([_vector(self.field, r) for r in self._raw])
 
     @property
     def dimension(self) -> int:
         """Number of indices; a subspace has as many red indices as lime ones,
         and that is the common length of all its coordinate systems."""
-        return len(getattr(self, self.__slots__[2]))
+        return len(self._indices)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._key() == other._key()
+        return (self.field == other.field and self.ambient == other.ambient
+                and self._indices == other._indices and self._raw == other._raw)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.field, self.ambient, self._indices, self._raw))
 
     def __repr__(self):
-        indices = list(self._key()[2])
+        indices = list(self._indices)
         return f"{type(self).__name__}({self.field}, n={self.ambient}, {self._side}={indices})"
 
 
 class Subspace(_Canonical):
     """A subspace held as its red basis; structural equality is set equality."""
 
-    __slots__ = ("field", "ambient", "red_indices", "red_basis")
+    __slots__ = ()
     _side = "red"
+    red_indices = _Canonical._indices  # the index slot under its public name
+    red_basis = property(_Canonical._vectors)
 
     def __init__(self, field: FieldSpec, ambient: int,
                  red_indices: Sequence[int], red_basis: Sequence[Vector]):
@@ -510,7 +516,7 @@ class Subspace(_Canonical):
         return cls(field, ambient, tuple(range(1, ambient + 1)), basis)
 
     def is_zero(self) -> bool:
-        return not self.red_indices
+        return not self._indices
 
     def __contains__(self, x: Vector) -> bool:
         return contains_vector(self, x)
@@ -523,8 +529,10 @@ class LimeBasis(_Canonical):
     """Canonical originating-side basis: each vector starts with a 1 at its
     lime index and is zero at every other lime index."""
 
-    __slots__ = ("field", "ambient", "lime_indices", "vectors")
+    __slots__ = ()
     _side = "lime"
+    lime_indices = _Canonical._indices  # the index slot under its public name
+    vectors = property(_Canonical._vectors)
 
     def __init__(self, field: FieldSpec, ambient: int,
                  lime_indices: Sequence[int], vectors: Sequence[Vector]):
@@ -535,40 +543,20 @@ class LimeBasis(_Canonical):
         return cls(field, ambient, (), ())
 
 
-def _subspace(field: FieldSpec, ambient: int, indices: tuple, basis: tuple) -> Subspace:
-    """A Subspace of package-made canonical parts, unchecked."""
-    w = object.__new__(Subspace)
-    w.field = field
-    w.ambient = ambient
-    w.red_indices = indices
-    w.red_basis = basis
-    return w
-
-
-def _lime_basis(field: FieldSpec, ambient: int, indices: tuple, vectors: tuple) -> LimeBasis:
-    """A LimeBasis of package-made canonical parts, unchecked."""
-    b = object.__new__(LimeBasis)
-    b.field = field
-    b.ambient = ambient
-    b.lime_indices = indices
-    b.vectors = vectors
-    return b
-
-
 def _span(field, n, rows) -> Subspace:
     """The span of raw rows in F^n, in canonical red form."""
     basis = _red(rows, field.modulus)
     idx = sorted(basis)
-    return _subspace(field, n, tuple(i + 1 for i in idx),
-                     tuple(_vector(field, tuple(basis[i])) for i in idx))
+    return Subspace._made(field, n, tuple(i + 1 for i in idx),
+                          tuple([tuple(basis[i]) for i in idx]))
 
 
 def _lime(field, n, rows) -> LimeBasis:
     """The lime basis of the span of raw rows in F^n."""
     mirrored = _mirrored(rows, field.modulus)
     keys = sorted(mirrored, reverse=True)
-    return _lime_basis(field, n, tuple(n - k for k in keys),
-                       tuple(_vector(field, tuple(mirrored[k][::-1])) for k in keys))
+    return LimeBasis._made(field, n, tuple(n - k for k in keys),
+                           tuple([tuple(mirrored[k][::-1]) for k in keys]))
 
 
 def _common_field_ambient(generators, ambient, field):
@@ -607,7 +595,7 @@ def lime_basis(w: Subspace) -> LimeBasis:
     The span always has as many lime indices as red ones.
     """
     _check_type(w, Subspace)
-    return _lime(w.field, w.ambient, [v._raw for v in w.red_basis])
+    return _lime(w.field, w.ambient, w._raw)
 
 
 def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
@@ -620,14 +608,15 @@ def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
     """
     _check_type(basis, LimeBasis)
     _check_vector(y, basis.field, basis.ambient)
-    grown = _lime(basis.field, basis.ambient, [v._raw for v in basis.vectors] + [y._raw])
+    grown = _lime(basis.field, basis.ambient, basis._raw + (y._raw,))
     return basis if grown.dimension == basis.dimension else grown
 
 
-def _combine(w: Subspace, coefficients) -> list:
-    """Raw entries of the combination of w's red-basic elements with the
-    given raw coefficients."""
-    return _product(w.field, [coefficients], [v._raw for v in w.red_basis], w.ambient)[0]
+def _holds(w: Subspace, rows) -> bool:
+    """True iff every raw row of w's ambient lies in w: each equals the
+    combination of w's red-basic elements with its red-position entries."""
+    coefficient_rows = [[x[i - 1] for i in w._indices] for x in rows]
+    return _product(w.field, coefficient_rows, w._raw, w.ambient) == list(map(list, rows))
 
 
 def contains_vector(w: Subspace, x: Vector) -> bool:
@@ -636,7 +625,7 @@ def contains_vector(w: Subspace, x: Vector) -> bool:
     positions."""
     _check_type(w, Subspace)
     _check_vector(x, w.field, w.ambient)
-    return _combine(w, [x._raw[i - 1] for i in w.red_indices]) == list(x._raw)
+    return _holds(w, [x._raw])
 
 
 def coordinates(w: Subspace, x: Vector) -> tuple:
@@ -653,22 +642,18 @@ def element_from_red_entries(w: Subspace, coefficients) -> Vector:
     coeffs = [w.field._coerce(c) for c in coefficients]
     if len(coeffs) != w.dimension:
         raise UsageError(f"expected {w.dimension} coefficients, got {len(coeffs)}")
-    return _vector(w.field, tuple(_combine(w, coeffs)))
+    return _vector(w.field, tuple(_product(w.field, [coeffs], w._raw, w.ambient)[0]))
 
 
-def _check_comparable(w: Subspace, v: Subspace):
+def subspace_leq(w: Subspace, v: Subspace) -> bool:
+    """True iff w is contained in v: v holds each of w's red-basic elements."""
     _check_type(w, Subspace)
     _check_type(v, Subspace)
     if w.field != v.field:
         raise UsageError(f"mixed fields: {w.field} vs {v.field}")
     if w.ambient != v.ambient:
         raise UsageError("mismatched ambient dimensions")
-
-
-def subspace_leq(w: Subspace, v: Subspace) -> bool:
-    """True iff w is contained in v."""
-    _check_comparable(w, v)
-    return all(contains_vector(v, b) for b in w.red_basis)
+    return _holds(v, w._raw)
 
 
 def is_coordinate_system(vectors: Sequence[Vector], w: Subspace) -> bool:
@@ -677,7 +662,6 @@ def is_coordinate_system(vectors: Sequence[Vector], w: Subspace) -> bool:
     has exactly one expression as a combination of the list."""
     _check_type(w, Subspace)
     vectors = list(vectors)
-    for v in vectors:
-        _check_vector(v, w.field, w.ambient)
+    _common_field_ambient(vectors, w.ambient, w.field)
     return (len(vectors) == w.dimension
             and _span(w.field, w.ambient, [v._raw for v in vectors]) == w)

@@ -6,6 +6,7 @@ constructors, so every result must still be exactly what those constructors
 accept and rebuild unchanged.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import redlime as rl
 from redlime.errors import UsageError
+from redlime.subspace import _vector
 
 from conftest import GF3, GF5, matrices, scalars, subspaces, vectors
 
@@ -109,6 +111,49 @@ def test_bad_field_or_ambient_is_a_usage_error(call):
         BAD_SPACES[call]()
 
 
+# --- wrong-type fields, dimensions, text, matrices and budgets ---------------
+
+BAD_TYPES = {
+    "Vector.from_values, no field": lambda: rl.Vector.from_values(None, [1]),
+    "Vector.zero, text field": lambda: rl.Vector.zero("x", 2),
+    "Vector.standard_basis, text n": lambda: rl.Vector.standard_basis(rl.gf(2), "a", 1),
+    "Vector.standard_basis, text k": lambda: rl.Vector.standard_basis(rl.gf(2), 2, "a"),
+    "Matrix.from_values, no field": lambda: rl.Matrix.from_values(None, [[1]]),
+    "Matrix.identity, text n": lambda: rl.Matrix.identity(rl.gf(2), "x"),
+    "Matrix.zero, text m": lambda: rl.Matrix.zero(rl.gf(2), 2, "x"),
+    "parse_scalar, no field": lambda: rl.parse_scalar("1", None),
+    "parse_scalar, int text": lambda: rl.parse_scalar(5, rl.gf(2)),
+    "parse_vector_text, no field": lambda: rl.parse_vector_text("1 0", None),
+    "parse_vector_text, int text": lambda: rl.parse_vector_text(5, rl.gf(2)),
+    "parse_matrix_text, int text": lambda: rl.parse_matrix_text(5),
+    "render_matrix, int": lambda: rl.render_matrix(5),
+    "field_header, int": lambda: rl.field_header(5),
+    "Permutation, int": lambda: rl.Permutation(5),
+    "Permutation, text image": lambda: rl.Permutation((1, "a")),
+    "Permutation, bool images": lambda: rl.Permutation((True,)),
+    "Signature.from_string, int": lambda: rl.Signature.from_string(5),
+    "enumerate_span, text budget": lambda: rl.enumerate_span([V], budget="x"),
+    "all_vectors, text budget": lambda: list(rl.all_vectors(rl.gf(2), 2, budget="x")),
+    "all_vectors, NaN budget": lambda: list(rl.all_vectors(rl.gf(2), 2, budget=float("nan"))),
+    "enumerate_subspaces, text budget": lambda: list(rl.enumerate_subspaces(2, 2, budget="x")),
+    "enumerate_subspaces, bool budget": lambda: list(rl.enumerate_subspaces(2, 2, budget=True)),
+    "brute_indices, no budget": lambda: rl.brute_indices([V], budget=None),
+    "brute_complement, text budget": lambda: rl.brute_complement([V], budget="x"),
+}
+
+
+@pytest.mark.parametrize("call", BAD_TYPES)
+def test_wrong_type_arguments_are_usage_errors(call):
+    with pytest.raises(UsageError):
+        BAD_TYPES[call]()
+
+
+def test_budgets_of_int_float_and_inf_are_accepted():
+    assert len(rl.enumerate_span([V], budget=25.0)) == 5
+    assert len(list(rl.all_vectors(rl.gf(2), 2, budget=math.inf))) == 4
+    assert len(list(rl.enumerate_subspaces(2, 2, budget=5))) == 5
+
+
 # --- internal builds pass the public constructors ---------------------------
 
 def assert_entries(field, entries):
@@ -133,6 +178,19 @@ def assert_raw(field, raw):
             assert type(v) is Fraction
 
 
+def assert_canonical_rows(obj, indices, view):
+    """A Subspace or LimeBasis stores its basic elements as one tuple of
+    canonical raw rows, and its Vector view is those rows, built afresh."""
+    assert type(indices) is tuple and type(obj._raw) is tuple and type(view) is tuple
+    assert len(obj._raw) == len(indices)
+    for raw in obj._raw:
+        assert len(raw) == obj.ambient
+        assert_raw(obj.field, raw)
+    assert view == tuple(_vector(obj.field, raw) for raw in obj._raw)
+    for v in view:
+        assert_rebuilds(v)
+
+
 def assert_rebuilds(obj):
     """obj stores canonical raw values in tuples and its views hold canonical
     scalars in tuples, and its public constructor accepts its parts and
@@ -142,15 +200,13 @@ def assert_rebuilds(obj):
         assert_entries(obj.field, obj.entries)
         assert rl.Vector(obj.field, obj.entries) == obj
     elif isinstance(obj, rl.Subspace):
-        assert type(obj.red_indices) is tuple and type(obj.red_basis) is tuple
-        for v in obj.red_basis:
-            assert_rebuilds(v)
-        assert rl.Subspace(obj.field, obj.ambient, obj.red_indices, obj.red_basis) == obj
+        assert_canonical_rows(obj, obj.red_indices, obj.red_basis)
+        rebuilt = rl.Subspace(obj.field, obj.ambient, obj.red_indices, obj.red_basis)
+        assert rebuilt == obj and hash(rebuilt) == hash(obj)
     elif isinstance(obj, rl.LimeBasis):
-        assert type(obj.lime_indices) is tuple and type(obj.vectors) is tuple
-        for v in obj.vectors:
-            assert_rebuilds(v)
-        assert rl.LimeBasis(obj.field, obj.ambient, obj.lime_indices, obj.vectors) == obj
+        assert_canonical_rows(obj, obj.lime_indices, obj.vectors)
+        rebuilt = rl.LimeBasis(obj.field, obj.ambient, obj.lime_indices, obj.vectors)
+        assert rebuilt == obj and hash(rebuilt) == hash(obj)
     elif isinstance(obj, rl.Matrix):
         assert type(obj.rows) is tuple and type(obj._raw) is tuple
         for raw, r in zip(obj._raw, obj.rows, strict=True):
@@ -199,3 +255,14 @@ def test_matrix_results_rebuild(a, data):
                         *rl.rcef_factorization(a, complete)]
     for obj in results:
         assert_rebuilds(obj)
+
+
+def test_canonical_values_build_by_keyword():
+    w = rl.span_red_basis([V])
+    lb = rl.lime_basis(w)
+    by_keyword = rl.Subspace(field=w.field, ambient=w.ambient,
+                             red_indices=w.red_indices, red_basis=w.red_basis)
+    assert by_keyword == w and by_keyword.red_basis == (rl.Vector.from_values(GF5, (2, 4, 1)),)
+    lime_by_keyword = rl.LimeBasis(field=lb.field, ambient=lb.ambient,
+                                   lime_indices=lb.lime_indices, vectors=lb.vectors)
+    assert lime_by_keyword == lb and lime_by_keyword.vectors == (V,)
