@@ -39,16 +39,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 # Each command renders its whole output before printing any of it, so a
 # value too large to render leaves no partial output behind.
 
-def _print_basis(w):
-    """Print a Subspace or LimeBasis: field header, indices, one raw row a line."""
+def _basis_text(w) -> str:
+    """A Subspace or LimeBasis as text: field header, indices, one raw row a line."""
     indices = " ".join(str(i) for i in w._indices)
     lines = [field_header(w.field), f"# {w._side} indices: {indices}".rstrip()]
     lines.extend(" ".join(_text(w.field, e) for e in r) for r in w._raw)
-    print("\n".join(lines))
-
-
-def _print_matrix(a: Matrix):
-    print(render_matrix(a), end="")
+    return "\n".join(lines) + "\n"
 
 
 def _field_from_flag(tokens) -> FieldSpec:
@@ -58,38 +54,23 @@ def _field_from_flag(tokens) -> FieldSpec:
         raise UsageError(f"bad --field value: {exc}") from None
 
 
-def _cmd_red_basis(args) -> int:
-    _print_basis(row_space(load_matrix(args.file)))
-    return 0
+# The single-answer file commands: name -> (help text, Matrix -> output text).
+_FILE_COMMANDS = {
+    "red-basis": ("canonical red basis of the row span", lambda a: _basis_text(row_space(a))),
+    "lime-basis": ("canonical lime basis of the row span",
+                   lambda a: _basis_text(lime_basis(row_space(a)))),
+    "rref": ("reduced row echelon form", lambda a: render_matrix(rref(a))),
+    "rcef": ("reduced column echelon form", lambda a: render_matrix(rcef(a))),
+    "rank": ("rank of the matrix", lambda a: f"{rank(a)}\n"),
+    "nullspace": ("red basis of the nullspace", lambda a: _basis_text(nullspace(a))),
+    "complement": ("red basis of the row span's complement",
+                   lambda a: _basis_text(complement(row_space(a)))),
+    "signature": ("r/l/b/n signature of the row span", lambda a: f"{signature(row_space(a))}\n"),
+}
 
 
-def _cmd_lime_basis(args) -> int:
-    _print_basis(lime_basis(row_space(load_matrix(args.file))))
-    return 0
-
-
-def _cmd_rref(args) -> int:
-    _print_matrix(rref(load_matrix(args.file)))
-    return 0
-
-
-def _cmd_rcef(args) -> int:
-    _print_matrix(rcef(load_matrix(args.file)))
-    return 0
-
-
-def _cmd_rank(args) -> int:
-    print(rank(load_matrix(args.file)))
-    return 0
-
-
-def _cmd_nullspace(args) -> int:
-    _print_basis(nullspace(load_matrix(args.file)))
-    return 0
-
-
-def _cmd_complement(args) -> int:
-    _print_basis(complement(row_space(load_matrix(args.file))))
+def _cmd_file(args) -> int:
+    print(_FILE_COMMANDS[args.command][1](load_matrix(args.file)), end="")
     return 0
 
 
@@ -105,11 +86,6 @@ def _cmd_member(args) -> int:
     return 3
 
 
-def _cmd_signature(args) -> int:
-    print(signature(row_space(load_matrix(args.file))))
-    return 0
-
-
 def _cmd_feasible(args) -> int:
     if is_feasible(Signature.from_string(args.sig)):
         print("yes")
@@ -119,7 +95,8 @@ def _cmd_feasible(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    _print_basis(synthesize(Signature.from_string(args.sig), _field_from_flag(args.field)))
+    sig = Signature.from_string(args.sig)
+    print(_basis_text(synthesize(sig, _field_from_flag(args.field))), end="")
     return 0
 
 
@@ -266,19 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("red-basis", _cmd_red_basis, "canonical red basis of the row span").add_argument("file")
-    add("lime-basis", _cmd_lime_basis, "canonical lime basis of the row span").add_argument("file")
-    add("rref", _cmd_rref, "reduced row echelon form").add_argument("file")
-    add("rcef", _cmd_rcef, "reduced column echelon form").add_argument("file")
-    add("rank", _cmd_rank, "rank of the matrix").add_argument("file")
-    add("nullspace", _cmd_nullspace, "red basis of the nullspace").add_argument("file")
-    add("complement", _cmd_complement, "red basis of the row span's complement").add_argument("file")
-
-    p = add("member", _cmd_member, "test membership in the row span")
-    p.add_argument("file")
-    p.add_argument("--vector", required=True, help="row of scalars, e.g. \"1 0 1\"")
-
-    add("signature", _cmd_signature, "r/l/b/n signature of the row span").add_argument("file")
+    for name, (help_text, _) in _FILE_COMMANDS.items():
+        if name == "signature":  # listed after member
+            p = add("member", _cmd_member, "test membership in the row span")
+            p.add_argument("file")
+            p.add_argument("--vector", required=True, help="row of scalars, e.g. \"1 0 1\"")
+        add(name, _cmd_file, help_text).add_argument("file")
     add("feasible", _cmd_feasible, "is a signature realizable?").add_argument("sig")
 
     p = add("synthesize", _cmd_synthesize, "witness subspace for a feasible signature")

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import DomainError, ParseError, ResourceError, UsageError, _check_type
 
@@ -49,21 +47,23 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """The coefficient field: Q when ``modulus`` is None, else GF(modulus)."""
+    """The coefficient field: Q when ``modulus`` is None, else GF(modulus).
+    ``zero`` and ``one`` are its Scalars 0 and 1."""
 
-    modulus: int | None = None
+    __slots__ = ("modulus", "zero", "one")
 
-    def __post_init__(self):
-        if self.modulus is None:
-            return
-        if not isinstance(self.modulus, int):
-            raise UsageError(f"modulus must be an int, not {type(self.modulus).__name__}")
-        if self.modulus >= MODULUS_LIMIT:
-            raise DomainError(f"modulus {self.modulus} is not below the limit {MODULUS_LIMIT}")
-        if not _is_prime(self.modulus):
-            raise DomainError(f"modulus {self.modulus} is not prime")
+    def __init__(self, modulus: int | None = None):
+        if modulus is not None:
+            if not isinstance(modulus, int):
+                raise UsageError(f"modulus must be an int, not {type(modulus).__name__}")
+            if modulus >= MODULUS_LIMIT:
+                raise DomainError(f"modulus {modulus} is not below the limit {MODULUS_LIMIT}")
+            if not _is_prime(modulus):
+                raise DomainError(f"modulus {modulus} is not prime")
+        self.modulus = modulus
+        self.zero = self.scalar(0)
+        self.one = self.scalar(1)
 
     @property
     def is_prime_field(self) -> bool:
@@ -101,25 +101,25 @@ class FieldSpec:
             return tuple([v % p for v in values])
         return tuple(map(self._coerce, values))
 
-    @cached_property
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    @cached_property
-    def one(self) -> "Scalar":
-        return self.scalar(1)
-
     def elements(self):
         """Iterate every element (finite fields only)."""
         if self.modulus is None:
             raise UsageError("cannot enumerate the rationals")
         return (Scalar(self, r) for r in range(self.modulus))
 
+    def __eq__(self, other):
+        if not isinstance(other, FieldSpec):
+            return NotImplemented
+        return self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((self.modulus,))
+
     def __str__(self):
         return "Q" if self.modulus is None else f"GF({self.modulus})"
 
-
-RATIONALS = FieldSpec()
+    def __repr__(self):
+        return f"FieldSpec(modulus={self.modulus})"
 
 
 def gf(p: int) -> FieldSpec:
@@ -206,6 +206,9 @@ class Scalar:
         return f"Scalar({self.value}, {self.field})"
 
 
+RATIONALS = FieldSpec()
+
+
 def _inverse(value, p):
     """Inverse of a nonzero raw value: a Fraction over Q, a residue mod p."""
     return 1 / value if p is None else pow(value, -1, p)
@@ -240,11 +243,12 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     """Parse one scalar token: ``-?[0-9]+`` anywhere, ``a/b`` over Q only."""
     _check_type(text, str)
     _check_type(field, FieldSpec)
-    return _parse_scalar(text, field)
+    return Scalar(field, _parse_scalar(text, field))
 
 
-def _parse_scalar(text: str, field: FieldSpec) -> Scalar:
-    """parse_scalar of a str and a FieldSpec, unchecked."""
+def _parse_scalar(text: str, field: FieldSpec):
+    """The canonical raw value of a str token of a FieldSpec, unchecked: a
+    Fraction over Q, a residue in range(p) over GF(p)."""
     m = _FRACTION_RE.match(text)
     if not (m or _INT_RE.match(text)):
         raise ParseError(f"malformed scalar token {text!r}")
@@ -254,4 +258,6 @@ def _parse_scalar(text: str, field: FieldSpec) -> Scalar:
         value = Fraction(int(m.group(1)), int(m.group(2))) if m else int(text)
     except ValueError:  # more digits than int() converts
         raise ParseError(f"scalar token of {len(text)} characters has too many digits") from None
-    return field.scalar(value)
+    if field.modulus is not None:
+        return value % field.modulus
+    return value if m else Fraction(value)

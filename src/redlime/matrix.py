@@ -10,8 +10,7 @@ reduction argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .duality import _complement
 from .errors import DomainError, UsageError, _check_type
@@ -222,8 +221,7 @@ def rcef(a: Matrix) -> Matrix:
     return rref(a.transpose()).transpose()
 
 
-@dataclass(frozen=True)
-class FullRankFactors:
+class FullRankFactors(NamedTuple):
     """a = b @ g with rank(b) = rank(g) = rank(a)."""
 
     b: Matrix

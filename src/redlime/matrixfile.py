@@ -8,10 +8,12 @@ the shared token grammar (integers everywhere, ``a/b`` over q only).
 
 from __future__ import annotations
 
+import os
+
 from .errors import DomainError, ParseError, UsageError, _check_type
 from .fields import RATIONALS, FieldSpec, _parse_scalar, gf
-from .matrix import Matrix
-from .subspace import Vector
+from .matrix import Matrix, _matrix
+from .subspace import Vector, _vector
 
 
 def field_header(field: FieldSpec) -> str:
@@ -36,6 +38,8 @@ def parse_field_tokens(tokens) -> FieldSpec:
 
 
 def parse_matrix_text(text: str) -> Matrix:
+    """The matrix of a file's text. The text is checked here, once: a header,
+    at least one row, rows of equal width, each token a canonical raw value."""
     _check_type(text, str)
     field = None
     rows = []
@@ -61,10 +65,12 @@ def parse_matrix_text(text: str) -> Matrix:
     for r in rows:
         if len(r) != width:
             raise ParseError("rows have different lengths")
-    return Matrix(field, rows)
+    return _matrix(field, rows)
 
 
 def load_matrix(path) -> Matrix:
+    if not isinstance(path, (str, bytes, os.PathLike)):  # an int would be a file descriptor
+        raise UsageError(f"a path must be a str, bytes or os.PathLike, not {type(path).__name__}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -89,4 +95,4 @@ def parse_vector_text(text: str, field: FieldSpec) -> Vector:
     tokens = text.split()
     if not tokens:
         raise ParseError("empty vector text")
-    return Vector(field, tuple(_parse_scalar(tok, field) for tok in tokens))
+    return _vector(field, tuple(_parse_scalar(tok, field) for tok in tokens))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, ParseError, UsageError, _check_type
@@ -30,16 +29,17 @@ class Mark(enum.Enum):
     NEITHER = "n"
 
 
-@dataclass(frozen=True)
 class Signature:
     """An ordered mark per position; arbitrary strings are representable,
     feasibility is a separate predicate."""
 
-    marks: tuple
+    __slots__ = ("marks",)
 
-    def __post_init__(self):
-        if not self.marks or any(not isinstance(m, Mark) for m in self.marks):
+    def __init__(self, marks: tuple):
+        if (not isinstance(marks, tuple) or not marks
+                or any(not isinstance(m, Mark) for m in marks)):
             raise UsageError("a signature is a nonempty tuple of marks")
+        self.marks = marks
 
     @classmethod
     def from_string(cls, text: str) -> "Signature":
@@ -58,6 +58,14 @@ class Signature:
     def __len__(self):
         return len(self.marks)
 
+    def __eq__(self, other):
+        if not isinstance(other, Signature):
+            return NotImplemented
+        return self.marks == other.marks
+
+    def __hash__(self):
+        return hash((self.marks,))
+
     def __str__(self):
         return "".join(m.value for m in self.marks)
 
@@ -67,7 +75,12 @@ class Signature:
 
 def signature_from_indices(red, lime, n: int) -> Signature:
     """Assemble the mark string from a red index set and a lime index set."""
-    red, lime = set(red), set(lime)
+    if not isinstance(n, int):
+        raise UsageError(f"n must be an int, not {type(n).__name__}")
+    try:
+        red, lime = set(red), set(lime)
+    except TypeError:
+        raise UsageError("red and lime must be collections of positions") from None
     marks = []
     for p in range(1, n + 1):
         if p in red:
@@ -164,21 +177,20 @@ def synthesize(sig: Signature, field: FieldSpec) -> Subspace:
     return subspace_from_pattern(pattern, field)
 
 
-@dataclass(frozen=True)
 class Permutation:
     """A bijection on positions 1..n; images[i-1] is where position i goes."""
 
-    images: tuple
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        images = self.images
+    def __init__(self, images: tuple):
         if (not isinstance(images, (tuple, list)) or any(type(i) is not int for i in images)
                 or sorted(images) != list(range(1, len(images) + 1))):
             raise UsageError("images must be a bijection on 1..n")
+        self.images = tuple(images)
 
     def image_of(self, i: int) -> int:
-        if not 1 <= i <= len(self.images):
-            raise UsageError(f"position {i} outside 1..{len(self.images)}")
+        if not isinstance(i, int) or not 1 <= i <= len(self.images):
+            raise UsageError(f"position {i!r} outside 1..{len(self.images)}")
         return self.images[i - 1]
 
     def apply(self, v: Vector) -> Vector:
@@ -193,6 +205,17 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(im == i for i, im in enumerate(self.images, start=1))
+
+    def __eq__(self, other):
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash((self.images,))
+
+    def __repr__(self):
+        return f"Permutation(images={self.images!r})"
 
 
 def permute_presenting_positions(w: Subspace, positions) -> tuple:

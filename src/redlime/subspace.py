@@ -575,13 +575,9 @@ def _common_field_ambient(generators, ambient, field):
 
 def span_red_basis(generators: Sequence[Vector], ambient: Optional[int] = None,
                    field: Optional[FieldSpec] = None) -> Subspace:
-    """Canonical red basis of span(generators), by incremental insertion.
-
-    Each generator is reduced against the basis built so far until its
-    terminal position is new, scaled to terminate with 1, cleaned at the
-    remaining red positions, and inserted; the new red position is then
-    cleared from the other basis vectors. The span is preserved at every
-    step, and zero generators are skipped.
+    """Canonical red basis of span(generators): one elimination of their
+    raw rows by ``_red``, which picks its kernel from the field and the
+    shape of the rows. Zero generators add nothing.
     """
     generators = list(generators)
     field, ambient = _common_field_ambient(generators, ambient, field)

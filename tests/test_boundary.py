@@ -7,6 +7,7 @@ accept and rebuild unchanged.
 """
 
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,11 @@ BAD_TYPES = {
     "Permutation, int": lambda: rl.Permutation(5),
     "Permutation, text image": lambda: rl.Permutation((1, "a")),
     "Permutation, bool images": lambda: rl.Permutation((True,)),
+    "Permutation.image_of, text position": lambda: rl.Permutation((1,)).image_of("a"),
+    "Signature, int": lambda: rl.Signature(5),
+    "Signature, list of marks": lambda: rl.Signature([rl.Mark.BOTH]),
+    "signature_from_indices, ints": lambda: rl.signature_from_indices(1, 2, 3),
+    "load_matrix, None": lambda: rl.load_matrix(None),
     "Signature.from_string, int": lambda: rl.Signature.from_string(5),
     "enumerate_span, text budget": lambda: rl.enumerate_span([V], budget="x"),
     "all_vectors, text budget": lambda: list(rl.all_vectors(rl.gf(2), 2, budget="x")),
@@ -146,6 +152,25 @@ BAD_TYPES = {
 def test_wrong_type_arguments_are_usage_errors(call):
     with pytest.raises(UsageError):
         BAD_TYPES[call]()
+
+
+def test_permutations_from_lists_and_tuples_agree():
+    by_list, by_tuple = rl.Permutation([3, 1, 2]), rl.Permutation((3, 1, 2))
+    assert by_list == by_tuple and hash(by_list) == hash(by_tuple)
+    assert len({by_list, by_tuple}) == 1 and repr(by_list) == "Permutation(images=(3, 1, 2))"
+
+
+def test_load_matrix_refuses_a_file_descriptor():
+    r, w = os.pipe()
+    try:
+        os.write(w, b"field gf 2\n1 0\n")
+        with pytest.raises(UsageError):
+            rl.load_matrix(r)
+        os.fstat(r)  # still open: the refused call neither read nor closed it
+        assert os.read(r, 100) == b"field gf 2\n1 0\n"
+    finally:
+        os.close(r)
+        os.close(w)
 
 
 def test_budgets_of_int_float_and_inf_are_accepted():

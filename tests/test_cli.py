@@ -159,11 +159,12 @@ def test_atlas_2_2_golden(capsys):
 
 
 def test_atlas_3_2_characterizes(capsys):
-    code, out, _ = cli(capsys, "atlas", "3", "2")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[-1] == "characterization: OK"
-    assert sum(int(line.split()[1]) for line in lines[:-1]) == rl.subspace_count(3, 2)
+    for n, p in [(3, 2), (1, 3), (3, 3)]:
+        code, out, _ = cli(capsys, "atlas", n, p)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[-1] == "characterization: OK"
+        assert sum(int(line.split()[1]) for line in lines[:-1]) == rl.subspace_count(n, p)
 
 
 def test_atlas_budget_exceeded(capsys):
@@ -295,6 +296,16 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "2\n"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every CLI run starts a fresh interpreter, so each imported module is paid per run
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, redlime.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_results_too_long_to_print_exit_3_with_no_output(tmp_path, capsys):

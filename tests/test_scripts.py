@@ -14,7 +14,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 RUNS = {
-    "signature_atlas.py": (["--max-n", "3"], "characterization OK"),
     "subspace_census.py": (["--max-n", "3", "-p", "3"], "matches formula"),
 }
 
