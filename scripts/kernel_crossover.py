@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""Where the slot kernel starts to pay: time ``subspace._red`` over odd p
-with each kernel forced, and print the ratio of their times.
+"""Where the slot kernels start to pay: time ``subspace._red`` and
+``subspace._keys`` over odd p with each kernel forced, and print the ratio
+of their times.
 
-``_red`` runs the slot kernel when both the row count and the width are at
-least ``subspace._SLOTS_FROM``, and the insertion kernel otherwise.
-Rebinding that constant here forces one kernel or the other on the same
-rows: for each case, SAMPLES sets of random rows over GF(p), so of rank
-min(rows, width) but for chance dependencies, eliminated one after the
-other (one set alone makes the ratio depend on its entries). Each round times both kernels on every case, the best of
-REPEAT timed batches each, alternating which kernel goes first; each ratio
-is the median over --rounds rounds of the slot kernel's time over the
-insertion kernel's, so below 1 means the slot kernel is faster. The process
-is pinned to one core. The last table is the largest ratio, by prime,
-among the cases whose rank bound min(rows, width) is b; the last line gives
-the fewest b from which no case, at any prime, takes the slot kernel more
-than TOLERANCE times the insertion kernel's time (a margin for timing
-noise): the rule that sets ``_SLOTS_FROM``.
+``_red`` runs the slot kernel (``_red_slots``) when both the row count and
+the width are at least ``subspace._SLOTS_FROM``, and the insertion kernel
+otherwise; ``_keys`` chooses by the same rule between ``_echelon_slots``
+and the insertion kernel's keys. Rebinding that constant here forces one
+kernel or the other on the same rows: for each case, SAMPLES sets of random
+rows over GF(p), so of rank min(rows, width) but for chance dependencies,
+eliminated one after the other (one set alone makes the ratio depend on its
+entries). Each round times both kernels on every case, the best of REPEAT
+timed batches each, alternating which kernel goes first; each ratio is the
+median over --rounds rounds of the slot kernel's time over the insertion
+kernel's, so below 1 means the slot kernel is faster. The process is
+pinned to one core. For ``_red`` and then ``_keys``: a table by prime, the
+largest ratio, by prime, among the cases whose rank bound min(rows, width)
+is b, and a line giving the fewest b from which no case, at any prime,
+takes the slot kernel more than TOLERANCE times the insertion kernel's time
+(a margin for timing noise): the rule that sets ``_SLOTS_FROM``, which
+serves both.
 
 With ``--field q`` it times Q instead, where ``_red`` has no crossover:
 the integer kernel (``_red_ints``) against the ``_insert_red`` loop on
@@ -47,10 +51,10 @@ FORCED = {"insertion": 1 << 30, "slots": 1}  # values of _SLOTS_FROM
 DEFAULT = subspace._SLOTS_FROM
 
 
-def best_time(samples, p, slots_from, number):
+def best_time(op, samples, p, slots_from, number):
     subspace._SLOTS_FROM = slots_from
     try:
-        return min(timeit.repeat(lambda: [subspace._red(rows, p) for rows in samples],
+        return min(timeit.repeat(lambda: [op(rows, p) for rows in samples],
                                  number=number, repeat=REPEAT)) / number
     finally:
         subspace._SLOTS_FROM = DEFAULT
@@ -98,32 +102,24 @@ def q_table(rounds):
     print(f"\nlargest ratio {max(median.values()):.2f}")
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--rounds", type=int, default=7)
-    ap.add_argument("--field", choices=("odd-p", "q"), default="odd-p")
-    args = ap.parse_args()
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    if args.field == "q":
-        return q_table(args.rounds)
-    rng = random.Random(SEED)
-    cases = {(p, n, m): [[tuple(rng.randrange(p) for _ in range(m)) for _ in range(n)]
-                         for _ in range(SAMPLES)]
-             for p in PRIMES for n in ROWS for m in WIDTHS}
+def odd_p_ratios(op, cases, rounds):
+    """Median time ratio of op with the slot kernel forced to op with the
+    insertion kernel forced, by case."""
     # calls per batch: about 2 ms of the insertion kernel
-    numbers = {case: max(1, int(2e-3 / best_time(samples, case[0], FORCED["insertion"], 1)))
+    numbers = {case: max(1, int(2e-3 / best_time(op, samples, case[0], FORCED["insertion"], 1)))
                for case, samples in cases.items()}
     ratios = {case: [] for case in cases}
-    for r in range(args.rounds):
+    for r in range(rounds):
         order = ("insertion", "slots") if r % 2 == 0 else ("slots", "insertion")
         for case, samples in cases.items():
-            t = {kind: best_time(samples, case[0], FORCED[kind], numbers[case])
+            t = {kind: best_time(op, samples, case[0], FORCED[kind], numbers[case])
                  for kind in order}
             ratios[case].append(t["slots"] / t["insertion"])
-    median = {case: statistics.median(v) for case, v in ratios.items()}
+    return {case: statistics.median(v) for case, v in ratios.items()}
 
-    print(f"slot kernel time / insertion kernel time, median of {args.rounds} rounds "
+
+def report(name, cases, median, rounds):
+    print(f"{name}: slot kernel time / insertion kernel time, median of {rounds} rounds "
           f"of best-of-{REPEAT}")
     head = "rows " + "".join(f"{'w=' + str(m):>7}" for m in WIDTHS)
     for p in PRIMES:
@@ -140,9 +136,27 @@ def main():
         worst[b] = max(largest)
         print(f"{b:4} " + "".join(f"{g:8.2f}" for g in largest))
     slower = [b for b in bounds if worst[b] > TOLERANCE]
-    print(f"\nslot kernel at most {TOLERANCE:.2f}x the insertion kernel's time for every "
-          f"case from rank bound {max(slower, default=0) + 1} on (past {bounds[-1]} "
+    print(f"\n{name}: slot kernel at most {TOLERANCE:.2f}x the insertion kernel's time for "
+          f"every case from rank bound {max(slower, default=0) + 1} on (past {bounds[-1]} "
           f"unmeasured); _SLOTS_FROM is {DEFAULT}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rounds", type=int, default=7)
+    ap.add_argument("--field", choices=("odd-p", "q"), default="odd-p")
+    args = ap.parse_args()
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    if args.field == "q":
+        return q_table(args.rounds)
+    rng = random.Random(SEED)
+    cases = {(p, n, m): [[tuple(rng.randrange(p) for _ in range(m)) for _ in range(n)]
+                         for _ in range(SAMPLES)]
+             for p in PRIMES for n in ROWS for m in WIDTHS}
+    for name, op in (("_red", subspace._red), ("_keys", subspace._keys)):
+        report(name, cases, odd_p_ratios(op, cases, args.rounds), args.rounds)
+        print()
 
 
 if __name__ == "__main__":

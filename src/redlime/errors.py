@@ -30,3 +30,9 @@ def _check_type(x, cls):
     """UsageError unless x is an instance of cls."""
     if not isinstance(x, cls):
         raise UsageError(f"expected a {cls.__name__}, got {type(x).__name__}")
+
+
+def _check_position(i, n: int, what: str = "position"):
+    """UsageError unless i is an int in 1..n."""
+    if not isinstance(i, int) or not 1 <= i <= n:
+        raise UsageError(f"{what} {i!r} outside 1..{n}")

@@ -13,11 +13,11 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .duality import _complement
-from .errors import DomainError, UsageError, _check_type
+from .errors import DomainError, UsageError, _check_position, _check_type
 from .fields import FieldSpec, Scalar, _scalars, _text
 from .subspace import (LimeBasis, Subspace, Vector, _check_space, _check_vector,
-                       _common_field_ambient, _lime, _mirrored, _product, _red,
-                       _span, _values, _vector, span_red_basis)
+                       _common_field_ambient, _keys, _lime, _product, _span, _values,
+                       _vector)
 
 
 class Matrix:
@@ -77,18 +77,16 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> Scalar:
         """Entry in row i, column j (1-based)."""
-        if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
-            raise UsageError(f"entry ({i},{j}) outside {self.nrows}x{self.ncols}")
+        _check_position(i, self.nrows, "row")
+        _check_position(j, self.ncols, "column")
         return _scalars(self.field, self._raw[i - 1][j - 1:j])[0]
 
     def row(self, i: int) -> Vector:
-        if not 1 <= i <= self.nrows:
-            raise UsageError(f"row {i} outside 1..{self.nrows}")
+        _check_position(i, self.nrows, "row")
         return _vector(self.field, self._raw[i - 1])
 
     def column(self, j: int) -> Vector:
-        if not 1 <= j <= self.ncols:
-            raise UsageError(f"column {j} outside 1..{self.ncols}")
+        _check_position(j, self.ncols, "column")
         return _vector(self.field, tuple(r[j - 1] for r in self._raw))
 
     def row_vectors(self) -> tuple:
@@ -178,9 +176,10 @@ def nullspace(a: Matrix) -> Subspace:
 
 
 def rank(a: Matrix) -> int:
-    """Common dimension of the row space and the column space."""
+    """Common dimension of the row space and the column space: the number of
+    red indices of the row space, read off an echelon pass (``_keys``)."""
     _check_type(a, Matrix)
-    return len(_red(a._raw, a.field.modulus))
+    return len(_keys(a._raw, a.field.modulus))
 
 
 def nullity(a: Matrix) -> int:
@@ -192,13 +191,16 @@ def pivot_columns(a: Matrix) -> tuple:
     """Lime indices of the row space; the columns they select form a basis
     of the column space."""
     _check_type(a, Matrix)
-    return tuple(sorted(a.ncols - k for k in _mirrored(a._raw, a.field.modulus)))
+    keys = _keys([r[::-1] for r in a._raw], a.field.modulus)
+    return tuple(sorted(a.ncols - k for k in keys))
 
 
 def dependent_columns(a: Matrix) -> frozenset:
     """Indices of columns that are combinations of their predecessors: the
-    red indices of the nullspace."""
-    return frozenset(nullspace(a).red_indices)
+    red indices of the nullspace, which are the non-lime indices of the row
+    space, so the columns that are not pivot columns."""
+    pivots = pivot_columns(a)
+    return frozenset(range(1, a.ncols + 1)).difference(pivots)
 
 
 def rref(a: Matrix) -> Matrix:
@@ -248,7 +250,7 @@ def full_rank_factorization(a: Matrix) -> FullRankFactors:
 def _completion_rows(field: FieldSpec, n: int, rows) -> list:
     """Rows of the n-by-n identity at the non-lime indices of the span of
     rows, ascending."""
-    lime = {n - 1 - k for k in _mirrored(rows, field.modulus)}
+    lime = {n - 1 - k for k in _keys([r[::-1] for r in rows], field.modulus)}
     z, o = field.zero.value, field.one.value
     return [tuple(o if i == j else z for i in range(n)) for j in range(n) if j not in lime]
 
@@ -295,8 +297,8 @@ def extend_rows_to_invertible(rows: Sequence[Vector]) -> Matrix:
     rows = list(rows)
     if not rows:
         raise UsageError("need at least one row")
-    span = span_red_basis(rows)
-    if span.dimension != len(rows):
-        raise DomainError("input rows are linearly dependent")
+    field, n = _common_field_ambient(rows, None, None)
     entries = [v._raw for v in rows]
-    return _matrix(span.field, entries + _completion_rows(span.field, span.ambient, entries))
+    if len(_keys(entries, field.modulus)) != len(rows):
+        raise DomainError("input rows are linearly dependent")
+    return _matrix(field, entries + _completion_rows(field, n, entries))

@@ -22,7 +22,12 @@ def field_header(field: FieldSpec) -> str:
 
 
 def parse_field_tokens(tokens) -> FieldSpec:
-    tokens = list(tokens)
+    try:
+        tokens = list(tokens)
+    except TypeError:
+        raise UsageError("field tokens must be an iterable of str") from None
+    if not all(isinstance(t, str) for t in tokens):
+        raise UsageError("field tokens must be an iterable of str")
     if tokens == ["q"]:
         return RATIONALS
     if len(tokens) == 2 and tokens[0] == "gf":

@@ -15,9 +15,9 @@ import enum
 import itertools
 from typing import Sequence
 
-from .errors import DomainError, ParseError, UsageError, _check_type
+from .errors import DomainError, ParseError, UsageError, _check_position, _check_type
 from .fields import FieldSpec
-from .subspace import Subspace, Vector, _last_nonzero, _mirrored, _red, _span, _vector
+from .subspace import Subspace, Vector, _keys, _last_nonzero, _span, _vector
 
 
 class Mark(enum.Enum):
@@ -92,10 +92,10 @@ def signature_from_indices(red, lime, n: int) -> Signature:
 
 def signature(w: Subspace) -> Signature:
     """The subspace's mark string; b- and r-counts sum to the dimension, as
-    do b- and l-counts."""
+    do b- and l-counts. The lime indices are read off an echelon pass of the
+    reversed rows (``_keys``)."""
     _check_type(w, Subspace)
-    mirrored = _mirrored(w._raw, w.field.modulus)
-    lime = [w.ambient - k for k in mirrored]
+    lime = [w.ambient - k for k in _keys([r[::-1] for r in w._raw], w.field.modulus)]
     return signature_from_indices(w.red_indices, lime, w.ambient)
 
 
@@ -189,8 +189,7 @@ class Permutation:
         self.images = tuple(images)
 
     def image_of(self, i: int) -> int:
-        if not isinstance(i, int) or not 1 <= i <= len(self.images):
-            raise UsageError(f"position {i!r} outside 1..{len(self.images)}")
+        _check_position(i, len(self.images))
         return self.images[i - 1]
 
     def apply(self, v: Vector) -> Vector:
@@ -228,16 +227,16 @@ def permute_presenting_positions(w: Subspace, positions) -> tuple:
     positions.
     """
     _check_type(w, Subspace)
-    positions = sorted(set(positions))
+    positions = set(positions)
     n = w.ambient
     for p in positions:
-        if not isinstance(p, int) or not 1 <= p <= n:
-            raise UsageError(f"position {p} outside 1..{n}")
+        _check_position(p, n)
+    positions = sorted(positions)
     k = len(positions)
     if k == 0:
         return Permutation(tuple(range(1, n + 1))), w
     restricted = [[r[p - 1] for p in positions] for r in w._raw]
-    if len(_red(restricted, w.field.modulus)) != k:
+    if len(_keys(restricted, w.field.modulus)) != k:
         raise DomainError("the subspace does not present as the full space there")
     chosen = set(positions)
     order = [q for q in range(1, n + 1) if q not in chosen] + positions

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import mul, xor
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, UsageError, _check_type
+from .errors import DomainError, UsageError, _check_position, _check_type
 from .fields import FieldSpec, Scalar, _inverse, _scalars, _text
 
 
@@ -60,8 +60,7 @@ class Vector:
     def standard_basis(cls, field: FieldSpec, n: int, k: int) -> "Vector":
         """E_k in F^n: a 1 in position k, zeros elsewhere."""
         _check_space(field, n)
-        if not isinstance(k, int) or not 1 <= k <= n:
-            raise UsageError(f"position {k!r} outside 1..{n}")
+        _check_position(k, n)
         return cls.from_values(field, [int(p == k) for p in range(1, n + 1)])
 
     @property
@@ -70,8 +69,7 @@ class Vector:
 
     def entry(self, i: int) -> Scalar:
         """The entry in position i (1-based)."""
-        if not 1 <= i <= len(self._raw):
-            raise UsageError(f"position {i} outside 1..{len(self._raw)}")
+        _check_position(i, len(self._raw))
         return _scalars(self.field, self._raw[i - 1:i])[0]
 
     def is_zero(self) -> bool:
@@ -265,10 +263,12 @@ def _red(rows, p) -> dict:
     modulus, None over Q): the one elimination, by one kernel chosen from
     the field and the shape before any row is eliminated. Over Q the rows
     are eliminated as integers (``_red_ints``); over GF(2) they are packed
-    as bits (``_red_bits``); over odd p, on at least ``_SLOTS_FROM`` rows
-    of at least ``_SLOTS_FROM`` entries, into slots (``_red_slots``, whose
-    docstring proves the slot width); otherwise they go through the
-    insertion kernel. Every kernel returns the same dict.
+    as bits (``_red_bits``, an echelon pass and then back-substitution);
+    over odd p, on at least ``_SLOTS_FROM`` rows of at least
+    ``_SLOTS_FROM`` entries, into slots (``_red_slots``, whose docstring
+    proves the slot width); otherwise they go through the insertion kernel.
+    Every kernel returns the same dict. Callers that read only the keys
+    (the red indices) call ``_keys``, which skips the reduction.
     """
     if p is None:
         return _red_ints(rows)
@@ -282,20 +282,26 @@ def _red(rows, p) -> dict:
     return basis
 
 
-def _red_ints(rows) -> dict:
-    """_red over Q, fraction-free: each row's denominators are cleared once,
-    and the stored rows are primitive int lists, each nonzero at its own key
-    and zero at every other key (its pivot need not be 1).
-
-    A new row x is cleared at each key t by ``x = d·x - c·b`` for the stored
-    row b, with d = b[t] and c = x[t] both divided by their gcd; b is zero
-    at the other keys, so these steps leave x's entries there nonzero or
-    zero as they were, and their order does not matter. A nonzero x is
-    divided by its content, and its new position is cleared from the older
-    rows the same way, each changed row divided by its content. Fractions
-    are built only in the answer: entry v of the row stored at t is
-    ``Fraction(v, b[t])``.
+def _keys(rows, p):
+    """The 0-based red keys of the span of a sequence of raw rows, the keys
+    of ``_red(rows, p)``, with no row reduced: any basis whose members
+    terminate at distinct positions terminates exactly at the red indices,
+    so an echelon pass gives them. The kernel is chosen by ``_red``'s rule:
+    ``_echelon_bits`` over GF(2); ``_echelon_slots`` over odd p from
+    ``_SLOTS_FROM`` rows and entries, the insertion kernel's keys below it;
+    over Q, the integer phase of ``_red_ints``, before any Fraction is built.
     """
+    if p is None:
+        return _int_basis(rows).keys()
+    if p == 2:
+        return _echelon_bits(rows).keys()
+    if len(rows) >= _SLOTS_FROM and len(rows[0]) >= _SLOTS_FROM:
+        return _echelon_slots(rows, p).keys()
+    return _red(rows, p).keys()
+
+
+def _int_basis(rows) -> dict:
+    """The integer phase of ``_red_ints``: its stored rows by key."""
     basis: dict = {}
     for row in rows:
         den = lcm(*[v.denominator for v in row])
@@ -323,28 +329,61 @@ def _red_ints(rows) -> dict:
                 g = gcd(*b)
                 basis[i] = [v // g for v in b] if g != 1 else b
         basis[t] = x
+    return basis
+
+
+def _red_ints(rows) -> dict:
+    """_red over Q, fraction-free: each row's denominators are cleared once,
+    and the stored rows are primitive int lists, each nonzero at its own key
+    and zero at every other key (its pivot need not be 1).
+
+    A new row x is cleared at each key t by ``x = d·x - c·b`` for the stored
+    row b, with d = b[t] and c = x[t] both divided by their gcd; b is zero
+    at the other keys, so these steps leave x's entries there nonzero or
+    zero as they were, and their order does not matter. A nonzero x is
+    divided by its content, and its new position is cleared from the older
+    rows the same way, each changed row divided by its content
+    (``_int_basis``). Fractions are built only in the answer: entry v of
+    the row stored at t is ``Fraction(v, b[t])``.
+    """
     zero = Fraction(0)
-    return {t: [Fraction(v, b[t]) if v else zero for v in b] for t, b in basis.items()}
+    return {t: [Fraction(v, b[t]) if v else zero for v in b]
+            for t, b in _int_basis(rows).items()}
+
+
+def _echelon_bits(rows) -> dict:
+    """An echelon basis over GF(2) of packed rows, by key: each row is XORed
+    with the stored row at its leading bit until it is zero or its leading
+    bit is a new key. Stored rows end at their keys; nothing else is
+    cleared."""
+    basis: dict = {}
+    for row in rows:
+        x = _pack(row)
+        while x:
+            t = x.bit_length() - 1
+            b = basis.get(t)
+            if b is None:
+                basis[t] = x
+                break
+            x ^= b
+    return basis
 
 
 def _red_bits(rows) -> dict:
-    """_red over GF(2): rows packed as bits, so a row operation is one XOR."""
+    """_red over GF(2): rows packed as bits, so a row operation is one XOR.
+    ``_echelon_bits`` finds the keys; then, keys ascending, each stored row
+    is XORed with the already reduced rows at the lower keys where it has a
+    set bit. Each of those is zero at every other key, so the order of the
+    XORs does not matter, and the row ends zero at every key but its own."""
+    echelon = _echelon_bits(rows)
     basis: dict = {}
-    n = 0
-    for row in rows:
-        row = bytes(row)
-        n = len(row)
-        x = _pack(row)
-        # clear x at every key; each stored row is zero at the other keys
+    for t in sorted(echelon):
+        x = echelon[t]
         for i, b in basis.items():
             if x >> i & 1:
                 x ^= b
-        if x:
-            t = x.bit_length() - 1
-            for i, b in basis.items():  # clear the new red position from older rows
-                if i > t and b >> t & 1:
-                    basis[i] = b ^ x
-            basis[t] = x
+        basis[t] = x
+    n = len(rows[0]) if rows else 0
     return {t: _unpack(x, n) for t, x in basis.items()}
 
 
@@ -397,6 +436,42 @@ def _red_slots(rows, p: int) -> dict:
                     basis[i] = b + (p - c) * x
         basis[t] = x
     return {t: [v % p for v in _unpack(x, n, k)] for t, x in basis.items()}
+
+
+def _echelon_slots(rows, p: int) -> dict:
+    """An echelon basis over GF(p), p odd, of a nonempty sequence of raw
+    rows of n entries, by key, each row packed into slots of w bits as in
+    ``_red_slots``. Stored rows are reduced and scaled to end in 1. A new
+    row x is scanned from its top slot down: slot j is read as
+    ``(x >> w·j & mask) % p``, and where that is some c != 0 at a key, x
+    gains ``(p - c)·b`` for the row b stored there, which clears slot j and
+    changes only slots below it. At the first nonzero slot that is no key,
+    x is reduced, scaled and stored.
+
+    With q = p - 1, a slot of x starts at most q and gains at most n
+    products (p - c)·v with p - c <= q and v <= q, since b is reduced: so
+    it stays at most q + n·q² < 2**(2·bits(p) + bits(n)), as
+    q + n·q² <= (n + 1)·q² - q <= 2**bits(n)·q² and q² < 2**(2·bits(p)).
+    That many bits per slot keep every slot from carrying into the next.
+    """
+    n = len(rows[0])
+    k = _slot_bytes(2 * p.bit_length() + n.bit_length())
+    w = 8 * k
+    mask = (1 << w) - 1
+    basis: dict = {}
+    for row in rows:
+        x = _pack(row, k)
+        for j in range((x.bit_length() - 1) // w, -1, -1):
+            c = (x >> w * j & mask) % p
+            if not c:
+                continue
+            b = basis.get(j)
+            if b is None:
+                inv = pow(c, -1, p)
+                basis[j] = _pack([v % p * inv % p for v in _unpack(x, n, k)], k)
+                break
+            x += (p - c) * b
+    return basis
 
 
 def _product(field: FieldSpec, coefficient_rows, rows, m: int) -> list:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import redlime as rl
 from redlime.errors import UsageError
+from redlime.matrixfile import parse_field_tokens
 from redlime.subspace import _vector
 
 from conftest import GF3, GF5, matrices, scalars, subspaces, vectors
@@ -138,6 +139,16 @@ BAD_TYPES = {
     "signature_from_indices, ints": lambda: rl.signature_from_indices(1, 2, 3),
     "load_matrix, None": lambda: rl.load_matrix(None),
     "Signature.from_string, int": lambda: rl.Signature.from_string(5),
+    "Vector.entry, text position": lambda: V.entry("a"),
+    "Matrix.entry, text row": lambda: A.entry("a", 1),
+    "Matrix.entry, float row": lambda: A.entry(1.0, 1),
+    "Matrix.entry, text column": lambda: A.entry(1, "a"),
+    "Matrix.row, text": lambda: A.row("a"),
+    "Matrix.column, text": lambda: A.column("a"),
+    "permute_presenting_positions, text position":
+        lambda: rl.permute_presenting_positions(W, [1, "a"]),
+    "parse_field_tokens, int": lambda: parse_field_tokens(5),
+    "parse_field_tokens, int tokens": lambda: parse_field_tokens(["gf", 5]),
     "enumerate_span, text budget": lambda: rl.enumerate_span([V], budget="x"),
     "all_vectors, text budget": lambda: list(rl.all_vectors(rl.gf(2), 2, budget="x")),
     "all_vectors, NaN budget": lambda: list(rl.all_vectors(rl.gf(2), 2, budget=float("nan"))),

@@ -8,12 +8,17 @@ multiply-add and slots are reduced only when a row is unpacked. Over odd p,
 least ``_SLOTS_FROM``, and the insertion kernel otherwise. Over Q, ``_red``
 eliminates integer rows (``_red_ints``) and builds Fractions only in its
 answer, while ``_product`` still adds Fraction rows with ``_axpy``.
+``subspace._keys`` gives only the keys (the red indices), behind ``rank``,
+``pivot_columns``, ``dependent_columns`` and ``signature``: by an echelon
+pass over GF(2) (which ``_red_bits`` then back-substitutes) and, from
+``_SLOTS_FROM``, over odd p, and by the integer phase of ``_red_ints``
+over Q.
 ``_insert_red`` and ``_axpy`` referee the packed and integer paths on wide
 rows (past one machine word), low rank, zero and duplicate rows, row counts
 and widths on both sides of the kernel choice, rows that drive the
 unreduced slots to their largest values, Q rows with 200-bit numerators or
-distinct large prime denominators, and every row form the callers pass; a
-white-box check watches the slot values themselves against the width the
+distinct large prime denominators, and every row form the callers pass;
+white-box checks watch the slot values themselves against the width the
 code asks for.
 """
 
@@ -28,7 +33,7 @@ import redlime as rl
 from redlime import duality, matrix, signatures, subspace
 from redlime.errors import DomainError
 from redlime.fields import MODULUS_LIMIT, _is_prime, _random_scalar
-from redlime.subspace import _axpy, _insert_red, _last_nonzero, _red
+from redlime.subspace import _axpy, _insert_red, _keys, _last_nonzero, _red
 
 from conftest import GF2, GF3, GF5, Q, random_matrix
 
@@ -222,6 +227,35 @@ def test_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p):
             assert len(asked) == 1 and 0 < largest[0] < 2 ** asked[0], (m, name)
 
 
+class _Watched(int):
+    """A modulus that records the left operand of every ``% self``."""
+
+    def __new__(cls, p, seen):
+        watched = super().__new__(cls, p)
+        watched.seen = seen
+        return watched
+
+    def __rmod__(self, v):
+        self.seen.append(v)
+        return v % int(self)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_echelon_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p):
+    """``_echelon_slots`` reads each slot by shift and mask and reduces it
+    by ``% p``, so a modulus that records its left operands sees every slot
+    value read (and the products v·inv, at most (p - 1)², of the scaling)."""
+    asked, _ = _watch_slots(monkeypatch)
+    for m in (8, 31, 64, 129, 200):
+        rows = _max_carry_rows(rng, p, m)
+        for form in ("tuples", "reversed"):
+            seen = []
+            asked.clear()
+            keys = _keys(ROW_FORMS[form](rows), _Watched(p, seen))
+            assert set(keys) == set(range(m))
+            assert len(asked) == 1 and 0 < max(seen) < 2 ** asked[0], (m, form)
+
+
 def test_slot_red_trivial_inputs():
     assert _red([], 5) == {}
     assert _red([(0,) * 70] * 9, 5) == {}
@@ -258,6 +292,9 @@ Q_ENTRIES = {
         Fraction(rng.randint(-2**20, 2**20), q) for q in rng.sample(LARGE_PRIMES, m)],
 }
 
+# keeps the referee's cost in check: its row operations per case, fewer for larger entries
+Q_BUDGETS = {"small": 40_000, "200-bit numerators": 8_000, "prime denominators": 4_000}
+
 
 def _q_rows(rng, entry, n, m, rank):
     """n rows of width m over Q spanning at most ``rank`` dimensions:
@@ -286,12 +323,10 @@ def _assert_int_red_matches(rows):
 @pytest.mark.parametrize("form", sorted(ROW_FORMS))
 def test_int_red_matches_insertion_kernel(rng, form, kind):
     make, entry = ROW_FORMS[form], Q_ENTRIES[kind]
-    # keeps the referee's cost in check: its row operations per case, fewer for larger entries
-    budget = {"small": 40_000, "200-bit numerators": 8_000, "prime denominators": 4_000}[kind]
     for m in WIDTHS:
         for n, rank in ((1, 1), (5, 1), (6, 3), (12, 12), (m + 3, 8), (m + 3, m)):
             rank = min(rank, m)
-            if n * rank * m > budget:
+            if n * rank * m > Q_BUDGETS[kind]:
                 continue
             rows = _q_rows(rng, entry, n, m, rank)
             _assert_int_red_matches(make(rows))
@@ -314,6 +349,43 @@ def test_int_red_single_entry_and_trivial_rows(rng):
     units = [[Fraction(int(i == j)) for j in range(9)] for i in range(9)]
     scaled = [tuple(Fraction(5, 3) * v for v in u) for u in units]
     assert _assert_int_red_matches(scaled + scaled[::-1]) == dict(enumerate(units))
+
+
+def _key_cases(rng, p):
+    """Row sets for ``_keys`` over p (None for Q): every width at a few row
+    counts and ranks, with zero and repeated rows, then row counts and
+    widths on both sides of ``_SLOTS_FROM``."""
+    for m in WIDTHS:
+        for n, rank in ((1, 1), (5, 1), (6, 3), (12, 12), (m + 3, 16), (m + 3, m)):
+            rank = min(rank, m)
+            if p is None:
+                for kind, entry in Q_ENTRIES.items():
+                    if n * rank * m <= Q_BUDGETS[kind]:
+                        yield _q_rows(rng, entry, n, m, rank)
+            elif p == 2:
+                yield _gf2_rows(rng, n, m, rank)
+            elif n * rank * m <= 200_000:  # keeps the referee's cost in check
+                yield _gfp_rows(rng, p, n, m, rank)
+    s = subspace._SLOTS_FROM
+    for m in (1, 2, s - 1, s, s + 1, 31, 65):
+        for n in (s - 1, s, s + 1):
+            for rank in (min(n, m), min(2, m)):
+                if p is None:
+                    yield _q_rows(rng, Q_ENTRIES["small"], n, m, rank)
+                else:
+                    rows = _rows_of_rank(rng, p, n, m, rank)
+                    yield rows + [(0,) * m, rows[0]]
+
+
+@pytest.mark.parametrize("p", (2, *PRIMES, None), ids=lambda p: "Q" if p is None else str(p))
+@pytest.mark.parametrize("form", sorted(ROW_FORMS))
+def test_keys_match_the_insertion_kernel(rng, form, p):
+    make = ROW_FORMS[form]
+    for rows in _key_cases(rng, p):
+        rows = make(rows)
+        assert set(_keys(rows, p)) == set(_generic_red(rows, p)), (len(rows), len(rows[0]))
+    assert not _keys([], p)
+    assert set(_keys([(0,) * 9, (0,) * 8 + (1,)] * 9, p)) == {8}
 
 
 @st.composite
@@ -343,7 +415,8 @@ def _or_error(f, *args):
 
 def _answers(a):
     w = rl.row_space(a)
-    return (rl.rref(a), rl.nullspace(a), rl.rank(a), rl.pivot_columns(a), w,
+    return (rl.rref(a), rl.nullspace(a), rl.rank(a), rl.pivot_columns(a),
+            rl.dependent_columns(a), w,
             rl.column_space(a), rl.lime_basis(w), rl.complement(w), rl.signature(w),
             _or_error(rl.full_rank_factorization, a),
             _or_error(rl.rref_factorization, a), _or_error(rl.rref_factorization, a, True),
@@ -369,19 +442,28 @@ def gfp_matrices(draw, fields=st.sampled_from((GF3, GF5, GF65521)),
 
 
 def _assert_answers_match_the_generic_kernel(a):
+    """Every answer is the same when both eliminations, ``_red`` and
+    ``_keys``, are the insertion kernel, and both were called."""
     packed = _answers(a)
-    calls = []
+    calls, key_calls = [], []
 
     def counted(rows, p):
         calls.append(p)
         return _generic_red(rows, p)
 
+    def counted_keys(rows, p):
+        key_calls.append(p)
+        return set(_generic_red(rows, p))
+
     with pytest.MonkeyPatch.context() as mp:
         for module in (subspace, duality, matrix, signatures):
             if hasattr(module, "_red"):
                 mp.setattr(module, "_red", counted)
+            if hasattr(module, "_keys"):
+                mp.setattr(module, "_keys", counted_keys)
         generic = _answers(a)
     assert calls and set(calls) == {a.field.modulus}
+    assert key_calls and set(key_calls) == {a.field.modulus}
     assert packed == generic
 
 
