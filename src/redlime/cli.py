@@ -244,11 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     for name, (help_text, _) in _FILE_COMMANDS.items():
-        if name == "signature":  # listed after member
-            p = add("member", _cmd_member, "test membership in the row span")
-            p.add_argument("file")
-            p.add_argument("--vector", required=True, help="row of scalars, e.g. \"1 0 1\"")
         add(name, _cmd_file, help_text).add_argument("file")
+    p = add("member", _cmd_member, "test membership in the row span")
+    p.add_argument("file")
+    p.add_argument("--vector", required=True, help="row of scalars, e.g. \"1 0 1\"")
     add("feasible", _cmd_feasible, "is a signature realizable?").add_argument("sig")
 
     p = add("synthesize", _cmd_synthesize, "witness subspace for a feasible signature")

@@ -11,7 +11,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, ParseError, ResourceError, UsageError, _check_type
+from .errors import DomainError, ParseError, ResourceError, UsageError, _check_type, _items
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _FRACTION_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)\Z")
@@ -55,7 +55,7 @@ class FieldSpec:
 
     def __init__(self, modulus: int | None = None):
         if modulus is not None:
-            if not isinstance(modulus, int):
+            if not isinstance(modulus, int) or isinstance(modulus, bool):
                 raise UsageError(f"modulus must be an int, not {type(modulus).__name__}")
             if modulus >= MODULUS_LIMIT:
                 raise DomainError(f"modulus {modulus} is not below the limit {MODULUS_LIMIT}")
@@ -95,7 +95,7 @@ class FieldSpec:
         """``_coerce`` of each value, as a tuple. Over GF(p) a row whose
         values are all exactly ``int`` is reduced in one pass; any other row
         goes value by value, with the same checks and errors."""
-        values = tuple(values)
+        values = _items(values, "a row")
         p = self.modulus
         if p is not None and set(map(type, values)) == {int}:
             return tuple([v % p for v in values])

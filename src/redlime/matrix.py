@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .duality import _complement
-from .errors import DomainError, UsageError, _check_position, _check_type
+from .errors import DomainError, UsageError, _check_position, _check_type, _items
 from .fields import FieldSpec, Scalar, _scalars, _text
 from .subspace import (LimeBasis, Subspace, Vector, _check_space, _check_vector,
                        _common_field_ambient, _keys, _lime, _product, _span, _values,
@@ -27,7 +27,7 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "_raw")
 
     def __init__(self, field: FieldSpec, rows: Iterable[Iterable[Scalar]]):
-        self._set(field, [_values(field, r, "matrix") for r in rows])
+        self._set(field, [_values(field, r, "matrix") for r in _items(rows, "matrix rows")])
 
     def _set(self, field: FieldSpec, rows: list):
         if not rows or not rows[0]:
@@ -45,15 +45,12 @@ class Matrix:
     def from_values(cls, field: FieldSpec, values) -> "Matrix":
         _check_type(field, FieldSpec)
         a = object.__new__(cls)
-        a._set(field, [field._coerce_row(row) for row in values])
+        a._set(field, [field._coerce_row(row) for row in _items(values, "matrix rows")])
         return a
 
     @classmethod
     def from_rows(cls, vectors: Sequence[Vector]) -> "Matrix":
-        vectors = list(vectors)
-        if not vectors:
-            raise UsageError("need at least one row vector")
-        field, _ = _common_field_ambient(vectors, None, None)
+        vectors, field, _ = _common_field_ambient(vectors, None, None)
         return _matrix(field, [v._raw for v in vectors])
 
     @classmethod
@@ -294,10 +291,7 @@ def extend_rows_to_invertible(rows: Sequence[Vector]) -> Matrix:
     by appending the standard basis vectors at the non-lime indices of the
     span: afterwards every position is an originating position, so the rows
     span the whole space."""
-    rows = list(rows)
-    if not rows:
-        raise UsageError("need at least one row")
-    field, n = _common_field_ambient(rows, None, None)
+    rows, field, n = _common_field_ambient(rows, None, None)
     entries = [v._raw for v in rows]
     if len(_keys(entries, field.modulus)) != len(rows):
         raise DomainError("input rows are linearly dependent")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import DomainError, ParseError, UsageError, _check_type
+from .errors import DomainError, ParseError, UsageError, _check_type, _items
 from .fields import RATIONALS, FieldSpec, _parse_scalar, gf
 from .matrix import Matrix, _matrix
 from .subspace import Vector, _vector
@@ -22,13 +22,10 @@ def field_header(field: FieldSpec) -> str:
 
 
 def parse_field_tokens(tokens) -> FieldSpec:
-    try:
-        tokens = list(tokens)
-    except TypeError:
-        raise UsageError("field tokens must be an iterable of str") from None
+    tokens = _items(tokens, "field tokens")
     if not all(isinstance(t, str) for t in tokens):
         raise UsageError("field tokens must be an iterable of str")
-    if tokens == ["q"]:
+    if tokens == ("q",):
         return RATIONALS
     if len(tokens) == 2 and tokens[0] == "gf":
         if not tokens[1].isdigit():
@@ -86,12 +83,9 @@ def load_matrix(path) -> Matrix:
     return parse_matrix_text(text)
 
 
-def render_matrix(a: Matrix, comments=()) -> str:
+def render_matrix(a: Matrix) -> str:
     _check_type(a, Matrix)
-    lines = [field_header(a.field)]
-    lines.extend(f"# {c}" for c in comments)
-    lines.append(str(a))
-    return "\n".join(lines) + "\n"
+    return f"{field_header(a.field)}\n{a}\n"
 
 
 def parse_vector_text(text: str, field: FieldSpec) -> Vector:

@@ -41,8 +41,7 @@ def enumerate_span(generators, ambient: Optional[int] = None,
                    budget: int = DEFAULT_BUDGET) -> set:
     """The span as a literal set: every coefficient combination, one
     generator at a time. Result size is p^dim."""
-    generators = list(generators)
-    field, ambient = _common_field_ambient(generators, ambient, field)
+    generators, field, ambient = _common_field_ambient(generators, ambient, field)
     _check_enumeration(field, budget)
     scalars = list(field.elements())
     span = {(field.zero,) * ambient}
@@ -60,8 +59,7 @@ def brute_indices(generators, ambient: Optional[int] = None,
                   budget: int = DEFAULT_BUDGET) -> tuple:
     """Red and lime index sets read off the enumerated span, plus the
     signature they assemble into."""
-    generators = list(generators)
-    field, ambient = _common_field_ambient(generators, ambient, field)
+    generators, field, ambient = _common_field_ambient(generators, ambient, field)
     span = enumerate_span(generators, ambient, field, budget)
     red = frozenset(terminating_index(v) for v in span if not v.is_zero())
     lime = frozenset(originating_index(v) for v in span if not v.is_zero())
@@ -85,8 +83,7 @@ def brute_complement(generators, ambient: Optional[int] = None,
                      budget: int = DEFAULT_BUDGET) -> set:
     """All vectors orthogonal to every generator, by filtering the whole
     ambient space on literal dot products."""
-    generators = list(generators)
-    field, ambient = _common_field_ambient(generators, ambient, field)
+    generators, field, ambient = _common_field_ambient(generators, ambient, field)
     _check_enumeration(field, budget)
     generators = [g.entries for g in generators]
     out = set()

@@ -15,7 +15,7 @@ import enum
 import itertools
 from typing import Sequence
 
-from .errors import DomainError, ParseError, UsageError, _check_position, _check_type
+from .errors import DomainError, ParseError, UsageError, _check_position, _check_type, _items
 from .fields import FieldSpec
 from .subspace import Subspace, Vector, _keys, _last_nonzero, _span, _vector
 
@@ -74,13 +74,13 @@ class Signature:
 
 
 def signature_from_indices(red, lime, n: int) -> Signature:
-    """Assemble the mark string from a red index set and a lime index set."""
-    if not isinstance(n, int):
+    """Assemble the mark string from red and lime sets of positions in 1..n."""
+    if not isinstance(n, int) or isinstance(n, bool):
         raise UsageError(f"n must be an int, not {type(n).__name__}")
-    try:
-        red, lime = set(red), set(lime)
-    except TypeError:
-        raise UsageError("red and lime must be collections of positions") from None
+    red, lime = _items(red, "red indices"), _items(lime, "lime indices")
+    if not all(type(p) is int and 0 < p <= n for p in red + lime):
+        raise UsageError(f"red and lime indices must be positions in 1..{n}")
+    red, lime = set(red), set(lime)
     marks = []
     for p in range(1, n + 1):
         if p in red:
@@ -142,11 +142,14 @@ def subspace_from_pattern(pattern: Sequence, field: FieldSpec) -> Subspace:
     generators are the 0/1 indicator vectors of the label supports.
     """
     _check_type(field, FieldSpec)
-    pattern = list(pattern)
+    pattern = _items(pattern, "a pattern")
     if not pattern:
         raise UsageError("empty pattern")
     zero, one = field.zero.value, field.one.value
-    labels = dict.fromkeys(label for label in pattern if label is not None and label != 0)
+    try:
+        labels = dict.fromkeys(label for label in pattern if label is not None and label != 0)
+    except TypeError:
+        raise UsageError("pattern labels must be hashable") from None
     return _span(field, len(pattern),
                  [[one if x == label else zero for x in pattern] for label in labels])
 
@@ -183,10 +186,11 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: tuple):
-        if (not isinstance(images, (tuple, list)) or any(type(i) is not int for i in images)
+        images = _items(images, "images")
+        if (any(type(i) is not int for i in images)
                 or sorted(images) != list(range(1, len(images) + 1))):
             raise UsageError("images must be a bijection on 1..n")
-        self.images = tuple(images)
+        self.images = images
 
     def image_of(self, i: int) -> int:
         _check_position(i, len(self.images))
@@ -227,19 +231,18 @@ def permute_presenting_positions(w: Subspace, positions) -> tuple:
     positions.
     """
     _check_type(w, Subspace)
-    positions = set(positions)
+    positions = _items(positions, "positions")
     n = w.ambient
     for p in positions:
         _check_position(p, n)
-    positions = sorted(positions)
+    positions = sorted(set(positions))
     k = len(positions)
     if k == 0:
         return Permutation(tuple(range(1, n + 1))), w
     restricted = [[r[p - 1] for p in positions] for r in w._raw]
     if len(_keys(restricted, w.field.modulus)) != k:
         raise DomainError("the subspace does not present as the full space there")
-    chosen = set(positions)
-    order = [q for q in range(1, n + 1) if q not in chosen] + positions
+    order = [q for q in range(1, n + 1) if q not in positions] + positions
     slot = {q: s for s, q in enumerate(order, start=1)}
     perm = Permutation(tuple(slot[q] for q in range(1, n + 1)))
     moved = _span(w.field, n, [[r[q - 1] for q in order] for r in w._raw])

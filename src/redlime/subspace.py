@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import mul, xor
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, UsageError, _check_position, _check_type
+from .errors import DomainError, UsageError, _check_position, _check_type, _items
 from .fields import FieldSpec, Scalar, _inverse, _scalars, _text
 
 
@@ -134,7 +134,7 @@ def originating_index(v: Vector) -> Optional[int]:
 def _values(field: FieldSpec, entries, what: str) -> tuple:
     """The raw values of a caller's Scalars; UsageError unless each is a
     Scalar of field."""
-    entries = tuple(entries)
+    entries = _items(entries, f"{what} entries")
     for e in entries:
         if not isinstance(e, Scalar) or e.field != field:
             raise UsageError(f"{what} entries must be scalars of the {what}'s field")
@@ -518,12 +518,13 @@ class _Canonical:
 
     def _set(self, field: FieldSpec, ambient: int, indices, vectors):
         _check_space(field, ambient)
-        indices, vectors, side = tuple(indices), tuple(vectors), self._side
+        side = self._side
+        indices, vectors = _items(indices, f"{side} indices"), _items(vectors, f"{side} basis")
         if len(indices) != len(vectors):
             raise UsageError("index and vector counts differ")
         prev = 0
         for i in indices:
-            if not isinstance(i, int) or not prev < i <= ambient:
+            if not isinstance(i, int) or isinstance(i, bool) or not prev < i <= ambient:
                 raise UsageError(f"{side} indices must be strictly increasing within 1..{ambient}")
             prev = i
         for v in vectors:
@@ -635,17 +636,20 @@ def _lime(field, n, rows) -> LimeBasis:
 
 
 def _common_field_ambient(generators, ambient, field):
+    """The one intake of a caller's vector list: the vectors as a tuple, and
+    the field and ambient, by default the first vector's, that all share."""
+    generators = _items(generators, "vectors")
     if generators:
         g0 = generators[0]
         _check_type(g0, Vector)
         field = g0.field if field is None else field
         ambient = len(g0._raw) if ambient is None else ambient
     elif field is None or ambient is None:
-        raise UsageError("an empty generator list needs an explicit field and ambient")
+        raise UsageError("an empty vector list has no field or ambient of its own")
     _check_space(field, ambient)
     for g in generators:
         _check_vector(g, field, ambient)
-    return field, ambient
+    return generators, field, ambient
 
 
 def span_red_basis(generators: Sequence[Vector], ambient: Optional[int] = None,
@@ -654,8 +658,7 @@ def span_red_basis(generators: Sequence[Vector], ambient: Optional[int] = None,
     raw rows by ``_red``, which picks its kernel from the field and the
     shape of the rows. Zero generators add nothing.
     """
-    generators = list(generators)
-    field, ambient = _common_field_ambient(generators, ambient, field)
+    generators, field, ambient = _common_field_ambient(generators, ambient, field)
     return _span(field, ambient, [g._raw for g in generators])
 
 
@@ -710,7 +713,7 @@ def coordinates(w: Subspace, x: Vector) -> tuple:
 def element_from_red_entries(w: Subspace, coefficients) -> Vector:
     """The unique member whose red-position entries are the given scalars."""
     _check_type(w, Subspace)
-    coeffs = [w.field._coerce(c) for c in coefficients]
+    coeffs = w.field._coerce_row(coefficients)
     if len(coeffs) != w.dimension:
         raise UsageError(f"expected {w.dimension} coefficients, got {len(coeffs)}")
     return _vector(w.field, tuple(_product(w.field, [coeffs], w._raw, w.ambient)[0]))
@@ -732,7 +735,6 @@ def is_coordinate_system(vectors: Sequence[Vector], w: Subspace) -> bool:
     lies in the span of its predecessors; equivalently, every member of w
     has exactly one expression as a combination of the list."""
     _check_type(w, Subspace)
-    vectors = list(vectors)
-    _common_field_ambient(vectors, w.ambient, w.field)
+    vectors, _, _ = _common_field_ambient(vectors, w.ambient, w.field)
     return (len(vectors) == w.dimension
             and _span(w.field, w.ambient, [v._raw for v in vectors]) == w)

@@ -19,7 +19,7 @@ from redlime.errors import UsageError
 from redlime.matrixfile import parse_field_tokens
 from redlime.subspace import _vector
 
-from conftest import GF3, GF5, matrices, scalars, subspaces, vectors
+from conftest import GF3, GF5, matrices, scalars, subspaces, vec, vectors
 
 
 # --- one argument check per public entry point ------------------------------
@@ -156,6 +156,41 @@ BAD_TYPES = {
     "enumerate_subspaces, bool budget": lambda: list(rl.enumerate_subspaces(2, 2, budget=True)),
     "brute_indices, no budget": lambda: rl.brute_indices([V], budget=None),
     "brute_complement, text budget": lambda: rl.brute_complement([V], budget="x"),
+    # an int where a collection goes, and unhashable labels and positions
+    "Vector, int entries": lambda: rl.Vector(GF5, 5),
+    "Vector.from_values, int values": lambda: rl.Vector.from_values(GF5, 5),
+    "Matrix, int rows": lambda: rl.Matrix(GF5, 5),
+    "Matrix, int row": lambda: rl.Matrix(GF5, [5]),
+    "Matrix.from_values, int rows": lambda: rl.Matrix.from_values(GF5, 5),
+    "Matrix.from_values, int row": lambda: rl.Matrix.from_values(GF5, [5]),
+    "Matrix.from_rows, int": lambda: rl.Matrix.from_rows(5),
+    "Matrix.from_rows, no rows": lambda: rl.Matrix.from_rows([]),
+    "Matrix.from_columns, int": lambda: rl.Matrix.from_columns(5),
+    "Subspace, int indices": lambda: rl.Subspace(GF5, 3, 5, ()),
+    "Subspace, int basis": lambda: rl.Subspace(GF5, 3, (), 5),
+    "LimeBasis, int vectors": lambda: rl.LimeBasis(GF5, 3, (1,), 5),
+    "span_red_basis, int": lambda: rl.span_red_basis(5),
+    "is_coordinate_system, int": lambda: rl.is_coordinate_system(5, W),
+    "element_from_red_entries, int": lambda: rl.element_from_red_entries(W, 5),
+    "extend_rows_to_invertible, int": lambda: rl.extend_rows_to_invertible(5),
+    "extend_rows_to_invertible, no rows": lambda: rl.extend_rows_to_invertible([]),
+    "permute_presenting_positions, int": lambda: rl.permute_presenting_positions(W, 5),
+    "permute_presenting_positions, list position":
+        lambda: rl.permute_presenting_positions(W, [[1]]),
+    "subspace_from_pattern, int": lambda: rl.subspace_from_pattern(5, GF5),
+    "subspace_from_pattern, list label": lambda: rl.subspace_from_pattern([[1]], GF5),
+    "enumerate_span, int": lambda: rl.enumerate_span(5),
+    "brute_indices, int": lambda: rl.brute_indices(5),
+    "brute_complement, int": lambda: rl.brute_complement(5),
+    # a bool where a position, a count or a modulus goes
+    "Vector.entry, bool position": lambda: V.entry(True),
+    "Matrix.row, bool": lambda: A.row(True),
+    "Permutation.image_of, bool position": lambda: rl.Permutation((1,)).image_of(True),
+    "Vector.standard_basis, bool k": lambda: rl.Vector.standard_basis(GF5, 3, True),
+    "signature_from_indices, bool n": lambda: rl.signature_from_indices((1,), (), True),
+    "signature_from_indices, index past n": lambda: rl.signature_from_indices((4,), (), 3),
+    "signature_from_indices, list index": lambda: rl.signature_from_indices((), [[1]], 3),
+    "FieldSpec, bool modulus": lambda: rl.FieldSpec(True),
 }
 
 
@@ -163,6 +198,39 @@ BAD_TYPES = {
 def test_wrong_type_arguments_are_usage_errors(call):
     with pytest.raises(UsageError):
         BAD_TYPES[call]()
+
+
+# Each builds a Subspace or LimeBasis of GF(5)^3 from parts that break its
+# canonical form, or its index and vector lists.
+BAD_CANONICAL = {
+    "red element without a 1 at its index":
+        lambda: rl.Subspace(GF5, 3, (2,), (vec(GF5, 1, 2, 0),)),
+    "red element nonzero past its index":
+        lambda: rl.Subspace(GF5, 3, (2,), (vec(GF5, 0, 1, 1),)),
+    "red element nonzero at another index":
+        lambda: rl.Subspace(GF5, 3, (1, 3), (vec(GF5, 1, 0, 0), vec(GF5, 1, 0, 1))),
+    "lime element without a 1 at its index":
+        lambda: rl.LimeBasis(GF5, 3, (2,), (vec(GF5, 0, 2, 1),)),
+    "lime element nonzero before its index":
+        lambda: rl.LimeBasis(GF5, 3, (2,), (vec(GF5, 1, 1, 0),)),
+    "lime element nonzero at another index":
+        lambda: rl.LimeBasis(GF5, 3, (1, 2), (vec(GF5, 1, 1, 0), vec(GF5, 0, 1, 0))),
+    "indices not increasing":
+        lambda: rl.Subspace(GF5, 3, (2, 1), (vec(GF5, 0, 1, 0), vec(GF5, 1, 0, 0))),
+    "index out of range": lambda: rl.LimeBasis(GF5, 3, (4,), (vec(GF5, 0, 0, 1),)),
+    "index zero": lambda: rl.Subspace(GF5, 3, (0,), (vec(GF5, 1, 0, 0),)),
+    "count mismatch": lambda: rl.Subspace(GF5, 3, (1, 2), (vec(GF5, 1, 0, 0),)),
+    "vector over another field": lambda: rl.Subspace(GF5, 3, (1,), (vec(GF3, 1, 0, 0),)),
+    "vector of another length": lambda: rl.LimeBasis(GF5, 3, (1,), (vec(GF5, 1, 0),)),
+    "float index": lambda: rl.Subspace(GF5, 3, (1.0,), (vec(GF5, 1, 0, 0),)),
+    "bool index": lambda: rl.LimeBasis(GF5, 3, (True,), (vec(GF5, 1, 0, 0),)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CANONICAL)
+def test_constructors_refuse_non_canonical_parts(case):
+    with pytest.raises(UsageError):
+        BAD_CANONICAL[case]()
 
 
 def test_permutations_from_lists_and_tuples_agree():

@@ -50,12 +50,6 @@ def test_render_parse_round_trip(a):
     assert rl.parse_matrix_text(rl.render_matrix(a)) == a
 
 
-def test_render_includes_comments():
-    text = rl.render_matrix(mat(GF2, [[1, 0]]), comments=["red indices: 1"])
-    assert text.splitlines() == ["field gf 2", "# red indices: 1", "1 0"]
-    assert rl.parse_matrix_text(text) == mat(GF2, [[1, 0]])
-
-
 def test_parse_vector_text():
     v = rl.parse_vector_text("1 -2/3 0", Q)
     assert v == rl.Vector.from_values(Q, [1, rl.parse_scalar("-2/3", Q).value, 0])

@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 
 import pytest
 
@@ -116,6 +117,8 @@ def test_enumerate_subspaces_counts_and_distinctness():
         subs = all_subspaces(n, p)
         assert len(subs) == rl.subspace_count(n, p)
         assert len(set(subs)) == len(subs)
+        by_dim = Counter(w.dimension for w in subs)
+        assert by_dim == {k: rl.gaussian_binomial(n, k, p) for k in range(n + 1)}
         field = rl.gf(p)
         assert rl.Subspace.zero_subspace(field, n) in subs
         assert rl.Subspace.full_space(field, n) in subs
