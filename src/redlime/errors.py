@@ -4,13 +4,15 @@ The CLI maps these onto exit codes: UsageError -> 1, ParseError -> 2,
 DomainError and ResourceError -> 3.
 """
 
+import sys
+
 
 class RedlimeError(Exception):
     """Base class for all redlime errors."""
 
 
 class UsageError(RedlimeError):
-    """Caller broke an interface contract (mixed fields, bad lengths, bad flags)."""
+    """Caller broke an interface contract (wrong type, field or length, bad flags)."""
 
 
 class ParseError(RedlimeError):
@@ -42,7 +44,16 @@ def _items(x, what: str) -> tuple:
     return x if type(x) is tuple else tuple(it)
 
 
-def _check_position(i, n: int, what: str = "position"):
-    """UsageError unless i is an int (not a bool) in 1..n."""
-    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
-        raise UsageError(f"{what} {i!r} outside 1..{n}")
+def _check_int(x, what: str, lo=1, hi=sys.maxsize):
+    """UsageError unless x is an int, not a bool, in lo..hi (by default a size)."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise UsageError(f"{what} must be an int, not {type(x).__name__}")
+    if not lo <= x <= hi:  # the digits of a huge x may be past what str() converts
+        shown = x if x.bit_length() < 64 else f"of {x.bit_length()} bits"
+        raise UsageError(f"{what} {shown} outside {lo}..{hi}")
+
+
+def _check_field(got, want):
+    """UsageError unless got is the field want."""
+    if got != want:
+        raise UsageError(f"mixed fields: {got} where {want} is needed")

@@ -11,7 +11,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, ParseError, ResourceError, UsageError, _check_type, _items
+from .errors import (DomainError, ParseError, ResourceError, UsageError, _check_field,
+                     _check_int, _check_type, _items)
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _FRACTION_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)\Z")
@@ -55,10 +56,9 @@ class FieldSpec:
 
     def __init__(self, modulus: int | None = None):
         if modulus is not None:
-            if not isinstance(modulus, int) or isinstance(modulus, bool):
-                raise UsageError(f"modulus must be an int, not {type(modulus).__name__}")
+            _check_int(modulus, "modulus", float("-inf"), float("inf"))
             if modulus >= MODULUS_LIMIT:
-                raise DomainError(f"modulus {modulus} is not below the limit {MODULUS_LIMIT}")
+                raise DomainError(f"modulus is not below the limit {MODULUS_LIMIT}")
             if not _is_prime(modulus):
                 raise DomainError(f"modulus {modulus} is not prime")
         self.modulus = modulus
@@ -77,8 +77,7 @@ class FieldSpec:
         """The canonical raw value of an int, Fraction, or same-field Scalar:
         a Fraction over Q, a residue in range(p) over GF(p)."""
         if isinstance(value, Scalar):
-            if value.field != self:
-                raise UsageError(f"scalar belongs to {value.field}, not {self}")
+            _check_field(value.field, self)
             return value.value
         if not isinstance(value, (int, Fraction)):
             raise UsageError(
@@ -91,11 +90,11 @@ class FieldSpec:
             value = value.numerator
         return value % self.modulus
 
-    def _coerce_row(self, values) -> tuple:
-        """``_coerce`` of each value, as a tuple. Over GF(p) a row whose
-        values are all exactly ``int`` is reduced in one pass; any other row
-        goes value by value, with the same checks and errors."""
-        values = _items(values, "a row")
+    def _coerce_row(self, values, what: str) -> tuple:
+        """``_coerce`` of each of the values ``what`` names, as a tuple. Over
+        GF(p) a row of values that are all exactly ``int`` is reduced in one
+        pass; any other goes value by value, with the same checks and errors."""
+        values = _items(values, what)
         p = self.modulus
         if p is not None and set(map(type, values)) == {int}:
             return tuple([v % p for v in values])
@@ -141,10 +140,6 @@ class Scalar:
         self.field = field
         self.value = value
 
-    def _check_same_field(self, other: "Scalar"):
-        if other.field != self.field:
-            raise UsageError(f"mixed fields: {self.field} vs {other.field}")
-
     def _reduced(self, value) -> "Scalar":
         p = self.field.modulus
         return Scalar(self.field, value if p is None else value % p)
@@ -152,25 +147,25 @@ class Scalar:
     def __add__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._check_same_field(other)
+        _check_field(other.field, self.field)
         return self._reduced(self.value + other.value)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._check_same_field(other)
+        _check_field(other.field, self.field)
         return self._reduced(self.value - other.value)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._check_same_field(other)
+        _check_field(other.field, self.field)
         return self._reduced(self.value * other.value)
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._check_same_field(other)
+        _check_field(other.field, self.field)
         return self * other.inverse()
 
     def __neg__(self):

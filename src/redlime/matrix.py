@@ -13,11 +13,11 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .duality import _complement
-from .errors import DomainError, UsageError, _check_position, _check_type, _items
+from .errors import DomainError, UsageError, _check_field, _check_int, _check_type, _items
 from .fields import FieldSpec, Scalar, _scalars, _text
 from .subspace import (LimeBasis, Subspace, Vector, _check_space, _check_vector,
-                       _common_field_ambient, _keys, _lime, _product, _span, _values,
-                       _vector)
+                       _common_field_ambient, _keys, _lime, _product, _span, _unit,
+                       _values, _vector)
 
 
 class Matrix:
@@ -45,7 +45,8 @@ class Matrix:
     def from_values(cls, field: FieldSpec, values) -> "Matrix":
         _check_type(field, FieldSpec)
         a = object.__new__(cls)
-        a._set(field, [field._coerce_row(row) for row in _items(values, "matrix rows")])
+        rows = _items(values, "matrix rows")
+        a._set(field, [field._coerce_row(r, "a matrix row") for r in rows])
         return a
 
     @classmethod
@@ -60,13 +61,13 @@ class Matrix:
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
         _check_space(field, n)
-        return cls.from_values(field, [[int(i == j) for j in range(n)] for i in range(n)])
+        return _matrix(field, [_unit(field, n, j) for j in range(n)])
 
     @classmethod
     def zero(cls, field: FieldSpec, n: int, m: int) -> "Matrix":
         _check_space(field, n)
         _check_space(field, m)
-        return cls.from_values(field, [[0] * m for _ in range(n)])
+        return _matrix(field, [(field.zero.value,) * m] * n)
 
     @property
     def rows(self) -> tuple:
@@ -74,16 +75,16 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> Scalar:
         """Entry in row i, column j (1-based)."""
-        _check_position(i, self.nrows, "row")
-        _check_position(j, self.ncols, "column")
+        _check_int(i, "row", 1, self.nrows)
+        _check_int(j, "column", 1, self.ncols)
         return _scalars(self.field, self._raw[i - 1][j - 1:j])[0]
 
     def row(self, i: int) -> Vector:
-        _check_position(i, self.nrows, "row")
+        _check_int(i, "row", 1, self.nrows)
         return _vector(self.field, self._raw[i - 1])
 
     def column(self, j: int) -> Vector:
-        _check_position(j, self.ncols, "column")
+        _check_int(j, "column", 1, self.ncols)
         return _vector(self.field, tuple(r[j - 1] for r in self._raw))
 
     def row_vectors(self) -> tuple:
@@ -100,8 +101,7 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         _check_type(other, Matrix)
-        if other.field != self.field:
-            raise UsageError(f"mixed fields: {self.field} vs {other.field}")
+        _check_field(other.field, self.field)
         if self.ncols != other.nrows:
             raise UsageError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
@@ -248,8 +248,7 @@ def _completion_rows(field: FieldSpec, n: int, rows) -> list:
     """Rows of the n-by-n identity at the non-lime indices of the span of
     rows, ascending."""
     lime = {n - 1 - k for k in _keys([r[::-1] for r in rows], field.modulus)}
-    z, o = field.zero.value, field.one.value
-    return [tuple(o if i == j else z for i in range(n)) for j in range(n) if j not in lime]
+    return [_unit(field, n, j) for j in range(n) if j not in lime]
 
 
 def rcef_factorization(a: Matrix, complete: bool = False) -> tuple:

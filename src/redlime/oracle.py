@@ -2,27 +2,29 @@
 
 Everything here works straight from definitions: spans are enumerated as
 literal sets of combinations, indices are read off those sets, complements
-are found by filtering on dot products, and row reduction is the classical
-swap/eliminate/back-substitute routine. None of it reuses the canonical
-basis machinery it is meant to check, so the two can referee each other.
-Values store raw rows and the canonical kernels work on them; this module
-stays on Scalar arithmetic, reading each value's ``entries`` view once, so
-the tests referee that raw kernel with independent arithmetic.
-Budgets are explicit; these routines are deliberately naive.
+are found by filtering on dot products, row reduction is the classical
+swap/eliminate/back-substitute routine, and each subspace is listed as the
+red basis its pattern of red indices and free entries fixes. None of it runs
+the elimination kernels it is meant to check, so the tests can let the two
+referee each other. Spans, complements and row reduction stay on Scalar
+arithmetic, reading each value's ``entries`` view once; the subspace listing
+writes raw rows, the form a Subspace stores. Budgets are explicit; these
+routines are deliberately naive.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import Iterator, Optional
 
-from .errors import ResourceError, UsageError, _check_type
+from .errors import ResourceError, UsageError, _check_int, _check_type
 from .fields import FieldSpec, gf
 from .matrix import Matrix
 from .signatures import signature_from_indices
-from .subspace import (Subspace, Vector, originating_index, span_red_basis,
-                       terminating_index, _check_space, _common_field_ambient)
+from .subspace import (Subspace, Vector, originating_index, terminating_index, _check_space,
+                       _common_field_ambient)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -59,11 +61,10 @@ def brute_indices(generators, ambient: Optional[int] = None,
                   budget: int = DEFAULT_BUDGET) -> tuple:
     """Red and lime index sets read off the enumerated span, plus the
     signature they assemble into."""
-    generators, field, ambient = _common_field_ambient(generators, ambient, field)
     span = enumerate_span(generators, ambient, field, budget)
     red = frozenset(terminating_index(v) for v in span if not v.is_zero())
     lime = frozenset(originating_index(v) for v in span if not v.is_zero())
-    return red, lime, signature_from_indices(red, lime, ambient)
+    return red, lime, signature_from_indices(red, lime, len(next(iter(span))))
 
 
 def all_vectors(field: FieldSpec, n: int, budget: int = DEFAULT_BUDGET) -> Iterator[Vector]:
@@ -84,7 +85,6 @@ def brute_complement(generators, ambient: Optional[int] = None,
     """All vectors orthogonal to every generator, by filtering the whole
     ambient space on literal dot products."""
     generators, field, ambient = _common_field_ambient(generators, ambient, field)
-    _check_enumeration(field, budget)
     generators = [g.entries for g in generators]
     out = set()
     for x in all_vectors(field, ambient, budget):
@@ -101,15 +101,11 @@ def brute_complement(generators, ambient: Optional[int] = None,
     return out
 
 
-def _check_counts(n, p, k=0):
-    """UsageError unless n, k and p are ints (not bools) and p is at least 2."""
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in (n, k, p)) or p < 2:
-        raise UsageError(f"expected ints n, k and p with p >= 2, not {n!r}, {k!r}, {p!r}")
-
-
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of GF(p)^n."""
-    _check_counts(n, p, k)
+    _check_int(n, "n", -sys.maxsize)
+    _check_int(k, "k", -sys.maxsize)
+    _check_int(p, "p", 2)
     if k < 0 or k > n:
         return 0
     num = den = 1
@@ -121,16 +117,17 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 def subspace_count(n: int, p: int) -> int:
     """Total number of subspaces of GF(p)^n."""
-    _check_counts(n, p)
+    _check_int(n, "n", -sys.maxsize)
+    _check_int(p, "p", 2)
     return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
 
 
 def enumerate_subspaces(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Iterator[Subspace]:
-    """Every subspace of GF(p)^n exactly once.
-
-    Generates each echelon row pattern (one pivot column set at a time,
-    free entries filled in all ways) and emits the canonical form of its
-    row span; distinctness comes from the uniqueness of the pattern.
+    """Every subspace of GF(p)^n exactly once, each red basis written
+    straight from its pattern, with no elimination: for each set R of red
+    indices and each filling of the free cells, the row for i in R has a 1
+    at i, zeros past i and at the other members of R, and a free value at
+    each other position before i. Every subspace has exactly one such basis.
     """
     field = gf(p)
     _check_space(field, n)
@@ -140,21 +137,16 @@ def enumerate_subspaces(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Iterato
     totals = itertools.accumulate(gaussian_binomial(n, k, p) for k in range(n + 1))
     if budget < 1 or n - 1 > math.log2(budget) or any(t > budget for t in totals):
         raise ResourceError(f"GF({p})^{n} has more than {budget} subspaces")
-    scalars = list(field.elements())
-    zero, one = field.zero, field.one
-    yield Subspace.zero_subspace(field, n)
-    for k in range(1, n + 1):
-        for pivots in itertools.combinations(range(n), k):
-            pivot_set = set(pivots)
-            free_cells = [(t, c) for t in range(k) for c in range(n)
-                          if c not in pivot_set and c > pivots[t]]
-            for assignment in itertools.product(scalars, repeat=len(free_cells)):
-                rows = [[zero] * n for _ in range(k)]
-                for t, piv in enumerate(pivots):
-                    rows[t][piv] = one
-                for (t, c), value in zip(free_cells, assignment):
-                    rows[t][c] = value
-                yield span_red_basis([Vector(field, r) for r in rows], n, field)
+    positions = range(1, n + 1)
+    for k in range(n + 1):
+        for red in itertools.combinations(positions, k):
+            choices = []  # every red-basic row for each red index i
+            for i in red:
+                free = [c for c in range(1, i) if c not in red]
+                choices.append([tuple(dict(zip(free, v)).get(c, int(c == i)) for c in positions)
+                                for v in itertools.product(range(p), repeat=len(free))])
+            for rows in itertools.product(*choices):
+                yield Subspace._made(field, n, red, rows)
 
 
 def textbook_rref(a: Matrix) -> Matrix:

@@ -15,7 +15,7 @@ import enum
 import itertools
 from typing import Sequence
 
-from .errors import DomainError, ParseError, UsageError, _check_position, _check_type, _items
+from .errors import DomainError, ParseError, UsageError, _check_int, _check_type, _items
 from .fields import FieldSpec
 from .subspace import Subspace, Vector, _keys, _last_nonzero, _span, _vector
 
@@ -73,21 +73,23 @@ class Signature:
         return f"Signature({str(self)!r})"
 
 
+_MARKS = (Mark.NEITHER, Mark.LIME_ONLY, Mark.RED_ONLY, Mark.BOTH)  # by 2·red + lime
+
+
+def _signature(red: set, lime: set, n: int) -> Signature:
+    """The Signature of package-made sets of positions in 1..n, unchecked."""
+    sig = object.__new__(Signature)
+    sig.marks = tuple([_MARKS[2 * (p in red) + (p in lime)] for p in range(1, n + 1)])
+    return sig
+
+
 def signature_from_indices(red, lime, n: int) -> Signature:
     """Assemble the mark string from red and lime sets of positions in 1..n."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise UsageError(f"n must be an int, not {type(n).__name__}")
+    _check_int(n, "n")
     red, lime = _items(red, "red indices"), _items(lime, "lime indices")
-    if not all(type(p) is int and 0 < p <= n for p in red + lime):
-        raise UsageError(f"red and lime indices must be positions in 1..{n}")
-    red, lime = set(red), set(lime)
-    marks = []
-    for p in range(1, n + 1):
-        if p in red:
-            marks.append(Mark.BOTH if p in lime else Mark.RED_ONLY)
-        else:
-            marks.append(Mark.LIME_ONLY if p in lime else Mark.NEITHER)
-    return Signature(tuple(marks))
+    for p in red + lime:
+        _check_int(p, "a red or lime index", 1, n)
+    return _signature(set(red), set(lime), n)
 
 
 def signature(w: Subspace) -> Signature:
@@ -95,8 +97,8 @@ def signature(w: Subspace) -> Signature:
     do b- and l-counts. The lime indices are read off an echelon pass of the
     reversed rows (``_keys``)."""
     _check_type(w, Subspace)
-    lime = [w.ambient - k for k in _keys([r[::-1] for r in w._raw], w.field.modulus)]
-    return signature_from_indices(w.red_indices, lime, w.ambient)
+    lime = {w.ambient - k for k in _keys([r[::-1] for r in w._raw], w.field.modulus)}
+    return _signature(set(w._indices), lime, w.ambient)
 
 
 def sub_terminal_index(v: Vector) -> int:
@@ -187,13 +189,14 @@ class Permutation:
 
     def __init__(self, images: tuple):
         images = _items(images, "images")
-        if (any(type(i) is not int for i in images)
-                or sorted(images) != list(range(1, len(images) + 1))):
+        for i in images:
+            _check_int(i, "an image", 1, len(images))
+        if len(set(images)) != len(images):
             raise UsageError("images must be a bijection on 1..n")
         self.images = images
 
     def image_of(self, i: int) -> int:
-        _check_position(i, len(self.images))
+        _check_int(i, "position", 1, len(self.images))
         return self.images[i - 1]
 
     def apply(self, v: Vector) -> Vector:
@@ -234,7 +237,7 @@ def permute_presenting_positions(w: Subspace, positions) -> tuple:
     positions = _items(positions, "positions")
     n = w.ambient
     for p in positions:
-        _check_position(p, n)
+        _check_int(p, "position", 1, n)
     positions = sorted(set(positions))
     k = len(positions)
     if k == 0:

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import mul, xor
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, UsageError, _check_position, _check_type, _items
+from .errors import DomainError, UsageError, _check_field, _check_int, _check_type, _items
 from .fields import FieldSpec, Scalar, _inverse, _scalars, _text
 
 
@@ -48,20 +48,20 @@ class Vector:
         """Build a vector by coercing ints/Fractions through the field."""
         _check_type(field, FieldSpec)
         v = object.__new__(cls)
-        v._set(field, field._coerce_row(values))
+        v._set(field, field._coerce_row(values, "vector values"))
         return v
 
     @classmethod
     def zero(cls, field: FieldSpec, n: int) -> "Vector":
         _check_space(field, n)
-        return cls.from_values(field, (0,) * n)
+        return _vector(field, (field.zero.value,) * n)
 
     @classmethod
     def standard_basis(cls, field: FieldSpec, n: int, k: int) -> "Vector":
         """E_k in F^n: a 1 in position k, zeros elsewhere."""
         _check_space(field, n)
-        _check_position(k, n)
-        return cls.from_values(field, [int(p == k) for p in range(1, n + 1)])
+        _check_int(k, "position", 1, n)
+        return _vector(field, _unit(field, n, k - 1))
 
     @property
     def entries(self) -> tuple:
@@ -69,7 +69,7 @@ class Vector:
 
     def entry(self, i: int) -> Scalar:
         """The entry in position i (1-based)."""
-        _check_position(i, len(self._raw))
+        _check_int(i, "position", 1, len(self._raw))
         return _scalars(self.field, self._raw[i - 1:i])[0]
 
     def is_zero(self) -> bool:
@@ -144,17 +144,15 @@ def _values(field: FieldSpec, entries, what: str) -> tuple:
 def _check_vector(x, field: FieldSpec, n: int):
     """UsageError unless x is a Vector over field with n entries."""
     _check_type(x, Vector)
-    if x.field != field:
-        raise UsageError(f"mixed fields: {field} vs {x.field}")
+    _check_field(x.field, field)
     if len(x._raw) != n:
         raise UsageError(f"vector of length {len(x._raw)} where {n} is needed")
 
 
 def _check_space(field: FieldSpec, ambient: int):
-    """UsageError unless field is a FieldSpec and ambient an int of at least 1."""
+    """UsageError unless field is a FieldSpec and ambient a size: an int in 1..sys.maxsize."""
     _check_type(field, FieldSpec)
-    if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 1:
-        raise UsageError(f"ambient dimension must be an int of at least 1, not {ambient!r}")
+    _check_int(ambient, "ambient dimension")
 
 
 def _vector(field: FieldSpec, raw: tuple) -> Vector:
@@ -163,6 +161,11 @@ def _vector(field: FieldSpec, raw: tuple) -> Vector:
     v.field = field
     v._raw = raw
     return v
+
+
+def _unit(field: FieldSpec, n: int, j: int) -> tuple:
+    """The raw row of F^n with a 1 at 0-based position j and zeros elsewhere."""
+    return (field.zero.value,) * j + (field.one.value,) + (field.zero.value,) * (n - 1 - j)
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +525,8 @@ class _Canonical:
         indices, vectors = _items(indices, f"{side} indices"), _items(vectors, f"{side} basis")
         if len(indices) != len(vectors):
             raise UsageError("index and vector counts differ")
-        prev = 0
-        for i in indices:
-            if not isinstance(i, int) or isinstance(i, bool) or not prev < i <= ambient:
-                raise UsageError(f"{side} indices must be strictly increasing within 1..{ambient}")
-            prev = i
+        for prev, i in zip((0, *indices), indices):  # strictly increasing
+            _check_int(i, f"{side} index", prev + 1, ambient)
         for v in vectors:
             _check_vector(v, field, ambient)
         raw = tuple(v._raw for v in vectors)
@@ -588,8 +588,9 @@ class Subspace(_Canonical):
 
     @classmethod
     def full_space(cls, field: FieldSpec, ambient: int) -> "Subspace":
-        basis = tuple(Vector.standard_basis(field, ambient, k) for k in range(1, ambient + 1))
-        return cls(field, ambient, tuple(range(1, ambient + 1)), basis)
+        _check_space(field, ambient)
+        return cls._made(field, ambient, tuple(range(1, ambient + 1)),
+                         tuple([_unit(field, ambient, j) for j in range(ambient)]))
 
     def is_zero(self) -> bool:
         return not self._indices
@@ -713,7 +714,7 @@ def coordinates(w: Subspace, x: Vector) -> tuple:
 def element_from_red_entries(w: Subspace, coefficients) -> Vector:
     """The unique member whose red-position entries are the given scalars."""
     _check_type(w, Subspace)
-    coeffs = w.field._coerce_row(coefficients)
+    coeffs = w.field._coerce_row(coefficients, "coefficients")
     if len(coeffs) != w.dimension:
         raise UsageError(f"expected {w.dimension} coefficients, got {len(coeffs)}")
     return _vector(w.field, tuple(_product(w.field, [coeffs], w._raw, w.ambient)[0]))
@@ -723,8 +724,7 @@ def subspace_leq(w: Subspace, v: Subspace) -> bool:
     """True iff w is contained in v: v holds each of w's red-basic elements."""
     _check_type(w, Subspace)
     _check_type(v, Subspace)
-    if w.field != v.field:
-        raise UsageError(f"mixed fields: {w.field} vs {v.field}")
+    _check_field(v.field, w.field)
     if w.ambient != v.ambient:
         raise UsageError("mismatched ambient dimensions")
     return _holds(v, w._raw)

@@ -1,0 +1,181 @@
+"""Fuzzing the public API from its signatures: no call ends in a traceback.
+
+Every callable that ``redlime`` exports, and every public method of its
+exported classes, is called with one argument drawn per parameter of its
+``inspect.signature``: a value of the kind the parameter takes, an int out
+of range (-1, 0, sizes past ``sys.maxsize``) where an int goes, or a wrong
+value (None, bools, text, floats and NaN, ints where sequences or paths go,
+nested lists, vectors of another field or length). Each call must return,
+or raise a ``RedlimeError``, within a deadline; a generator is run to its
+end. Budgets are always small, so no enumeration runs long.
+"""
+
+import contextlib
+import inspect
+import math
+import signal
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import redlime as rl
+from redlime.errors import RedlimeError
+
+F, G, Q = rl.gf(5), rl.gf(3), rl.RATIONALS
+V = rl.Vector.from_values(F, (1, 2, 3))
+W = rl.span_red_basis([V])
+A = rl.Matrix.from_values(F, [[1, 0, 2], [0, 1, 1]])
+
+# Well-formed values of each kind, by annotation, or by parameter name where
+# the parameter has none.
+KINDS = {
+    "FieldSpec": (F, G, Q),
+    "Vector": (V, rl.Vector.zero(F, 3), rl.Vector.from_values(G, (0, 1))),
+    "Subspace": (W, rl.Subspace.zero_subspace(F, 3), rl.Subspace.full_space(G, 2)),
+    "LimeBasis": (rl.lime_basis(W),),
+    "Matrix": (A, rl.Matrix.zero(G, 2, 2), rl.Matrix.from_values(Q, [[1, 2], [2, 4]])),
+    "Signature": (rl.Signature.from_string("lbr"), rl.Signature.from_string("lr")),
+    "Sequence[Vector]": ([V], (V, rl.Vector.standard_basis(F, 3, 1)), []),
+    "Iterable[Scalar]": ((F.one, F.zero, F.scalar(3)),),
+    "Iterable[Iterable[Scalar]]": ([[F.one, F.zero], [F.zero, F.one]],),
+    "Sequence[int]": ((), (1,), (1, 3)),
+    "Sequence": ([1, 0, 1], ["a", None, "a"]),
+    "tuple": ((2, 3, 1), (rl.Mark.LIME_ONLY, rl.Mark.RED_ONLY)),
+    "int": (1, 2, 3),
+    "bool": (False, True),
+    "str": ("1", "-3/4", "1 0 2", "field gf 5\n1 2 0\n0 1 1\n", "lbr"),
+    "path": (str(Path(__file__).parent / "data" / "a_gf2.txt"), "no such file"),
+    "value": (2, Fraction(1, 2), F.one),
+    "values": ((1, 2, 3), [[1, 0], [0, 1]]),
+    "coefficients": ([1], [F.one, 2]),
+    "positions": ([1], [3, 1]),
+    "red": ((1,), (1, 3)),
+    "lime": ((), (2,)),
+    "Mark": (rl.Mark.BOTH, rl.Mark.NEITHER),
+    "modulus": (2, 5, None),
+}
+KINDS["generators"] = KINDS["rows"] = KINDS["vectors"] = KINDS["Sequence[Vector]"]
+
+WRONG = (None, True, False, "", "x", 1.5, math.nan, -1, 0, 10**30, -10**30, 5, [5],
+         [[1]], [1, [2]], [None], (1, 2, 3), rl.Vector.from_values(G, (1, 2, 0)),
+         rl.Vector.from_values(F, (1, 2)), [V, rl.Vector.from_values(G, (1, 2, 0))],
+         F.scalar(1), G.scalar(1), W, A, rl.Signature.from_string("rl"))
+SIZES = (-1, 0, 10**30, -10**30, 10**5000)  # out of range where an int goes
+BUDGETS = (0, 1, 40, 2.5, -1, math.nan, math.inf, None, True, "x")
+
+# Each class's public methods run on these instances.
+INSTANCES = {
+    rl.FieldSpec: KINDS["FieldSpec"],
+    rl.Scalar: (F.zero, F.scalar(3), Q.scalar(Fraction(-1, 2))),
+    rl.Vector: KINDS["Vector"],
+    rl.Matrix: KINDS["Matrix"],
+    rl.Subspace: KINDS["Subspace"],
+    rl.LimeBasis: KINDS["LimeBasis"],
+    rl.Signature: KINDS["Signature"],
+    rl.Permutation: (rl.Permutation((2, 3, 1)),),
+}
+
+
+def _public_calls():
+    """(name, class or None, attribute) for each exported callable and each
+    public method of an exported class. Exceptions are left out, and so is
+    calling Mark: that is the enum module's lookup by value, which raises
+    ValueError on a miss; Signature.from_string is redlime's way in."""
+    calls = []
+    for name, obj in sorted(vars(rl).items()):
+        if name.startswith("_") or not callable(obj) or inspect.ismodule(obj):
+            continue
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        if obj is not rl.Mark:
+            calls.append((name, None, obj))
+        if isinstance(obj, type):
+            calls += [(f"{name}.{attr}", obj, attr) for attr, member in vars(obj).items()
+                      if not attr.startswith("_")
+                      and isinstance(member, (classmethod, staticmethod, type(_public_calls)))]
+    return calls
+
+
+CALLS = {name: (owner, target) for name, owner, target in _public_calls()}
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the calling thread if the block runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+SKIP = object()  # leaves an optional parameter out
+
+
+def _argument(param):
+    """A strategy for one argument: a budget from BUDGETS; otherwise a wrong
+    value, a well-formed one for the parameter's annotation or name, or,
+    for an int, one out of range, each about as likely. An optional
+    parameter is left out about one time in four."""
+    if param.name == "budget":
+        return st.sampled_from(BUDGETS)
+    kind = param.annotation if isinstance(param.annotation, str) else ""
+    if kind.startswith("Optional["):
+        kind = kind[len("Optional["):-1]
+    right = KINDS.get(kind) or KINDS.get(param.name) or ()
+    pool = list(WRONG)
+    if right:
+        pool += right * (len(WRONG) // len(right))
+    if kind == "int":
+        pool += SIZES * (len(WRONG) // len(SIZES))
+    if param.default is not param.empty:
+        pool += [SKIP] * (len(pool) // 3)
+    return st.sampled_from(pool)
+
+
+def _calls(owner, target):
+    """A strategy for one call of a public callable: the bound callable and
+    one argument per parameter, SKIP for an optional one left out."""
+    if owner is not None:
+        receivers = (owner,) if isinstance(vars(owner)[target], classmethod) else INSTANCES[owner]
+        targets = [getattr(receiver, target) for receiver in receivers]
+    else:
+        targets = [target]
+    params = inspect.signature(targets[0]).parameters.values()
+    return st.tuples(st.sampled_from(targets), st.tuples(*map(_argument, params)))
+
+
+STRATEGIES = {name: _calls(owner, target) for name, (owner, target) in CALLS.items()}
+
+
+def test_every_public_callable_is_fuzzed():
+    assert len(CALLS) > 90
+    assert {"Subspace.full_space", "Vector.zero", "Permutation.image_of",
+            "gaussian_binomial", "load_matrix"} <= set(CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@settings(max_examples=10)
+@given(st.data())
+def test_public_calls_return_or_raise_a_redlime_error(name, data):
+    # a batch of calls per example spreads the engine's cost per example
+    for target, values in data.draw(st.lists(STRATEGIES[name], min_size=4, max_size=8)):
+        params = inspect.signature(target).parameters.values()
+        args = [v for p, v in zip(params, values) if p.default is p.empty]
+        kwargs = {p.name: v for p, v in zip(params, values)
+                  if p.default is not p.empty and v is not SKIP}
+        with _deadline(1):
+            try:
+                result = target(*args, **kwargs)
+                if inspect.isgenerator(result):
+                    for _ in result:
+                        pass
+            except RedlimeError:
+                pass

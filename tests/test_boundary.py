@@ -8,6 +8,8 @@ accept and rebuild unchanged.
 
 import math
 import os
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -104,6 +106,16 @@ BAD_SPACES = {
     "gaussian_binomial, bool n": lambda: rl.gaussian_binomial(True, 1, 2),
     "subspace_count, tuple n": lambda: rl.subspace_count((1, 2, 3), 2),
     "enumerate_subspaces, text n": lambda: list(rl.enumerate_subspaces("x", 2)),
+    "Subspace.full_space, no field or ambient": lambda: rl.Subspace.full_space(None, None),
+    # sizes past sys.maxsize, which no sequence reaches, refused before any build
+    "Vector.zero, huge n": lambda: rl.Vector.zero(GF5, 10**30),
+    "Vector.standard_basis, huge n": lambda: rl.Vector.standard_basis(GF5, 10**30, 1),
+    "Matrix.zero, huge n": lambda: rl.Matrix.zero(GF5, 10**30, 1),
+    "Matrix.identity, huge n": lambda: rl.Matrix.identity(GF5, 10**30),
+    "Subspace.full_space, huge ambient": lambda: rl.Subspace.full_space(GF5, 10**30),
+    "gaussian_binomial, huge n": lambda: rl.gaussian_binomial(10**30, 1, 2),
+    "subspace_count, huge n": lambda: rl.subspace_count(10**30, 2),
+    "signature_from_indices, huge n": lambda: rl.signature_from_indices((), (), 10**30),
 }
 
 
@@ -233,6 +245,25 @@ def test_constructors_refuse_non_canonical_parts(case):
         BAD_CANONICAL[case]()
 
 
+MESSAGES = {  # each names the argument, and its range where it has one
+    "position must be an int, not bool": lambda: V.entry(True),
+    "row must be an int, not bool": lambda: A.row(True),
+    f"ambient dimension of 100 bits outside 1..{sys.maxsize}": lambda: rl.Vector.zero(GF5, 10**30),
+    "ambient dimension of 16610 bits": lambda: rl.Vector.zero(GF5, 10**5000),
+    "position 4 outside 1..3": lambda: V.entry(4),
+    "coefficients must be an iterable, not int": lambda: rl.element_from_red_entries(W, 5),
+    "vector values must be an iterable, not int": lambda: rl.Vector.from_values(GF5, 5),
+    "a matrix row must be an iterable, not int": lambda: rl.Matrix.from_values(GF5, [5]),
+    "mixed fields: GF(3) where GF(5) is needed": lambda: V + BAD_VECTORS["wrong field"],
+}
+
+
+@pytest.mark.parametrize("message", MESSAGES)
+def test_usage_errors_name_the_argument(message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        MESSAGES[message]()
+
+
 def test_permutations_from_lists_and_tuples_agree():
     by_list, by_tuple = rl.Permutation([3, 1, 2]), rl.Permutation((3, 1, 2))
     assert by_list == by_tuple and hash(by_list) == hash(by_tuple)
@@ -334,7 +365,8 @@ def test_subspace_results_rebuild(w, data):
                 rl.lime_of_complement_from_red(w), rl.complement(w),
                 rl.element_from_red_entries(w, coeffs),
                 y + y, y - y, c * y, -y, rl.Vector.zero(w.field, w.ambient),
-                rl.Vector.standard_basis(w.field, w.ambient, w.ambient)):
+                rl.Vector.standard_basis(w.field, w.ambient, w.ambient),
+                rl.Subspace.full_space(w.field, w.ambient)):
         assert_rebuilds(obj)
     assert_entries(w.field, (rl.dot(y, y),))
 

@@ -142,7 +142,7 @@ def test_row_coercion_matches_coercion_of_each_value(field):
     if not field.is_prime_field:
         rows.append((Fraction(1, 3), 2))
     for row in rows:
-        got, want = field._coerce_row(row), tuple(map(field._coerce, row))
+        got, want = field._coerce_row(row, "a row"), tuple(map(field._coerce, row))
         assert got == want and list(map(type, got)) == list(map(type, want))
 
 
@@ -156,5 +156,5 @@ def test_row_coercion_refuses_what_coercion_refuses(field):
         with pytest.raises(UsageError) as one:
             field._coerce(value)
         with pytest.raises(UsageError) as row:
-            field._coerce_row((1, value, 2))
+            field._coerce_row((1, value, 2), "a row")
         assert str(row.value) == str(one.value)

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import redlime as rl
+from redlime import subspace
 from redlime.errors import ResourceError, UsageError
 
 from conftest import GF2, GF3, GF5, Q, all_subspaces, vec
@@ -112,9 +113,11 @@ def test_gaussian_binomials():
     assert rl.gaussian_binomial(4, 5, 2) == 0
 
 
-def test_enumerate_subspaces_counts_and_distinctness():
-    for n, p in [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
-        subs = all_subspaces(n, p)
+def test_enumerate_subspaces_counts_and_distinctness(monkeypatch):
+    for n, p in [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (3, 5)]:
+        with monkeypatch.context() as m:  # the red bases are written, not eliminated
+            m.setattr(subspace, "_red", lambda *args: pytest.fail("enumeration eliminated"))
+            subs = tuple(rl.enumerate_subspaces(n, p))
         assert len(subs) == rl.subspace_count(n, p)
         assert len(set(subs)) == len(subs)
         by_dim = Counter(w.dimension for w in subs)
@@ -122,6 +125,9 @@ def test_enumerate_subspaces_counts_and_distinctness():
         field = rl.gf(p)
         assert rl.Subspace.zero_subspace(field, n) in subs
         assert rl.Subspace.full_space(field, n) in subs
+        for w in subs:  # the public constructor and the kernel referee each one
+            assert rl.Subspace(field, n, w.red_indices, w.red_basis) == w
+            assert rl.span_red_basis(w.red_basis, n, field) == w
 
 
 def test_enumerate_subspaces_matches_brute_indices():
