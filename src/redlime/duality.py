@@ -1,18 +1,19 @@
 """Orthogonal complements under the standard symmetric bilinear form.
 
 The lime indices of the complement of W are exactly the non-red indices of
-W, and its lime basis can be read directly off W's red basis (and the red
-basis of the complement off W's lime basis) with no system solving: each
-basis element of the complement is supported on one non-red position plus
-the red positions, so it overlaps every red-basic element in at most two
-positions.
+W, and its red indices the non-lime ones. One read-off (``_read_off``) gives
+either basis of the complement off one of W's, with no system solving: for
+each non-key position o, a 1 at o and the negated o-th entry of each basic
+element at that element's key. A red-basic element is zero past its key and
+a lime-basic one before it, so such an entry is nonzero only at keys on the
+side of o that the result needs, and no key is compared with o.
 """
 
 from __future__ import annotations
 
 from .errors import _check_type
 from .fields import FieldSpec, Scalar
-from .subspace import LimeBasis, Subspace, Vector, _check_vector, _mirrored
+from .subspace import LimeBasis, Subspace, Vector, _check_vector, _lime_rows
 
 
 def dot(x: Vector, y: Vector) -> Scalar:
@@ -22,21 +23,20 @@ def dot(x: Vector, y: Vector) -> Scalar:
     return x.field.scalar(sum(a * b for a, b in zip(x._raw, y._raw)))
 
 
-def _read_off(field: FieldSpec, n: int, basis: dict) -> list:
-    """lime_of_complement_from_red on a raw red-basis dict with 0-based keys:
-    one pair (position, raw entries) per non-key position, ascending."""
+def _read_off(cls, field: FieldSpec, n: int, basis: dict):
+    """The complement of the span of a raw basis dict with 0-based keys, as
+    cls: a LimeBasis read off a red basis, a Subspace off a lime basis."""
     p, zero, one = field.modulus, field.zero.value, field.one.value
+    free = [o for o in range(n) if o not in basis]
     out = []
-    for o in range(n):
-        if o in basis:
-            continue
+    for o in free:
         z = [zero] * n
         z[o] = one
         for i, row in basis.items():
-            if i > o and row[o]:
+            if row[o]:
                 z[i] = -row[o] if p is None else p - row[o]
-        out.append((o, z))
-    return out
+        out.append(tuple(z))
+    return cls._made(field, n, tuple([o + 1 for o in free]), tuple(out))
 
 
 def lime_of_complement_from_red(w: Subspace) -> LimeBasis:
@@ -44,23 +44,16 @@ def lime_of_complement_from_red(w: Subspace) -> LimeBasis:
 
     For each non-red position o, the complement's lime-basic element carries
     a 1 at o, the negated o-th entry of each red-basic element at the red
-    index where that element terminates (for red indices past o), and zeros
-    elsewhere.
+    index where that element terminates, and zeros elsewhere.
     """
     _check_type(w, Subspace)
-    field, n = w.field, w.ambient
-    out = _read_off(field, n, {i - 1: r for i, r in zip(w.red_indices, w._raw)})
-    return LimeBasis._made(field, n, tuple(o + 1 for o, _ in out),
-                           tuple([tuple(z) for _, z in out]))
+    basis = {i - 1: r for i, r in zip(w.red_indices, w._raw)}
+    return _read_off(LimeBasis, w.field, w.ambient, basis)
 
 
 def _complement(field, n, rows) -> Subspace:
-    """Red basis of the complement of the span of raw rows in F^n, read off
-    its lime basis: reversal keeps the dot product, so this is the lime
-    read-off of the reversed span, reversed back."""
-    out = _read_off(field, n, _mirrored(rows, field.modulus))[::-1]
-    return Subspace._made(field, n, tuple(n - o for o, _ in out),
-                          tuple([tuple(z[::-1]) for _, z in out]))
+    """The complement of the span of raw rows in F^n, read off its lime basis."""
+    return _read_off(Subspace, field, n, _lime_rows(rows, n, field.modulus))
 
 
 def complement(w: Subspace) -> Subspace:

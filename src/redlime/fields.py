@@ -62,8 +62,8 @@ class FieldSpec:
             if not _is_prime(modulus):
                 raise DomainError(f"modulus {modulus} is not prime")
         self.modulus = modulus
-        self.zero = self.scalar(0)
-        self.one = self.scalar(1)
+        self.zero = _scalar(self, self._coerce(0))
+        self.one = _scalar(self, self._coerce(1))
 
     @property
     def is_prime_field(self) -> bool:
@@ -71,7 +71,7 @@ class FieldSpec:
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, or same-field Scalar into this field."""
-        return Scalar(self, self._coerce(value))
+        return Scalar(self, value)
 
     def _coerce(self, value):
         """The canonical raw value of an int, Fraction, or same-field Scalar:
@@ -104,7 +104,7 @@ class FieldSpec:
         """Iterate every element (finite fields only)."""
         if self.modulus is None:
             raise UsageError("cannot enumerate the rationals")
-        return (Scalar(self, r) for r in range(self.modulus))
+        return (_scalar(self, r) for r in range(self.modulus))
 
     def __eq__(self, other):
         if not isinstance(other, FieldSpec):
@@ -131,18 +131,20 @@ class Scalar:
 
     ``value`` is a ``Fraction`` over Q and a residue int over GF(p); both
     representations are canonical, so ``==`` and ``hash`` need no extra work.
-    Arithmetic insists that both operands carry the same FieldSpec.
+    Arithmetic insists that both operands carry the same FieldSpec. The
+    constructor coerces the value; ``_scalar`` builds package-made ones.
     """
 
     __slots__ = ("field", "value")
 
     def __init__(self, field: FieldSpec, value):
+        _check_type(field, FieldSpec)
         self.field = field
-        self.value = value
+        self.value = field._coerce(value)
 
     def _reduced(self, value) -> "Scalar":
         p = self.field.modulus
-        return Scalar(self.field, value if p is None else value % p)
+        return _scalar(self.field, value if p is None else value % p)
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
@@ -175,7 +177,7 @@ class Scalar:
         """Multiplicative inverse; DomainError on zero."""
         if not self.value:
             raise DomainError("zero has no multiplicative inverse")
-        return Scalar(self.field, _inverse(self.value, self.field.modulus))
+        return _scalar(self.field, _inverse(self.value, self.field.modulus))
 
     def is_zero(self) -> bool:
         return not self.value
@@ -201,6 +203,13 @@ class Scalar:
         return f"Scalar({self.value}, {self.field})"
 
 
+def _scalar(field: FieldSpec, value) -> Scalar:
+    """A Scalar of a package-made canonical raw value of field, unchecked."""
+    s = object.__new__(Scalar)
+    s.field, s.value = field, value
+    return s
+
+
 RATIONALS = FieldSpec()
 
 
@@ -213,7 +222,7 @@ def _scalars(field: FieldSpec, values) -> tuple:
     """Scalars for already-reduced raw values; zeros and ones share the
     field's cached ``zero`` and ``one``."""
     zero, one = field.zero, field.one
-    return tuple(zero if not v else one if v == 1 else Scalar(field, v) for v in values)
+    return tuple(zero if not v else one if v == 1 else _scalar(field, v) for v in values)
 
 
 def _random_scalar(field: FieldSpec, rng, bound: int) -> Scalar:
@@ -238,7 +247,7 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     """Parse one scalar token: ``-?[0-9]+`` anywhere, ``a/b`` over Q only."""
     _check_type(text, str)
     _check_type(field, FieldSpec)
-    return Scalar(field, _parse_scalar(text, field))
+    return _scalar(field, _parse_scalar(text, field))
 
 
 def _parse_scalar(text: str, field: FieldSpec):

@@ -16,8 +16,8 @@ from .duality import _complement
 from .errors import DomainError, UsageError, _check_field, _check_int, _check_type, _items
 from .fields import FieldSpec, Scalar, _scalars, _text
 from .subspace import (LimeBasis, Subspace, Vector, _check_space, _check_vector,
-                       _common_field_ambient, _keys, _lime, _product, _span, _unit,
-                       _values, _vector)
+                       _common_field_ambient, _keys, _lime, _lime_keys, _product, _span,
+                       _unit, _values, _vector)
 
 
 class Matrix:
@@ -188,8 +188,7 @@ def pivot_columns(a: Matrix) -> tuple:
     """Lime indices of the row space; the columns they select form a basis
     of the column space."""
     _check_type(a, Matrix)
-    keys = _keys([r[::-1] for r in a._raw], a.field.modulus)
-    return tuple(sorted(a.ncols - k for k in keys))
+    return tuple(sorted(o + 1 for o in _lime_keys(a._raw, a.ncols, a.field.modulus)))
 
 
 def dependent_columns(a: Matrix) -> frozenset:
@@ -247,7 +246,7 @@ def full_rank_factorization(a: Matrix) -> FullRankFactors:
 def _completion_rows(field: FieldSpec, n: int, rows) -> list:
     """Rows of the n-by-n identity at the non-lime indices of the span of
     rows, ascending."""
-    lime = {n - 1 - k for k in _keys([r[::-1] for r in rows], field.modulus)}
+    lime = _lime_keys(rows, n, field.modulus)
     return [_unit(field, n, j) for j in range(n) if j not in lime]
 
 

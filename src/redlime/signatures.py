@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DomainError, ParseError, UsageError, _check_int, _check_type, _items
 from .fields import FieldSpec
-from .subspace import Subspace, Vector, _keys, _last_nonzero, _span, _vector
+from .subspace import Subspace, Vector, _keys, _last_nonzero, _lime_keys, _span, _vector
 
 
 class Mark(enum.Enum):
@@ -27,6 +27,10 @@ class Mark(enum.Enum):
     LIME_ONLY = "l"
     BOTH = "b"
     NEITHER = "n"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise UsageError(f"a mark is one of the letters r, l, b and n, not {value!r}")
 
 
 class Signature:
@@ -46,11 +50,13 @@ class Signature:
         _check_type(text, str)
         try:
             marks = tuple(Mark(ch) for ch in text)
-        except ValueError:
+        except UsageError:
             raise ParseError(f"signature may only contain r/l/b/n: {text!r}") from None
         if not marks:
             raise ParseError("empty signature string")
-        return cls(marks)
+        sig = object.__new__(cls)  # package-made marks, unchecked
+        sig.marks = marks
+        return sig
 
     def count(self, mark: Mark) -> int:
         return sum(1 for m in self.marks if m is mark)
@@ -94,10 +100,10 @@ def signature_from_indices(red, lime, n: int) -> Signature:
 
 def signature(w: Subspace) -> Signature:
     """The subspace's mark string; b- and r-counts sum to the dimension, as
-    do b- and l-counts. The lime indices are read off an echelon pass of the
-    reversed rows (``_keys``)."""
+    do b- and l-counts. The lime indices are read off an echelon pass
+    (``_lime_keys``)."""
     _check_type(w, Subspace)
-    lime = {w.ambient - k for k in _keys([r[::-1] for r in w._raw], w.field.modulus)}
+    lime = {o + 1 for o in _lime_keys(w._raw, w.ambient, w.field.modulus)}
     return _signature(set(w._indices), lime, w.ambient)
 
 
@@ -240,13 +246,11 @@ def permute_presenting_positions(w: Subspace, positions) -> tuple:
         _check_int(p, "position", 1, n)
     positions = sorted(set(positions))
     k = len(positions)
-    if k == 0:
-        return Permutation(tuple(range(1, n + 1))), w
-    restricted = [[r[p - 1] for p in positions] for r in w._raw]
-    if len(_keys(restricted, w.field.modulus)) != k:
+    if k and len(_keys([[r[p - 1] for p in positions] for r in w._raw], w.field.modulus)) != k:
         raise DomainError("the subspace does not present as the full space there")
-    order = [q for q in range(1, n + 1) if q not in positions] + positions
+    chosen = set(positions)
+    order = [q for q in range(1, n + 1) if q not in chosen] + positions
     slot = {q: s for s, q in enumerate(order, start=1)}
-    perm = Permutation(tuple(slot[q] for q in range(1, n + 1)))
-    moved = _span(w.field, n, [[r[q - 1] for q in order] for r in w._raw])
-    return perm, moved
+    perm = object.__new__(Permutation)  # package-made images, unchecked
+    perm.images = tuple([slot[q] for q in range(1, n + 1)])
+    return perm, _span(w.field, n, [[r[q - 1] for q in order] for r in w._raw]) if k else w

@@ -276,7 +276,7 @@ def _red(rows, p) -> dict:
     if p is None:
         return _red_ints(rows)
     if p == 2:
-        return _red_bits(rows)
+        return {t: _unpack(x, len(rows[0])) for t, x in _red_bits(map(_pack, rows)).items()}
     if len(rows) >= _SLOTS_FROM and len(rows[0]) >= _SLOTS_FROM:
         return _red_slots(rows, p)
     basis: dict = {}
@@ -297,7 +297,7 @@ def _keys(rows, p):
     if p is None:
         return _int_basis(rows).keys()
     if p == 2:
-        return _echelon_bits(rows).keys()
+        return _echelon_bits(map(_pack, rows)).keys()
     if len(rows) >= _SLOTS_FROM and len(rows[0]) >= _SLOTS_FROM:
         return _echelon_slots(rows, p).keys()
     return _red(rows, p).keys()
@@ -354,14 +354,12 @@ def _red_ints(rows) -> dict:
             for t, b in _int_basis(rows).items()}
 
 
-def _echelon_bits(rows) -> dict:
-    """An echelon basis over GF(2) of packed rows, by key: each row is XORed
-    with the stored row at its leading bit until it is zero or its leading
-    bit is a new key. Stored rows end at their keys; nothing else is
-    cleared."""
+def _echelon_bits(xs) -> dict:
+    """An echelon basis over GF(2) of rows packed as ints, by leading bit:
+    each is XORed with the stored row at its leading bit until it is zero
+    or leads at a new key. Nothing else is cleared."""
     basis: dict = {}
-    for row in rows:
-        x = _pack(row)
+    for x in xs:
         while x:
             t = x.bit_length() - 1
             b = basis.get(t)
@@ -372,13 +370,12 @@ def _echelon_bits(rows) -> dict:
     return basis
 
 
-def _red_bits(rows) -> dict:
-    """_red over GF(2): rows packed as bits, so a row operation is one XOR.
+def _red_bits(xs) -> dict:
+    """The reduced basis over GF(2) of rows packed as ints, keys ascending.
     ``_echelon_bits`` finds the keys; then, keys ascending, each stored row
-    is XORed with the already reduced rows at the lower keys where it has a
-    set bit. Each of those is zero at every other key, so the order of the
-    XORs does not matter, and the row ends zero at every key but its own."""
-    echelon = _echelon_bits(rows)
+    is XORed with the reduced rows at the lower keys where it has a set bit:
+    each of those is zero at every other key, so it ends zero at all but its own."""
+    echelon = _echelon_bits(xs)
     basis: dict = {}
     for t in sorted(echelon):
         x = echelon[t]
@@ -386,8 +383,7 @@ def _red_bits(rows) -> dict:
             if x >> i & 1:
                 x ^= b
         basis[t] = x
-    n = len(rows[0]) if rows else 0
-    return {t: _unpack(x, n) for t, x in basis.items()}
+    return basis
 
 
 def _red_slots(rows, p: int) -> dict:
@@ -502,11 +498,25 @@ def _product(field: FieldSpec, coefficient_rows, rows, m: int) -> list:
     return out
 
 
-def _mirrored(rows, p) -> dict:
-    """_red of the position-reversed rows. Reversal swaps terminating and
-    originating, so key k holds the lime-basic element for lime index
-    ``n - k`` (n the row length), read backwards."""
-    return _red([r[::-1] for r in rows], p)
+def _lime_rows(rows, n: int, p) -> dict:
+    """The lime basis of the span of an iterable of raw rows of n entries as
+    {0-based lime index: row tuple}, ascending: the red basis of the reversed
+    rows, read backwards. Over GF(2) entry j is packed at bit n - 1 - j, so the
+    bit order reverses, and each answer's digits, highest first, are its row."""
+    if p == 2:
+        basis = _red_bits([int(bytes(r).translate(_DIGITS), 2) for r in rows])
+        return {n - 1 - t: tuple(bin(x | 1 << n)[3:].encode().translate(_BITS))
+                for t, x in reversed(basis.items())}
+    red = _red([r[::-1] for r in rows], p)
+    return {n - 1 - k: tuple(red[k][::-1]) for k in sorted(red, reverse=True)}
+
+
+def _lime_keys(rows, n: int, p) -> set:
+    """The keys of ``_lime_rows``, off an echelon pass with no row reduced."""
+    if p == 2:
+        return {n - 1 - t for t in _echelon_bits(
+            [int(bytes(r).translate(_DIGITS), 2) for r in rows])}
+    return {n - 1 - k for k in _keys([r[::-1] for r in rows], p)}
 
 
 class _Canonical:
@@ -630,10 +640,8 @@ def _span(field, n, rows) -> Subspace:
 
 def _lime(field, n, rows) -> LimeBasis:
     """The lime basis of the span of raw rows in F^n."""
-    mirrored = _mirrored(rows, field.modulus)
-    keys = sorted(mirrored, reverse=True)
-    return LimeBasis._made(field, n, tuple(n - k for k in keys),
-                           tuple([tuple(mirrored[k][::-1]) for k in keys]))
+    lime = _lime_rows(rows, n, field.modulus)
+    return LimeBasis._made(field, n, tuple([o + 1 for o in lime]), tuple(lime.values()))
 
 
 def _common_field_ambient(generators, ambient, field):

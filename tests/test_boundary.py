@@ -151,6 +151,10 @@ BAD_TYPES = {
     "signature_from_indices, ints": lambda: rl.signature_from_indices(1, 2, 3),
     "load_matrix, None": lambda: rl.load_matrix(None),
     "Signature.from_string, int": lambda: rl.Signature.from_string(5),
+    "Mark, None": lambda: rl.Mark(None),
+    "Mark, text": lambda: rl.Mark("x"),
+    "Scalar, no field": lambda: rl.Scalar(None, 1) + rl.Scalar(None, 1),
+    "Scalar, text value": lambda: rl.Vector(GF5, [rl.Scalar(GF5, "x")]),
     "Vector.entry, text position": lambda: V.entry("a"),
     "Matrix.entry, text row": lambda: A.entry("a", 1),
     "Matrix.entry, float row": lambda: A.entry(1.0, 1),

@@ -8,11 +8,15 @@ multiply-add and slots are reduced only when a row is unpacked. Over odd p,
 least ``_SLOTS_FROM``, and the insertion kernel otherwise. Over Q, ``_red``
 eliminates integer rows (``_red_ints``) and builds Fractions only in its
 answer, while ``_product`` still adds Fraction rows with ``_axpy``.
-``subspace._keys`` gives only the keys (the red indices), behind ``rank``,
-``pivot_columns``, ``dependent_columns`` and ``signature``: by an echelon
-pass over GF(2) (which ``_red_bits`` then back-substitutes) and, from
-``_SLOTS_FROM``, over odd p, and by the integer phase of ``_red_ints``
-over Q.
+``subspace._keys`` gives only the keys (the red indices), behind ``rank``:
+by an echelon pass over GF(2) (which ``_red_bits`` then back-substitutes)
+and, from ``_SLOTS_FROM``, over odd p, and by the integer phase of
+``_red_ints`` over Q. The lime side has two helpers: ``_lime_rows`` (the
+lime basis, behind ``rref``, ``nullspace``, ``lime_basis`` and
+``complement``) and ``_lime_keys`` (its indices, behind ``pivot_columns``,
+``dependent_columns`` and ``signature``). Over GF(2) they pack each row
+with its first entry in the top bit, so no row is reversed; over odd p and
+Q they eliminate the reversed rows.
 ``_insert_red`` and ``_axpy`` referee the packed and integer paths on wide
 rows (past one machine word), low rank, zero and duplicate rows, row counts
 and widths on both sides of the kernel choice, rows that drive the
@@ -216,7 +220,7 @@ def test_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p):
         rows = _max_carry_rows(rng, p, m)
         calls = {
             "_red": lambda: _red(rows, p),
-            "_red of reversed rows": lambda: subspace._mirrored(rows, p),
+            "_lime_rows": lambda: subspace._lime_rows(rows, m, p),
             "@": lambda: (rl.Matrix.from_values(field, [[q] * m] * 3)
                           @ rl.Matrix.from_values(field, [[q] * 5] * m)),
         }
@@ -388,6 +392,46 @@ def test_keys_match_the_insertion_kernel(rng, form, p):
     assert set(_keys([(0,) * 9, (0,) * 8 + (1,)] * 9, p)) == {8}
 
 
+def _lime_cases(rng, p):
+    """Row sets for the lime helpers over p (None for Q): every width, at
+    one row, a few rows and more rows than entries, with zero and repeated
+    rows."""
+    for m in WIDTHS:
+        for n, rank in ((1, 1), (6, 3), (m + 3, max(1, m // 2))):
+            rank = min(rank, m)
+            if p is None:
+                if n * rank * m <= Q_BUDGETS["small"]:
+                    yield _q_rows(rng, Q_ENTRIES["small"], n, m, rank)
+            elif p == 2:
+                yield _gf2_rows(rng, n, m, rank)
+            elif n * rank * m <= 200_000:  # keeps the cost in check
+                yield _gfp_rows(rng, p, n, m, rank)
+
+
+def _lime_read_back(red, n):
+    """A red-basis dict of reversed rows of n entries, read backwards: the
+    lime dict of the rows, indices ascending."""
+    return {n - 1 - k: tuple(red[k][::-1]) for k in sorted(red, reverse=True)}
+
+
+@pytest.mark.parametrize("p", (2, 3, 65521, None), ids=lambda p: "Q" if p is None else str(p))
+@pytest.mark.parametrize("form", sorted(ROW_FORMS))
+def test_lime_helpers_match_the_red_basis_of_the_reversed_rows(rng, form, p):
+    """Over GF(2) the helpers pack rows first entry highest and unpack the
+    answers most significant bit first; at widths 63, 64 and 65 a leading
+    zero dropped there would shift every entry."""
+    for rows in _lime_cases(rng, p):
+        rows = ROW_FORMS[form](rows)
+        n = len(rows[0])
+        lime = _lime_read_back(_red([r[::-1] for r in rows], p), n)
+        for given in (rows, zip(*zip(*rows))):  # a one-shot iterator, as callers pass
+            got = subspace._lime_rows(given, n, p)
+            assert got == lime and list(got) == list(lime), (n, len(rows))
+        assert subspace._lime_keys(rows, n, p) == set(lime)
+        assert subspace._lime_keys(zip(*zip(*rows)), n, p) == set(lime)
+    assert subspace._lime_rows(iter([]), 5, p) == {} and subspace._lime_keys([], 5, p) == set()
+
+
 @st.composite
 def gf2_matrices(draw, nrows=st.integers(1, 10), ncols=st.integers(1, 130)):
     """GF(2) matrices whose rows combine a few drawn rows, so low rank, zero
@@ -442,28 +486,34 @@ def gfp_matrices(draw, fields=st.sampled_from((GF3, GF5, GF65521)),
 
 
 def _assert_answers_match_the_generic_kernel(a):
-    """Every answer is the same when both eliminations, ``_red`` and
-    ``_keys``, are the insertion kernel, and both were called."""
+    """Every answer is the same when the eliminations, ``_red`` and
+    ``_keys`` and the lime helpers ``_lime_rows`` and ``_lime_keys``, are
+    the insertion kernel, and each was called."""
     packed = _answers(a)
-    calls, key_calls = [], []
+    calls = {"_red": [], "_keys": [], "_lime_rows": [], "_lime_keys": []}
 
-    def counted(rows, p):
-        calls.append(p)
-        return _generic_red(rows, p)
+    def counted(name, answer):
+        def run(rows, *args):
+            calls[name].append(args[-1])
+            return answer(list(rows), *args)
+        return run
 
-    def counted_keys(rows, p):
-        key_calls.append(p)
-        return set(_generic_red(rows, p))
-
+    fakes = {
+        "_red": counted("_red", _generic_red),
+        "_keys": counted("_keys", lambda rows, p: set(_generic_red(rows, p))),
+        "_lime_rows": counted("_lime_rows", lambda rows, n, p: _lime_read_back(
+            _generic_red([r[::-1] for r in rows], p), n)),
+        "_lime_keys": counted("_lime_keys", lambda rows, n, p: {
+            n - 1 - k for k in _generic_red([r[::-1] for r in rows], p)}),
+    }
     with pytest.MonkeyPatch.context() as mp:
         for module in (subspace, duality, matrix, signatures):
-            if hasattr(module, "_red"):
-                mp.setattr(module, "_red", counted)
-            if hasattr(module, "_keys"):
-                mp.setattr(module, "_keys", counted_keys)
+            for name, fake in fakes.items():
+                if hasattr(module, name):
+                    mp.setattr(module, name, fake)
         generic = _answers(a)
-    assert calls and set(calls) == {a.field.modulus}
-    assert key_calls and set(key_calls) == {a.field.modulus}
+    for name, ps in calls.items():
+        assert ps and set(ps) == {a.field.modulus}, name
     assert packed == generic
 
 
