@@ -21,6 +21,18 @@ takes the slot kernel more than TOLERANCE times the insertion kernel's time
 (a margin for timing noise): the rule that sets ``_SLOTS_FROM``, which
 serves both.
 
+With ``--passes`` it times the two odd-p slot reductions that ``_red``
+chooses between from ``_SLOTS_FROM`` on, each forced on the same rows:
+``_red_slots`` (one Gauss–Jordan pass) and ``_red_echelon_slots`` (an
+echelon pass, then the standard basis if it finds every key, else
+back-substitution), by prime (3, 5, 65521) and shape (tall, square and
+wide, 8 to 150 rows or entries), at full rank min(rows, width) and at
+about three quarters of it. Each ratio is the two-pass time over the
+one-pass time, the median over --rounds alternating rounds; the summary
+gives the largest ratio by shape class, which is what sets the gate:
+``_red`` takes two passes on at least as many rows as entries, the only
+shape whose span can be all of F^n.
+
 With ``--field q`` it times Q instead, where ``_red`` has no crossover:
 the integer kernel (``_red_ints``) against the ``_insert_red`` loop on
 Fractions (the kernel ``_red`` ran over Q before it), on random rows of
@@ -28,7 +40,7 @@ small fractions, 1-12 rows, widths 1-30, measured the same way. A ratio
 below 1 means the integer kernel is faster; the last line gives the
 largest ratio.
 
-    PYTHONPATH=src python3 scripts/kernel_crossover.py [--rounds 7] [--field q]
+    PYTHONPATH=src python3 scripts/kernel_crossover.py [--rounds 7] [--field q | --passes]
 """
 
 import argparse
@@ -102,6 +114,68 @@ def q_table(rounds):
     print(f"\nlargest ratio {max(median.values()):.2f}")
 
 
+# (rows, width) for the --passes table: tall, square and wide, 8 to 150
+PASS_SHAPES = ((16, 8), (30, 10), (60, 25), (150, 100),
+               (8, 8), (12, 12), (25, 25), (50, 50), (100, 100), (150, 150),
+               (8, 16), (12, 24), (25, 50), (75, 150))
+REDUCTIONS = {"one pass": subspace._red_slots, "two passes": subspace._red_echelon_slots}
+
+
+def rows_of_rank(rng, p, n, m, rank):
+    """n random rows of width m over GF(p) spanning ``rank`` dimensions (but
+    for chance dependencies): combinations of ``rank`` random rows."""
+    base = [[rng.randrange(p) for _ in range(m)] for _ in range(rank)]
+    rows = []
+    for _ in range(n):
+        cs = [rng.randrange(p) for _ in range(rank)]
+        rows.append(tuple(sum(c * b[j] for c, b in zip(cs, base)) % p for j in range(m)))
+    return rows
+
+
+def pass_time(kind, samples, p, number):
+    kernel = REDUCTIONS[kind]
+    return min(timeit.repeat(lambda: [kernel(rows, p) for rows in samples],
+                             number=number, repeat=REPEAT)) / number
+
+
+def passes_table(rounds):
+    """Median time ratio of the two-pass odd-p reduction to the one-pass one."""
+    rng = random.Random(SEED)
+    cases = {}
+    for p in PRIMES:
+        for n, m in PASS_SHAPES:
+            for rank in (min(n, m), 3 * min(n, m) // 4):
+                samples = [rows_of_rank(rng, p, n, m, rank) for _ in range(2)]
+                one, two = (REDUCTIONS[kind](samples[0], p) for kind in REDUCTIONS)
+                assert one == two, (p, n, m, rank)
+                cases[p, n, m, rank] = samples
+    numbers = {case: max(1, int(2e-3 / pass_time("one pass", samples, case[0], 1)))
+               for case, samples in cases.items()}
+    ratios = {case: [] for case in cases}
+    for r in range(rounds):
+        order = tuple(REDUCTIONS)[::1 if r % 2 == 0 else -1]
+        for case, samples in cases.items():
+            t = {kind: pass_time(kind, samples, case[0], numbers[case]) for kind in order}
+            ratios[case].append(t["two passes"] / t["one pass"])
+    median = {case: statistics.median(v) for case, v in ratios.items()}
+    print(f"two-pass time / one-pass time, median of {rounds} rounds of best-of-{REPEAT}")
+    print(f"{'shape':>16} {'rank':>8}" + "".join(f"{'GF(' + str(p) + ')':>12}" for p in PRIMES))
+    worst = {}
+    for n, m in PASS_SHAPES:
+        shape = "wide" if n < m else "square" if n == m else "tall"
+        for full in (True, False):
+            rank = min(n, m) if full else 3 * min(n, m) // 4
+            span = "full" if full and n >= m else "rank " + str(rank)
+            row = [median[p, n, m, rank] for p in PRIMES]
+            key = ("rows < entries" if n < m else "rows >= entries",
+                   "full span" if full and n >= m else "not full span")
+            worst[key] = max(worst.get(key, 0), *row)
+            print(f"{n:4}x{m:<4} {shape:>6} {span:>8}" + "".join(f"{g:12.2f}" for g in row))
+    print("\nlargest ratio by class")
+    for (gate, span), g in sorted(worst.items()):
+        print(f"  {gate:16} {span:14} {g:5.2f}")
+
+
 def odd_p_ratios(op, cases, rounds):
     """Median time ratio of op with the slot kernel forced to op with the
     insertion kernel forced, by case."""
@@ -145,9 +219,13 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rounds", type=int, default=7)
     ap.add_argument("--field", choices=("odd-p", "q"), default="odd-p")
+    ap.add_argument("--passes", action="store_true",
+                    help="time the one- and two-pass odd-p reductions by shape")
     args = ap.parse_args()
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    if args.passes:
+        return passes_table(args.rounds)
     if args.field == "q":
         return q_table(args.rounds)
     rng = random.Random(SEED)

@@ -287,8 +287,8 @@ def run(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, ResourceError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

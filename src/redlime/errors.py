@@ -1,7 +1,7 @@
 """Exception hierarchy shared by every redlime module, and its argument checks.
 
 The CLI maps these onto exit codes: UsageError -> 1, ParseError -> 2,
-DomainError and ResourceError -> 3.
+DomainError, ResourceError and MemoryError -> 3.
 """
 
 import sys

@@ -20,17 +20,20 @@ from .fields import FieldSpec
 from .subspace import Subspace, Vector, _keys, _last_nonzero, _lime_keys, _span, _vector
 
 
-class Mark(enum.Enum):
+class _MarkType(enum.EnumMeta):
+    def __call__(cls, value, *more, **named):  # Mark(letter) only: no functional API
+        if more or named or value not in [m.value for m in cls]:  # no hash or repr of value
+            raise UsageError("a mark is one of the letters r, l, b and n")
+        return super().__call__(value)
+
+
+class Mark(enum.Enum, metaclass=_MarkType):
     """Status of one position: red side = terminating, lime side = originating."""
 
     RED_ONLY = "r"
     LIME_ONLY = "l"
     BOTH = "b"
     NEITHER = "n"
-
-    @classmethod
-    def _missing_(cls, value):
-        raise UsageError(f"a mark is one of the letters r, l, b and n, not {value!r}")
 
 
 class Signature:

@@ -268,17 +268,20 @@ def _red(rows, p) -> dict:
     are eliminated as integers (``_red_ints``); over GF(2) they are packed
     as bits (``_red_bits``, an echelon pass and then back-substitution);
     over odd p, on at least ``_SLOTS_FROM`` rows of at least
-    ``_SLOTS_FROM`` entries, into slots (``_red_slots``, whose docstring
-    proves the slot width); otherwise they go through the insertion kernel.
-    Every kernel returns the same dict. Callers that read only the keys
-    (the red indices) call ``_keys``, which skips the reduction.
+    ``_SLOTS_FROM`` entries, into slots, by those two passes on at least as
+    many rows as entries, the only shape whose span can be F^n
+    (``_red_echelon_slots``), else by one (``_red_slots``); otherwise they go
+    through the insertion kernel. Every kernel returns the same dict.
+    Callers that read only the keys (the red indices) call ``_keys``, which
+    skips the reduction.
     """
     if p is None:
         return _red_ints(rows)
     if p == 2:
-        return {t: _unpack(x, len(rows[0])) for t, x in _red_bits(map(_pack, rows)).items()}
+        n = len(rows[0]) if rows else 0
+        return {t: _unpack(x, n) for t, x in _red_bits(map(_pack, rows), n).items()}
     if len(rows) >= _SLOTS_FROM and len(rows[0]) >= _SLOTS_FROM:
-        return _red_slots(rows, p)
+        return (_red_echelon_slots if len(rows) >= len(rows[0]) else _red_slots)(rows, p)
     basis: dict = {}
     for row in rows:
         _insert_red(basis, list(row), p)
@@ -370,12 +373,15 @@ def _echelon_bits(xs) -> dict:
     return basis
 
 
-def _red_bits(xs) -> dict:
-    """The reduced basis over GF(2) of rows packed as ints, keys ascending.
-    ``_echelon_bits`` finds the keys; then, keys ascending, each stored row
-    is XORed with the reduced rows at the lower keys where it has a set bit:
-    each of those is zero at every other key, so it ends zero at all but its own."""
+def _red_bits(xs, n: int) -> dict:
+    """The reduced basis over GF(2) of rows of n entries packed as ints, keys
+    ascending: the standard basis if ``_echelon_bits`` finds n keys; else,
+    keys ascending, each stored row is XORed with the reduced rows at the
+    lower keys where it has a set bit: each of those is zero at every other
+    key, so it ends zero at all but its own."""
     echelon = _echelon_bits(xs)
+    if len(echelon) == n:
+        return {t: 1 << t for t in range(n)}
     basis: dict = {}
     for t in sorted(echelon):
         x = echelon[t]
@@ -473,6 +479,27 @@ def _echelon_slots(rows, p: int) -> dict:
     return basis
 
 
+def _red_echelon_slots(rows, p: int) -> dict:
+    """_red over GF(p), p odd, on a nonempty sequence of raw rows of n
+    entries, in the two passes of ``_red_bits``: the standard basis if
+    ``_echelon_slots`` finds n keys; else, keys ascending, each stored row x
+    is cleared by one sum ``x + Σ (p - x[i])·b_i`` over the reduced rows b_i
+    at the lower keys, then reduced and repacked. With q = p - 1 the sum's
+    slots stay at most q + (n - 1)·q², within what ``_echelon_slots``' width holds."""
+    n = len(rows[0])
+    echelon = _echelon_slots(rows, p)
+    if len(echelon) == n:
+        return {t: [0] * t + [1] + [0] * (n - 1 - t) for t in range(n)}
+    k = _slot_bytes(2 * p.bit_length() + n.bit_length())
+    packed, basis = {}, {}
+    for t, x in sorted(echelon.items()):
+        row = _unpack(x, n, k)
+        x = sum([(p - row[i]) * b for i, b in packed.items() if row[i]], x)
+        basis[t] = row = [v % p for v in _unpack(x, n, k)]
+        packed[t] = _pack(row, k)
+    return basis
+
+
 def _product(field: FieldSpec, coefficient_rows, rows, m: int) -> list:
     """Raw rows of the product: for each coefficient row c, the sum of
     c[j]·rows[j] over raw rows of m entries, packed as in ``_red`` (bits
@@ -504,7 +531,7 @@ def _lime_rows(rows, n: int, p) -> dict:
     rows, read backwards. Over GF(2) entry j is packed at bit n - 1 - j, so the
     bit order reverses, and each answer's digits, highest first, are its row."""
     if p == 2:
-        basis = _red_bits([int(bytes(r).translate(_DIGITS), 2) for r in rows])
+        basis = _red_bits([int(bytes(r).translate(_DIGITS), 2) for r in rows], n)
         return {n - 1 - t: tuple(bin(x | 1 << n)[3:].encode().translate(_BITS))
                 for t, x in reversed(basis.items())}
     red = _red([r[::-1] for r in rows], p)

@@ -11,6 +11,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -21,7 +22,7 @@ from redlime.errors import UsageError
 from redlime.matrixfile import parse_field_tokens
 from redlime.subspace import _vector
 
-from conftest import GF3, GF5, matrices, scalars, subspaces, vec, vectors
+from conftest import ALL_FIELDS, GF3, GF5, matrices, scalars, subspaces, vec, vectors
 
 
 # --- one argument check per public entry point ------------------------------
@@ -153,6 +154,8 @@ BAD_TYPES = {
     "Signature.from_string, int": lambda: rl.Signature.from_string(5),
     "Mark, None": lambda: rl.Mark(None),
     "Mark, text": lambda: rl.Mark("x"),
+    "Mark, int without a repr": lambda: rl.Mark(10**5000),
+    "Mark, enum functional API": lambda: rl.Mark("x", names="y"),
     "Scalar, no field": lambda: rl.Scalar(None, 1) + rl.Scalar(None, 1),
     "Scalar, text value": lambda: rl.Vector(GF5, [rl.Scalar(GF5, "x")]),
     "Vector.entry, text position": lambda: V.entry("a"),
@@ -406,3 +409,48 @@ def test_canonical_values_build_by_keyword():
     lime_by_keyword = rl.LimeBasis(field=lb.field, ambient=lb.ambient,
                                    lime_indices=lb.lime_indices, vectors=lb.vectors)
     assert lime_by_keyword == lb and lime_by_keyword.vectors == (V,)
+
+
+# --- which space a value lives in: the field and the ambient take part in == --
+
+# Raw values coincide across fields (Fraction(1) == 1, Fraction(0) == 0), so
+# each builder makes, over every field, values whose raw parts are equal:
+# only the field tells them apart.
+SAME_RAW = {
+    "Scalar": lambda f: rl.Scalar(f, 1),
+    "Vector": lambda f: rl.Vector.from_values(f, (0, 1)),
+    "Matrix": lambda f: rl.Matrix.from_values(f, [[0, 1], [1, 0]]),
+    "Subspace": lambda f: rl.span_red_basis([rl.Vector.from_values(f, (0, 1))]),
+    "LimeBasis": lambda f: rl.lime_basis(rl.span_red_basis([rl.Vector.from_values(f, (0, 1))])),
+}
+
+
+@pytest.mark.parametrize("kind", SAME_RAW)
+def test_equal_raw_values_over_different_fields_differ(kind):
+    made = {f: SAME_RAW[kind](f) for f in ALL_FIELDS}
+    for f, x in made.items():
+        for g, y in made.items():
+            assert (x == y) is (f == g) and (x != y) is (f != g), (f, g)
+            if f == g:
+                assert hash(x) == hash(SAME_RAW[kind](g))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+def test_empty_values_of_different_ambients_differ(field):
+    """The zero subspace and the empty lime basis have no indices and no
+    rows, so only the ambient tells F^3's from F^4's."""
+    for make in (rl.Subspace.zero_subspace, rl.LimeBasis.empty):
+        x, y = make(field, 3), make(field, 4)
+        assert x != y and not x == y
+        assert x == make(field, 3) and hash(x) == hash(make(field, 3))
+
+
+def test_containment_across_fields_or_ambients_is_a_usage_error():
+    for f, g in permutations(ALL_FIELDS, 2):
+        w, v = SAME_RAW["Subspace"](f), SAME_RAW["Subspace"](g)
+        with pytest.raises(UsageError):
+            rl.subspace_leq(w, v)
+        with pytest.raises(UsageError):
+            w <= v
+    with pytest.raises(UsageError):
+        rl.subspace_leq(rl.Subspace.zero_subspace(GF5, 3), rl.Subspace.full_space(GF5, 4))

@@ -92,6 +92,14 @@ def test_feasible_exit_codes(capsys):
     assert "parse error" in err
 
 
+def test_memory_error_exits_3(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr("redlime.cli._cmd_feasible", exhausted)
+    assert cli(capsys, "feasible", "lbr") == (3, "", "error: out of memory\n")
+
+
 def test_synthesize_golden(capsys):
     code, out, _ = cli(capsys, "synthesize", "lbr")
     assert code == 0

@@ -4,8 +4,11 @@
 ``apply_column_centric``) work on rows packed into ints: as bits over
 GF(2), and in wide slots over odd p, where a row operation is one
 multiply-add and slots are reduced only when a row is unpacked. Over odd p,
-``_red`` runs the slot kernel when both the row count and the width are at
-least ``_SLOTS_FROM``, and the insertion kernel otherwise. Over Q, ``_red``
+``_red`` runs a slot kernel when both the row count and the width are at
+least ``_SLOTS_FROM``, and the insertion kernel otherwise: on at least as
+many rows as entries an echelon pass, then the standard basis if it finds
+every key or back-substitution if not (``_red_echelon_slots``), and on
+wider rows one pass (``_red_slots``). Over Q, ``_red``
 eliminates integer rows (``_red_ints``) and builds Fractions only in its
 answer, while ``_product`` still adds Fraction rows with ``_axpy``.
 ``subspace._keys`` gives only the keys (the red indices), behind ``rank``:
@@ -183,11 +186,15 @@ def _max_carry_rows(rng, p, m):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_slot_red_at_the_largest_slot_values(rng, p):
+    """The rows are tall, so ``_red`` takes two passes; ``_red_slots``, which
+    ``_red`` keeps for wide rows, is run on them directly."""
     for m in (8, 31, 64, 129, 200):
         rows = _max_carry_rows(rng, p, m)
         for form in ("tuples", "reversed"):
             make = ROW_FORMS[form]
-            assert _red(make(rows), p) == _generic_red(make(rows), p), (m, form)
+            generic = _generic_red(make(rows), p)
+            assert _red(make(rows), p) == generic, (m, form)
+            assert subspace._red_slots(make(rows), p) == generic, (m, form)
 
 
 def _watch_slots(monkeypatch):
@@ -220,6 +227,7 @@ def test_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p):
         rows = _max_carry_rows(rng, p, m)
         calls = {
             "_red": lambda: _red(rows, p),
+            "_red_slots": lambda: subspace._red_slots(rows, p),
             "_lime_rows": lambda: subspace._lime_rows(rows, m, p),
             "@": lambda: (rl.Matrix.from_values(field, [[q] * m] * 3)
                           @ rl.Matrix.from_values(field, [[q] * 5] * m)),
@@ -258,6 +266,98 @@ def test_echelon_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p)
             keys = _keys(ROW_FORMS[form](rows), _Watched(p, seen))
             assert set(keys) == set(range(m))
             assert len(asked) == 1 and 0 < max(seen) < 2 ** asked[0], (m, form)
+
+
+TWO_PASS_PRIMES = (3, 5, 65521)
+
+
+def _count_slot_kernels(monkeypatch):
+    """Record which odd-p slot kernel each ``_red`` call runs."""
+    ran = []
+    for name in ("_red_slots", "_red_echelon_slots"):
+        def counted(rows, p, kernel=getattr(subspace, name), name=name):
+            ran.append(name)
+            return kernel(rows, p)
+        monkeypatch.setattr(subspace, name, counted)
+    return ran
+
+
+@pytest.mark.parametrize("p", TWO_PASS_PRIMES)
+def test_two_pass_red_matches_insertion_kernel(rng, monkeypatch, p):
+    """At least as many rows as entries, from ``_SLOTS_FROM`` on, go through
+    the echelon pass and back-substitution, full span or not; fewer rows
+    than entries still reach ``_red_slots``, and below ``_SLOTS_FROM``
+    neither slot kernel runs."""
+    ran = _count_slot_kernels(monkeypatch)
+    s = subspace._SLOTS_FROM
+    for m in (s - 1, s, s + 1, 12, 31, 50):
+        for n in sorted({s - 1, s, s + 1, m - 1, m, m + 1, m + 5}):
+            for rank in sorted({min(n, m), min(n, m) - 1, min(2, m), 1}):
+                if rank <= n - 2:  # a zero row and a repeated row among the n
+                    rows = _rows_of_rank(rng, p, n - 2, m, rank)
+                    rows += [(0,) * m, rows[0]]
+                    rng.shuffle(rows)
+                else:
+                    rows = _rows_of_rank(rng, p, n, m, rank)
+                for form in ("tuples", "reversed"):
+                    ran.clear()
+                    got = _red(ROW_FORMS[form](rows), p)
+                    assert got == _generic_red(ROW_FORMS[form](rows), p), (n, m, rank, form)
+                    assert len(got) == rank
+                    kernel = "_red_echelon_slots" if len(rows) >= m else "_red_slots"
+                    assert ran == ([kernel] if len(rows) >= s and m >= s else []), (n, m)
+    units = [tuple(int(i == j) for j in range(9)) for i in range(9)]
+    assert _red(units[::-1] + [(0,) * 9], p) == {i: list(u) for i, u in enumerate(units)}
+
+
+def _max_back_substitution_rows(p, m):
+    """Tall rows of width m and rank m - 1 whose back-substitution sums reach
+    (m - 2)·(p - 1)² and more in slot 0: the rows terminating at t = m - 1
+    down to 1, each with 1 at every position from 1 to t and (t·(p - 1))
+    mod p at 0, so the echelon pass stores them as they come, each is
+    cleared with coefficient p - 1 at every lower key, and the reduced row
+    at key i holds p - 1 at 0. Then a zero row and a repeated row."""
+    q = p - 1
+    rows = [(t * q % p,) + (1,) * t + (0,) * (m - 1 - t) for t in range(m - 1, 0, -1)]
+    return rows + [(0,) * m, rows[0]]
+
+
+@pytest.mark.parametrize("p", TWO_PASS_PRIMES)
+def test_back_substitution_sums_stay_below_the_width_asked_for(monkeypatch, p):
+    asked, largest = _watch_slots(monkeypatch)
+    q = p - 1
+    for m in (8, 31, 64, 129, 200):
+        rows = _max_back_substitution_rows(p, m)
+        for call in (lambda: _red(rows, p), lambda: subspace._lime_rows(
+                [r[::-1] for r in rows], m, p)):
+            asked.clear()
+            largest[0] = 0
+            red = call()
+            assert len(red) == m - 1
+            # one width for the echelon pass and the same for back-substitution
+            assert len(asked) == 2 and asked[0] == asked[1], (m, asked)
+            assert (m - 2) * q * q <= largest[0] < 2 ** asked[0], m
+    assert _red(rows, p) == _generic_red(rows, p)
+
+
+@pytest.mark.parametrize("p", (2, *TWO_PASS_PRIMES))
+def test_a_full_echelon_pass_gives_the_identity_without_back_substitution(monkeypatch, p):
+    """The echelon pass is replaced by one that returns n rows no arithmetic
+    accepts: a full pass must give the standard basis untouched, and one
+    key short the back-substitution must reach the rows."""
+    n = 9
+    rows = [(1,) * n] * n
+    echelon = "_echelon_bits" if p == 2 else "_echelon_slots"
+    identity = {t: [int(i == t) for i in range(n)] for t in range(n)}
+    for keys in (n, n - 1):
+        monkeypatch.setattr(subspace, echelon, lambda *_: {t: object() for t in range(keys)})
+        if keys == n:
+            assert _red(rows, p) == identity
+            assert subspace._lime_rows(rows, n, p) == {
+                t: tuple(row) for t, row in identity.items()}
+        else:
+            with pytest.raises((TypeError, AttributeError)):
+                _red(rows, p)
 
 
 def test_slot_red_trivial_inputs():
