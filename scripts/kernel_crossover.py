@@ -40,15 +40,32 @@ small fractions, 1-12 rows, widths 1-30, measured the same way. A ratio
 below 1 means the integer kernel is faster; the last line gives the
 largest ratio.
 
-    PYTHONPATH=src python3 scripts/kernel_crossover.py [--rounds 7] [--field q | --passes]
+With ``--codec`` it times the two ways a GF(2) row of width 1 to 12 is
+converted between tuple and int in ``_pack``'s bit order: by the lookup
+tables (``subspace._CODES`` and ``subspace._ROWS``, rebuilt here to width
+12) and by bytes translation, each forced by rebinding
+``subspace._TABLE_WIDTH``, for ``_pack`` and ``_unpack`` on the same random
+rows. Each ratio is the table's time over translation's, the median over
+--rounds alternating rounds of best-of-REPEAT batches, so below 1 means the
+table is faster; the build time of the table rows up to each width is the
+best over the rounds. The tables are built at every import of the package,
+so the last line gives the largest width at which the table wins: it is
+faster at that width and every narrower one, for packing and unpacking,
+and the tables up to that width build within BUILD_BUDGET_MS. That width
+sets ``_TABLE_WIDTH``.
+
+    PYTHONPATH=src python3 scripts/kernel_crossover.py [--rounds 7] \
+        [--field q | --passes | --codec]
 """
 
 import argparse
 import os
 import random
 import statistics
+import time
 import timeit
 from fractions import Fraction
+from itertools import product
 
 from redlime import subspace
 
@@ -176,6 +193,83 @@ def passes_table(rounds):
         print(f"  {gate:16} {span:14} {g:5.2f}")
 
 
+CODEC_WIDTHS = range(1, 13)
+CODEC_ROWS = 64  # random rows per width
+# the tables' build time allowed at import: about 2% of importing redlime.cli
+# (about 11 ms), which every CLI run pays
+BUILD_BUDGET_MS = 0.2
+CODEC_DEFAULT = subspace._TABLE_WIDTH
+CODEC_OPS = {
+    "pack": lambda rows, xs, n: [subspace._pack(r) for r in rows],
+    "unpack": lambda rows, xs, n: [subspace._unpack(x, n) for x in xs],
+}
+
+
+def build_tables(widths):
+    """The package's tables for the given widths, with the time each width's
+    rows took to build, in seconds."""
+    rows, took = [((),)], {}
+    for n in widths:
+        start = time.perf_counter()
+        rows.append(tuple(product((0, 1), repeat=n)))
+        took[n] = time.perf_counter() - start
+    start = time.perf_counter()
+    codes = {row: x for by_code in rows for x, row in enumerate(by_code)}
+    per_row = (time.perf_counter() - start) / len(codes)
+    return tuple(rows), codes, {n: t + per_row * 2 ** n for n, t in took.items()}
+
+
+def codec_time(op, rows, xs, n, tabled, number):
+    subspace._TABLE_WIDTH = max(CODEC_WIDTHS) if tabled else 0
+    try:
+        return min(timeit.repeat(lambda: CODEC_OPS[op](rows, xs, n),
+                                 number=number, repeat=REPEAT)) / number / len(rows)
+    finally:
+        subspace._TABLE_WIDTH = CODEC_DEFAULT
+
+
+def codec_table(rounds):
+    """Time ratios of table to translation by width, and the tables' build time."""
+    rng = random.Random(SEED)
+    cases = {n: ([tuple(rng.getrandbits(1) for _ in range(n)) for _ in range(CODEC_ROWS)],
+                 [rng.getrandbits(n) for _ in range(CODEC_ROWS)]) for n in CODEC_WIDTHS}
+    saved = subspace._ROWS, subspace._CODES
+    ratios = {(n, op): [] for n in CODEC_WIDTHS for op in CODEC_OPS}
+    translated = {(n, op): [] for n in CODEC_WIDTHS for op in CODEC_OPS}
+    builds = {n: [] for n in CODEC_WIDTHS}
+    try:
+        for r in range(rounds):
+            subspace._ROWS, subspace._CODES, took = build_tables(CODEC_WIDTHS)
+            for n in CODEC_WIDTHS:
+                builds[n].append(took[n])
+            order = (True, False) if r % 2 == 0 else (False, True)
+            for n, (rows, xs) in cases.items():
+                for op in CODEC_OPS:
+                    t = {tabled: codec_time(op, rows, xs, n, tabled, 50) for tabled in order}
+                    ratios[n, op].append(t[True] / t[False])
+                    translated[n, op].append(t[False])
+    finally:
+        subspace._ROWS, subspace._CODES = saved
+    ratio = {case: statistics.median(v) for case, v in ratios.items()}
+    per_row = {case: statistics.median(v) * 1e9 for case, v in translated.items()}
+    build = {n: min(v) for n, v in builds.items()}
+    print(f"GF(2) row codec: table time / translation time, median of {rounds} rounds of "
+          f"best-of-{REPEAT}, and translation's ns per row; build: ms for the tables up to "
+          f"the width, best of {rounds}")
+    print(f"{'width':>5} {'pack':>6} {'ns':>6} {'unpack':>7} {'ns':>6} {'build':>7}")
+    total, wins = 0.0, 0
+    for n in CODEC_WIDTHS:
+        total += build[n]
+        print(f"{n:5} {ratio[n, 'pack']:6.2f} {per_row[n, 'pack']:6.0f} "
+              f"{ratio[n, 'unpack']:7.2f} {per_row[n, 'unpack']:6.0f} {total * 1e3:7.3f}")
+        if wins == n - 1 and max(ratio[n, op] for op in CODEC_OPS) < 1 \
+                and total * 1e3 <= BUILD_BUDGET_MS:
+            wins = n
+    print(f"\nlargest width at which the table wins: {wins} (faster there and at every "
+          f"narrower width, tables built within {BUILD_BUDGET_MS} ms); "
+          f"_TABLE_WIDTH is {CODEC_DEFAULT}")
+
+
 def odd_p_ratios(op, cases, rounds):
     """Median time ratio of op with the slot kernel forced to op with the
     insertion kernel forced, by case."""
@@ -221,9 +315,13 @@ def main():
     ap.add_argument("--field", choices=("odd-p", "q"), default="odd-p")
     ap.add_argument("--passes", action="store_true",
                     help="time the one- and two-pass odd-p reductions by shape")
+    ap.add_argument("--codec", action="store_true",
+                    help="time the GF(2) row codec by table and by translation, by width")
     args = ap.parse_args()
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    if args.codec:
+        return codec_table(args.rounds)
     if args.passes:
         return passes_table(args.rounds)
     if args.field == "q":

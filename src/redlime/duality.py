@@ -25,18 +25,22 @@ def dot(x: Vector, y: Vector) -> Scalar:
 
 def _read_off(cls, field: FieldSpec, n: int, basis: dict):
     """The complement of the span of a raw basis dict with 0-based keys, as
-    cls: a LimeBasis read off a red basis, a Subspace off a lime basis."""
+    cls: a LimeBasis read off a red basis, a Subspace off a lime basis. One
+    loop over the positions collects the free (non-key) indices, 1-based,
+    and their basic elements."""
     p, zero, one = field.modulus, field.zero.value, field.one.value
-    free = [o for o in range(n) if o not in basis]
-    out = []
-    for o in free:
+    free, out = [], []
+    for o in range(n):
+        if o in basis:
+            continue
         z = [zero] * n
         z[o] = one
         for i, row in basis.items():
             if row[o]:
                 z[i] = -row[o] if p is None else p - row[o]
+        free.append(o + 1)
         out.append(tuple(z))
-    return cls._made(field, n, tuple([o + 1 for o in free]), tuple(out))
+    return cls._made(field, n, tuple(free), tuple(out))
 
 
 def lime_of_complement_from_red(w: Subspace) -> LimeBasis:

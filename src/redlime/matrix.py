@@ -15,9 +15,9 @@ from typing import Iterable, NamedTuple, Sequence
 from .duality import _complement
 from .errors import DomainError, UsageError, _check_field, _check_int, _check_type, _items
 from .fields import FieldSpec, Scalar, _scalars, _text
-from .subspace import (LimeBasis, Subspace, Vector, _check_space, _check_vector,
-                       _common_field_ambient, _keys, _lime, _lime_keys, _product, _span,
-                       _unit, _values, _vector)
+from .subspace import (Subspace, Vector, _check_space, _check_vector, _common_field_ambient,
+                       _keys, _lime_keys, _lime_rows, _product, _span, _unit, _values,
+                       _vector)
 
 
 class Matrix:
@@ -105,7 +105,8 @@ class Matrix:
         if self.ncols != other.nrows:
             raise UsageError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        return _matrix(self.field, _product(self.field, self._raw, other._raw, other.ncols))
+        return _matrix(self.field, map(tuple, _product(self.field, self._raw, other._raw,
+                                                       other.ncols)))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -116,6 +117,8 @@ class Matrix:
         return hash((self.field, self._raw))
 
     def __str__(self):
+        if self.field.is_prime_field:  # residues below p, whose text is never too long
+            return "\n".join([" ".join(map(str, r)) for r in self._raw])
         return "\n".join(" ".join(_text(self.field, v) for v in r) for r in self._raw)
 
     def __repr__(self):
@@ -123,8 +126,8 @@ class Matrix:
 
 
 def _matrix(field: FieldSpec, rows) -> Matrix:
-    """A Matrix of package-made raw rows of field, unchecked."""
-    rows = tuple(map(tuple, rows))
+    """A Matrix of package-made raw rows of field, each a tuple, unchecked."""
+    rows = tuple(rows)
     a = object.__new__(Matrix)
     a.field = field
     a.nrows = len(rows)
@@ -202,15 +205,16 @@ def dependent_columns(a: Matrix) -> frozenset:
 def rref(a: Matrix) -> Matrix:
     """Reduced row echelon form: the lime basis of the row space as rows, in
     index order, padded below with zero rows. A pure function of the row
-    space, hence unique."""
+    space, hence unique. The Matrix is built straight from the row tuples
+    of ``_lime_rows``."""
     _check_type(a, Matrix)
-    return _padded(a, _lime(a.field, a.ncols, a._raw))
+    return _padded(a, _lime_rows(a._raw, a.ncols, a.field.modulus))
 
 
-def _padded(a: Matrix, lb: LimeBasis) -> Matrix:
-    """The rows of lb, then zero rows up to a's row count."""
+def _padded(a: Matrix, lime: dict) -> Matrix:
+    """The row tuples of a lime dict, then zero rows up to a's row count."""
     zero_row = (a.field.zero.value,) * a.ncols
-    return _matrix(a.field, lb._raw + (zero_row,) * (a.nrows - lb.dimension))
+    return _matrix(a.field, (*lime.values(), *(zero_row,) * (a.nrows - len(lime))))
 
 
 def rcef(a: Matrix) -> Matrix:
@@ -235,18 +239,17 @@ def full_rank_factorization(a: Matrix) -> FullRankFactors:
     indices, and those coefficients across all columns are exactly g.
     """
     _check_type(a, Matrix)
-    lb = _lime(a.field, a.nrows, zip(*a._raw))
-    if lb.dimension == 0:
+    lime = _lime_rows(zip(*a._raw), a.nrows, a.field.modulus)
+    if not lime:
         raise DomainError("the zero matrix has no full-rank factorization")
-    b = _matrix(a.field, zip(*lb._raw))
-    g = _matrix(a.field, [a._raw[i - 1] for i in lb.lime_indices])
-    return FullRankFactors(b=b, g=g, rank=lb.dimension)
+    b = _matrix(a.field, zip(*lime.values()))
+    g = _matrix(a.field, [a._raw[i] for i in lime])
+    return FullRankFactors(b=b, g=g, rank=len(lime))
 
 
-def _completion_rows(field: FieldSpec, n: int, rows) -> list:
-    """Rows of the n-by-n identity at the non-lime indices of the span of
-    rows, ascending."""
-    lime = _lime_keys(rows, n, field.modulus)
+def _completion_rows(field: FieldSpec, n: int, lime) -> list:
+    """Rows of the n-by-n identity at the positions in range(n) outside the
+    0-based lime keys, ascending."""
     return [_unit(field, n, j) for j in range(n) if j not in lime]
 
 
@@ -272,25 +275,27 @@ def rref_factorization(a: Matrix, complete: bool = False) -> tuple:
     at the non-lime indices of the column space, making t invertible.
     """
     _check_type(a, Matrix)
-    lb = _lime(a.field, a.ncols, a._raw)
-    if lb.dimension == 0:
+    lime = _lime_rows(a._raw, a.ncols, a.field.modulus)
+    if not lime:
         raise DomainError("the zero matrix has no echelon factorization")
     columns = list(zip(*a._raw))
-    t_cols = [columns[j - 1] for j in lb.lime_indices]
+    t_cols = [columns[j] for j in lime]
     if complete:
-        t_cols += _completion_rows(a.field, a.nrows, columns)
+        t_cols += _completion_rows(a.field, a.nrows, _lime_keys(columns, a.nrows, a.field.modulus))
     else:
-        t_cols += [(a.field.zero.value,) * a.nrows] * (a.nrows - lb.dimension)
-    return _matrix(a.field, zip(*t_cols)), _padded(a, lb)
+        t_cols += [(a.field.zero.value,) * a.nrows] * (a.nrows - len(lime))
+    return _matrix(a.field, zip(*t_cols)), _padded(a, lime)
 
 
 def extend_rows_to_invertible(rows: Sequence[Vector]) -> Matrix:
     """Extend an independent list of m-tuples to an invertible m-by-m matrix
     by appending the standard basis vectors at the non-lime indices of the
     span: afterwards every position is an originating position, so the rows
-    span the whole space."""
+    span the whole space. One echelon pass gives both: the rows are
+    independent exactly when they have as many lime indices as rows."""
     rows, field, n = _common_field_ambient(rows, None, None)
     entries = [v._raw for v in rows]
-    if len(_keys(entries, field.modulus)) != len(rows):
+    lime = _lime_keys(entries, n, field.modulus)
+    if len(lime) != len(rows):
         raise DomainError("input rows are linearly dependent")
-    return _matrix(field, entries + _completion_rows(field, n, entries))
+    return _matrix(field, entries + _completion_rows(field, n, lime))

@@ -9,6 +9,8 @@ the shared token grammar (integers everywhere, ``a/b`` over q only).
 from __future__ import annotations
 
 import os
+import re
+from fractions import Fraction
 
 from .errors import DomainError, ParseError, UsageError, _check_type, _items
 from .fields import RATIONALS, FieldSpec, _parse_scalar, gf
@@ -39,9 +41,30 @@ def parse_field_tokens(tokens) -> FieldSpec:
     raise ParseError(f"unknown field {' '.join(tokens)!r} (use 'q' or 'gf <p>')")
 
 
+# a row of integer tokens and nothing else; [0-9] keeps int() from accepting
+# "_" or non-ASCII digits, so such a line converts as _parse_scalar would
+_INT_ROW_RE = re.compile(r"-?[0-9]+(?:[ \t]+-?[0-9]+)*")
+
+
+def _int_row(line: str, p):
+    """The raw row of a line of integer tokens over GF(p), or over Q for
+    p None; None when the line is anything else, or holds a token with more
+    digits than int() converts, for ``_parse_scalar`` to take token by token."""
+    if not _INT_ROW_RE.fullmatch(line):
+        return None
+    try:
+        if p is None:
+            return tuple([Fraction(int(t)) for t in line.split()])
+        return tuple([int(t) % p for t in line.split()])
+    except ValueError:
+        return None
+
+
 def parse_matrix_text(text: str) -> Matrix:
     """The matrix of a file's text. The text is checked here, once: a header,
-    at least one row, rows of equal width, each token a canonical raw value."""
+    at least one row, rows of equal width, each token a canonical raw value.
+    A row of integer tokens converts in one pass (``_int_row``); any other
+    row goes token by token, which gives every error message."""
     _check_type(text, str)
     field = None
     rows = []
@@ -49,16 +72,19 @@ def parse_matrix_text(text: str) -> Matrix:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
         if field is None:
+            tokens = line.split()
             if tokens[0] != "field":
                 raise ParseError(f"line {lineno}: expected a 'field ...' header first")
             field = parse_field_tokens(tokens[1:])
             continue
-        try:
-            rows.append([_parse_scalar(tok, field) for tok in tokens])
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+        row = _int_row(line, field.modulus)
+        if row is None:
+            try:
+                row = tuple([_parse_scalar(tok, field) for tok in line.split()])
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+        rows.append(row)
     if field is None:
         raise ParseError("missing 'field ...' header")
     if not rows:

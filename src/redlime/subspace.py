@@ -19,7 +19,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import compress, product
 from math import gcd, lcm
 from operator import mul, xor
 from typing import Iterable, Optional, Sequence
@@ -222,6 +222,17 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 # struct formats by slot size: slots of 1, 2, 4 or 8 bytes pack in C
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
+# GF(2) rows of at most _TABLE_WIDTH entries convert between tuple and int by
+# lookup, wider ones by bytes translation. _ROWS[n] lists the rows of n
+# entries by code, the code of a row being its binary digits, first entry
+# highest; _CODES is the inverse. Lookup is the faster way at every width
+# measured, and the tables are built at import, so the bound is the widest
+# whose tables build within a budget of the import's time
+# (``scripts/kernel_crossover.py --codec``).
+_TABLE_WIDTH = 8
+_ROWS = tuple([tuple(product((0, 1), repeat=n)) for n in range(_TABLE_WIDTH + 1)])
+_CODES = {row: x for rows in _ROWS for x, row in enumerate(rows)}
+
 
 def _slot_bytes(bits: int) -> int:
     """Bytes per slot for values below 2**bits: the next struct size (1, 2,
@@ -232,10 +243,12 @@ def _slot_bytes(bits: int) -> int:
 
 def _pack(row, k: int = 0) -> int:
     """One int holding a raw row (a sequence) of values below 256**k, entry
-    j in the k bytes from byte k*j; with k = 0 a GF(2) row (any iterable),
-    bit j holding entry j, so the terminating position is
-    ``x.bit_length() - 1``."""
+    j in the k bytes from byte k*j; with k = 0 a GF(2) row, bit j holding
+    entry j, so the terminating position is ``x.bit_length() - 1``: the code
+    of the reversed row, by table up to ``_TABLE_WIDTH`` entries."""
     if not k:
+        if len(row) <= _TABLE_WIDTH:
+            return _CODES[tuple(row[::-1])]
         return int(bytes(row)[::-1].translate(_DIGITS), 2)
     if k in _FORMATS:
         return int.from_bytes(struct.pack(f"<{len(row)}{_FORMATS[k]}", *row), "little")
@@ -243,15 +256,26 @@ def _pack(row, k: int = 0) -> int:
 
 
 def _unpack(x: int, n: int, k: int = 0):
-    """The n entries packed in x by ``_pack(row, k)``. For k = 0 the bit set
-    at n makes the binary digits exactly n + 1, so reversed and stripped of
-    that bit they are the entries in position order."""
+    """The n entries packed in x by ``_pack(row, k)``; for k = 0 a list, the
+    reversed row of code x, by table up to ``_TABLE_WIDTH`` entries. Above
+    it, the bit set at n makes the binary digits exactly n + 1, so reversed
+    and stripped of that bit they are the entries in position order."""
     if not k:
+        if n <= _TABLE_WIDTH:
+            return list(_ROWS[n][x][::-1])
         return list(bin(x | 1 << n)[:2:-1].encode().translate(_BITS))
     b = x.to_bytes(k * n, "little")
     if k in _FORMATS:
         return struct.unpack(f"<{n}{_FORMATS[k]}", b)
     return [int.from_bytes(b[j:j + k], "little") for j in range(0, k * n, k)]
+
+
+def _lime_codes(rows, n: int) -> list:
+    """The codes of an iterable of GF(2) rows of n entries, entry j at bit
+    n - 1 - j: by table up to ``_TABLE_WIDTH`` entries, else by translation."""
+    if n <= _TABLE_WIDTH:
+        return [_CODES[tuple(r)] for r in rows]
+    return [int(bytes(r).translate(_DIGITS), 2) for r in rows]
 
 
 # Over odd p, _red runs the slot kernel when both the row count and the width,
@@ -528,10 +552,15 @@ def _product(field: FieldSpec, coefficient_rows, rows, m: int) -> list:
 def _lime_rows(rows, n: int, p) -> dict:
     """The lime basis of the span of an iterable of raw rows of n entries as
     {0-based lime index: row tuple}, ascending: the red basis of the reversed
-    rows, read backwards. Over GF(2) entry j is packed at bit n - 1 - j, so the
-    bit order reverses, and each answer's digits, highest first, are its row."""
+    rows, read backwards. Over GF(2) entry j is packed at bit n - 1 - j
+    (``_lime_codes``), so the bit order reverses, and each answer's code is
+    its row: looked up in ``_ROWS`` up to ``_TABLE_WIDTH`` entries, its
+    binary digits, highest first, above."""
     if p == 2:
-        basis = _red_bits([int(bytes(r).translate(_DIGITS), 2) for r in rows], n)
+        basis = _red_bits(_lime_codes(rows, n), n)
+        if n <= _TABLE_WIDTH:
+            table = _ROWS[n]
+            return {n - 1 - t: table[x] for t, x in reversed(basis.items())}
         return {n - 1 - t: tuple(bin(x | 1 << n)[3:].encode().translate(_BITS))
                 for t, x in reversed(basis.items())}
     red = _red([r[::-1] for r in rows], p)
@@ -541,8 +570,7 @@ def _lime_rows(rows, n: int, p) -> dict:
 def _lime_keys(rows, n: int, p) -> set:
     """The keys of ``_lime_rows``, off an echelon pass with no row reduced."""
     if p == 2:
-        return {n - 1 - t for t in _echelon_bits(
-            [int(bytes(r).translate(_DIGITS), 2) for r in rows])}
+        return {n - 1 - t for t in _echelon_bits(_lime_codes(rows, n))}
     return {n - 1 - k for k in _keys([r[::-1] for r in rows], p)}
 
 

@@ -11,7 +11,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -454,3 +454,85 @@ def test_containment_across_fields_or_ambients_is_a_usage_error():
             w <= v
     with pytest.raises(UsageError):
         rl.subspace_leq(rl.Subspace.zero_subspace(GF5, 3), rl.Subspace.full_space(GF5, 4))
+
+
+# Pairs of values drawn across GF(2), GF(3) and Q and across ambients, with
+# 0/1 entries so that raw parts often coincide, each built by one of the
+# routes that make it: the public constructors, and the package-made
+# results (rref, nullspace, complement, lime_basis) assembled unchecked.
+EQ_FIELDS = (rl.gf(2), GF3, rl.RATIONALS)
+
+
+@st.composite
+def placed_values(draw, kind):
+    """(value, field, shape) of a drawn kind, the shape being the ambient
+    (rows and columns for a Matrix, none for a Scalar)."""
+    field = draw(st.sampled_from(EQ_FIELDS))
+    n = draw(st.integers(1, 3))
+
+    def bits(k):
+        return draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+
+    def matrix():
+        return rl.Matrix.from_values(field, [bits(n) for _ in range(draw(st.integers(1, 2)))])
+
+    route = draw(st.integers(0, 3))
+    if kind == "Scalar":
+        return field.scalar(bits(1)[0]), field, ()
+    if kind == "Vector":
+        return rl.Vector.from_values(field, bits(n)), field, n
+    if kind == "Matrix":
+        a = matrix() if route < 2 else rl.rref(matrix())
+        return a, field, (a.nrows, a.ncols)
+    if kind == "Subspace":
+        w = (rl.Subspace.zero_subspace(field, n), rl.nullspace(matrix()),
+             rl.complement(rl.row_space(matrix())), rl.row_space(matrix()))[route]
+        return w, field, n
+    lb = rl.LimeBasis.empty(field, n) if route == 0 else rl.lime_basis(rl.row_space(matrix()))
+    return lb, field, n
+
+
+def _rebuilt(x):
+    """x rebuilt through its public constructor from its public parts."""
+    if isinstance(x, rl.Scalar):
+        return rl.Scalar(x.field, x.value)
+    if isinstance(x, rl.Vector):
+        return rl.Vector(x.field, x.entries)
+    if isinstance(x, rl.Matrix):
+        return rl.Matrix(x.field, x.rows)
+    if isinstance(x, rl.Subspace):
+        return rl.Subspace(x.field, x.ambient, x.red_indices, x.red_basis)
+    return rl.LimeBasis(x.field, x.ambient, x.lime_indices, x.vectors)
+
+
+EQ_KINDS = ("Scalar", "Vector", "Matrix", "Subspace", "LimeBasis")
+
+
+@given(st.sampled_from(EQ_KINDS).flatmap(
+    lambda kind: st.tuples(placed_values(kind), placed_values(kind))))
+def test_equal_values_hash_alike_and_share_field_and_ambient(pair):
+    (x, fx, sx), (y, fy, sy) = pair
+    for v in (x, y):
+        assert v == _rebuilt(v) and hash(v) == hash(_rebuilt(v))
+    if x == y:
+        assert hash(x) == hash(y)
+    if fx != fy or sx != sy:
+        assert x != y and not x == y, (x, y)
+    assert (x == y) is (y == x)
+
+
+def test_equality_across_fields_and_ambients_at_the_smallest_sizes():
+    """1x1 matrices, F^1's zero and full subspaces and empty lime bases:
+    equal exactly when field and shape agree."""
+    def made(f, n):
+        return (rl.Matrix.from_values(f, [[1] * n] * n), rl.Matrix.zero(f, n, n),
+                rl.Subspace.zero_subspace(f, n), rl.Subspace.full_space(f, n),
+                rl.nullspace(rl.Matrix.zero(f, 1, n)), rl.LimeBasis.empty(f, n),
+                rl.rref(rl.Matrix.identity(f, n)))
+    spaces = [(f, n) for f in EQ_FIELDS for n in (1, 2)]
+    for (f, n), (g, k) in product(spaces, repeat=2):
+        for x, y in zip(made(f, n), made(g, k)):
+            same = (f, n) == (g, k)
+            assert (x == y) is same, (f, n, g, k, x)
+            if same:
+                assert hash(x) == hash(y)

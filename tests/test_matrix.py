@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import redlime as rl
 from redlime.errors import DomainError, UsageError
 
-from conftest import (GF2, GF5, Q, mat, matrices, random_matrix, span_of,
+from conftest import (GF2, GF3, GF5, Q, mat, matrices, random_matrix, span_of,
                       vec, vectors)
 
 A_GF2 = mat(GF2, [[1, 1, 0], [0, 1, 1]])
@@ -219,6 +219,24 @@ def test_extend_rows_to_invertible():
     out = rl.extend_rows_to_invertible([vec(GF2, 0, 1)])
     assert out == mat(GF2, [[0, 1], [1, 0]])
     assert rl.rank(out) == 2
+
+    # width 9, past the GF(2) lookup tables: lime indices 1, 2 and 8
+    rows = [[1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 1, 1, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1, 1]]
+    units = [[int(i == j) for i in range(1, 10)] for j in (3, 4, 5, 6, 7, 9)]
+    out = rl.extend_rows_to_invertible([vec(GF2, *r) for r in rows])
+    assert out == mat(GF2, rows + units)
+    assert rl.rank(out) == 9
+    with pytest.raises(DomainError):
+        rl.extend_rows_to_invertible([vec(GF2, *r) for r in rows]
+                                     + [vec(GF2, 1, 1, 1, 0, 0, 0, 0, 1, 0)])
+
+    # GF(3): the second row less twice the first originates at 3
+    out = rl.extend_rows_to_invertible([vec(GF3, 1, 2, 0, 1), vec(GF3, 2, 1, 1, 0)])
+    assert out == mat(GF3, [[1, 2, 0, 1], [2, 1, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    assert rl.rank(out) == 4
+    with pytest.raises(DomainError):
+        rl.extend_rows_to_invertible([vec(GF3, 1, 2, 0, 1), vec(GF3, 2, 1, 0, 2)])
 
     with pytest.raises(DomainError):
         rl.extend_rows_to_invertible([vec(Q, 1, 1), vec(Q, 2, 2)])

@@ -20,6 +20,9 @@ lime basis, behind ``rref``, ``nullspace``, ``lime_basis`` and
 ``dependent_columns`` and ``signature``). Over GF(2) they pack each row
 with its first entry in the top bit, so no row is reversed; over odd p and
 Q they eliminate the reversed rows.
+GF(2) rows of up to ``_TABLE_WIDTH`` entries are packed and unpacked by
+table lookup, wider ones by bytes translation: one test holds every tabled
+row to translation, and the widths below fall on both sides of the bound.
 ``_insert_red`` and ``_axpy`` referee the packed and integer paths on wide
 rows (past one machine word), low rank, zero and duplicate rows, row counts
 and widths on both sides of the kernel choice, rows that drive the
@@ -31,6 +34,7 @@ code asks for.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -44,7 +48,7 @@ from redlime.subspace import _axpy, _insert_red, _keys, _last_nonzero, _red
 
 from conftest import GF2, GF3, GF5, Q, random_matrix
 
-WIDTHS = (1, 2, 3, 4, 5, 8, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 200)
+WIDTHS = (1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 200)
 # odd primes from one-byte slots to the largest modulus the fields accept
 LARGEST_PRIME = 3317044064679887385961813
 PRIMES = (3, 5, 65521, 2**61 - 1, LARGEST_PRIME)
@@ -95,6 +99,41 @@ def _gf2_rows(rng, n, m, rank):
     rows.append(rows[rng.randrange(n)])
     rng.shuffle(rows)
     return [tuple(_bits(x, m)) for x in rows]
+
+
+def _translated(row, lime=False):
+    """The code of a GF(2) row by bytes translation: entry j at bit j, or at
+    bit n - 1 - j on the lime side."""
+    digits = bytes(row).translate(subspace._DIGITS)
+    return int(digits if lime else digits[::-1], 2)
+
+
+def _untranslated(x, n, lime=False):
+    """The row of n entries of code x by bytes translation, as ``_unpack``
+    gives it (a list), or as ``_lime_rows`` does on the lime side (a tuple)."""
+    bits = bin(x | 1 << n)[3:] if lime else bin(x | 1 << n)[:2:-1]
+    return (tuple if lime else list)(bits.encode().translate(subspace._BITS))
+
+
+def test_table_codec_matches_translation_at_every_tabled_row():
+    """Every GF(2) row of width 1 to ``_TABLE_WIDTH``, as a tuple and as a
+    list, converts by table as by translation, in both bit orders; the
+    tables are whole at import, and past their width translation takes over."""
+    top = subspace._TABLE_WIDTH
+    assert len(subspace._CODES) == 2 ** (top + 1) - 1
+    for n in range(1, top + 4):
+        rows = product((0, 1), repeat=n) if n <= top else (
+            tuple(x >> j & 1 for j in range(n)) for x in (0, 1, 5, 2 ** n - 1))
+        for row in rows:
+            x, lime_x = _translated(row), _translated(row, lime=True)
+            for given in (row, list(row)):
+                assert subspace._pack(given) == x, given
+                assert subspace._lime_codes([given], n) == [lime_x], given
+            assert subspace._unpack(x, n) == _untranslated(x, n) == list(row)
+            if n <= top:
+                assert subspace._ROWS[n][lime_x] == _untranslated(lime_x, n, lime=True) == row
+            rows_out = subspace._lime_rows([row], n, 2)
+            assert list(rows_out.values()) == ([row] if any(row) else []), row
 
 
 ROW_FORMS = {  # the sequences the callers of _red pass
