@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Where the slot kernels start to pay: time ``subspace._red`` and
-``subspace._keys`` over odd p with each kernel forced, and print the ratio
-of their times.
+"""Where the slot kernels start to pay: time ``subspace._eliminate`` over
+odd p, for the red rows and for the red keys, with each kernel forced, and
+print the ratio of their times.
 
-``_red`` runs the slot kernel (``_red_slots``) when both the row count and
-the width are at least ``subspace._SLOTS_FROM``, and the insertion kernel
-otherwise; ``_keys`` chooses by the same rule between ``_echelon_slots``
-and the insertion kernel's keys. Rebinding that constant here forces one
+``_eliminate`` runs a slot kernel (for the rows ``_red_slots`` or
+``_red_echelon_slots``, for the keys ``_echelon_slots``) when both the row
+count and the width are at least ``subspace._SLOTS_FROM``, and the
+insertion kernel otherwise. Rebinding that constant here forces one
 kernel or the other on the same rows: for each case, SAMPLES sets of random
 rows over GF(p), so of rank min(rows, width) but for chance dependencies,
 eliminated one after the other (one set alone makes the ratio depend on its
@@ -14,15 +14,15 @@ entries). Each round times both kernels on every case, the best of REPEAT
 timed batches each, alternating which kernel goes first; each ratio is the
 median over --rounds rounds of the slot kernel's time over the insertion
 kernel's, so below 1 means the slot kernel is faster. The process is
-pinned to one core. For ``_red`` and then ``_keys``: a table by prime, the
+pinned to one core. For the rows and then the keys: a table by prime, the
 largest ratio, by prime, among the cases whose rank bound min(rows, width)
 is b, and a line giving the fewest b from which no case, at any prime,
 takes the slot kernel more than TOLERANCE times the insertion kernel's time
 (a margin for timing noise): the rule that sets ``_SLOTS_FROM``, which
 serves both.
 
-With ``--passes`` it times the two odd-p slot reductions that ``_red``
-chooses between from ``_SLOTS_FROM`` on, each forced on the same rows:
+With ``--passes`` it times the two odd-p slot reductions that
+``_eliminate`` chooses between from ``_SLOTS_FROM`` on, each forced on the same rows:
 ``_red_slots`` (one Gauss–Jordan pass) and ``_red_echelon_slots`` (an
 echelon pass, then the standard basis if it finds every key, else
 back-substitution), by prime (3, 5, 65521) and shape (tall, square and
@@ -30,27 +30,28 @@ wide, 8 to 150 rows or entries), at full rank min(rows, width) and at
 about three quarters of it. Each ratio is the two-pass time over the
 one-pass time, the median over --rounds alternating rounds; the summary
 gives the largest ratio by shape class, which is what sets the gate:
-``_red`` takes two passes on at least as many rows as entries, the only
-shape whose span can be all of F^n.
+``_eliminate`` takes two passes on at least as many rows as entries, the
+only shape whose span can be all of F^n.
 
-With ``--field q`` it times Q instead, where ``_red`` has no crossover:
-the integer kernel (``_red_ints``) against the ``_insert_red`` loop on
-Fractions (the kernel ``_red`` ran over Q before it), on random rows of
+With ``--field q`` it times Q instead, where ``_eliminate`` has no
+crossover: the integer kernel (``_red_ints``) against the ``_insert_red``
+loop on Fractions (the kernel it ran over Q before), on random rows of
 small fractions, 1-12 rows, widths 1-30, measured the same way. A ratio
 below 1 means the integer kernel is faster; the last line gives the
 largest ratio.
 
-With ``--codec`` it times the two ways a GF(2) row of width 1 to 12 is
-converted between tuple and int in ``_pack``'s bit order: by the lookup
-tables (``subspace._CODES`` and ``subspace._ROWS``, rebuilt here to width
-12) and by bytes translation, each forced by rebinding
-``subspace._TABLE_WIDTH``, for ``_pack`` and ``_unpack`` on the same random
-rows. Each ratio is the table's time over translation's, the median over
+With ``--codec`` it times the two ways the one GF(2) codec converts a row
+of width 1 to 12 between tuple and code: by the lookup tables
+(``subspace._CODES`` and ``subspace._ROWS``, rebuilt here to width 12) and
+by bytes translation, each forced by rebinding ``subspace._TABLE_WIDTH``,
+for ``_codes`` (packing, as the lime side and ``_product`` do, and flipped,
+as the red side does) and for decoding (``_ROWS`` against ``_wide_rows``)
+on the same random rows. Each ratio is the table's time over translation's, the median over
 --rounds alternating rounds of best-of-REPEAT batches, so below 1 means the
 table is faster; the build time of the table rows up to each width is the
 best over the rounds. The tables are built at every import of the package,
 so the last line gives the largest width at which the table wins: it is
-faster at that width and every narrower one, for packing and unpacking,
+faster at that width and every narrower one, for every conversion,
 and the tables up to that width build within BUILD_BUDGET_MS. That width
 sets ``_TABLE_WIDTH``.
 
@@ -200,9 +201,17 @@ CODEC_ROWS = 64  # random rows per width
 BUILD_BUDGET_MS = 0.2
 CODEC_DEFAULT = subspace._TABLE_WIDTH
 CODEC_OPS = {
-    "pack": lambda rows, xs, n: [subspace._pack(r) for r in rows],
-    "unpack": lambda rows, xs, n: [subspace._unpack(x, n) for x in xs],
+    "pack": lambda rows, xs, n: subspace._codes(rows, n, False),
+    "flip": lambda rows, xs, n: subspace._codes(rows, n, True),
+    "unpack": lambda rows, xs, n: decode(xs, n),
 }
+
+
+def decode(xs, n):
+    """The rows of the codes xs as the package decodes them: by table up to
+    ``_TABLE_WIDTH`` entries, else by translation."""
+    table = subspace._ROWS[n] if n <= subspace._TABLE_WIDTH else subspace._wide_rows(xs, n)
+    return [table[x] for x in xs]
 
 
 def build_tables(widths):
@@ -256,12 +265,12 @@ def codec_table(rounds):
     print(f"GF(2) row codec: table time / translation time, median of {rounds} rounds of "
           f"best-of-{REPEAT}, and translation's ns per row; build: ms for the tables up to "
           f"the width, best of {rounds}")
-    print(f"{'width':>5} {'pack':>6} {'ns':>6} {'unpack':>7} {'ns':>6} {'build':>7}")
+    print(f"{'width':>5}" + "".join(f"{op:>7} {'ns':>5}" for op in CODEC_OPS) + f"{'build':>8}")
     total, wins = 0.0, 0
     for n in CODEC_WIDTHS:
         total += build[n]
-        print(f"{n:5} {ratio[n, 'pack']:6.2f} {per_row[n, 'pack']:6.0f} "
-              f"{ratio[n, 'unpack']:7.2f} {per_row[n, 'unpack']:6.0f} {total * 1e3:7.3f}")
+        print(f"{n:5}" + "".join(f"{ratio[n, op]:7.2f} {per_row[n, op]:5.0f}" for op in CODEC_OPS)
+              + f"{total * 1e3:8.3f}")
         if wins == n - 1 and max(ratio[n, op] for op in CODEC_OPS) < 1 \
                 and total * 1e3 <= BUILD_BUDGET_MS:
             wins = n
@@ -330,7 +339,9 @@ def main():
     cases = {(p, n, m): [[tuple(rng.randrange(p) for _ in range(m)) for _ in range(n)]
                          for _ in range(SAMPLES)]
              for p in PRIMES for n in ROWS for m in WIDTHS}
-    for name, op in (("_red", subspace._red), ("_keys", subspace._keys)):
+    for name, op in (("red rows", lambda rows, p: subspace._eliminate(rows, len(rows[0]), p)),
+                     ("red keys", lambda rows, p: subspace._eliminate(rows, len(rows[0]), p,
+                                                                       keys_only=True))):
         report(name, cases, odd_p_ratios(op, cases, args.rounds), args.rounds)
         print()
 

@@ -1,0 +1,216 @@
+#!/usr/bin/env python3
+"""Mutation check of the test suite: does some test fail on each of a list of
+hand-written one-line mutants of the package?
+
+Each mutant replaces one piece of text in one file by another. For each, the
+tree (``src``, ``tests``, ``scripts`` and ``pyproject.toml``) is copied to a
+temporary directory, the mutant is applied there, and ``pytest -x -q`` runs
+on the copy. A mutant is killed when pytest fails (the first failing test
+is printed), and survives when it passes. The checkout itself is never
+changed.
+
+MUTANTS are expected to be killed. EQUIVALENT lists mutants that cannot
+change an answer (a kernel threshold moved, a normalisation that a later
+step repeats), so they are expected to survive; both lists run every time.
+The outcomes not expected (a survivor of MUTANTS, a kill on
+EQUIVALENT) are listed at the end, and the exit status is 1 when there is
+one. A killed mutant takes a few seconds to a minute, a survivor a full
+run of the suite.
+
+With ``--check`` nothing runs: it only checks that each mutant's original
+text occurs exactly once in its file, so that the lists keep up with the
+code.
+
+    python3 scripts/mutants.py [--check]
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scripts", "pyproject.toml")
+SUB = "src/redlime/subspace.py"
+CHECK_TEST = "tests/test_scripts.py::test_mutants_find_each_original_text_once"
+
+# (name, file, original text, mutated text)
+MUTANTS = (
+    # slot widths, each narrowed
+    ("one-pass slot width narrowed", SUB,
+     "_slot_bytes(3 * p.bit_length() + 2 * n.bit_length())",
+     "_slot_bytes(2 * p.bit_length() + 2 * n.bit_length())"),
+    ("echelon slot width narrowed", SUB,
+     "    n = len(rows[0])\n    k = _slot_bytes(2 * p.bit_length() + n.bit_length())",
+     "    n = len(rows[0])\n    k = _slot_bytes(2 * p.bit_length())"),
+    ("back-substitution slot width narrowed", SUB,
+     "    k = _slot_bytes(2 * p.bit_length() + n.bit_length())\n    packed, basis",
+     "    k = _slot_bytes(2 * p.bit_length())\n    packed, basis"),
+    ("product slot width narrowed", SUB,
+     "_slot_bytes(2 * p.bit_length() + len(rows).bit_length())",
+     "_slot_bytes(2 * p.bit_length())"),
+    # the kernels
+    ("GF(2) key off by one", SUB,
+     "            t = x.bit_length() - 1\n            b = basis.get(t)",
+     "            t = x.bit_length()\n            b = basis.get(t)"),
+    ("GF(2) full-span shortcut one key early", SUB,
+     "    echelon = _echelon_bits(xs)\n    if len(echelon) == n:",
+     "    echelon = _echelon_bits(xs)\n    if len(echelon) == n - 1:"),
+    ("integer clearing step adds", SUB,
+     "x = [d * u - c * v for u, v in zip(x, b)]",
+     "x = [d * u + c * v for u, v in zip(x, b)]"),
+    ("membership reads the wrong entries", SUB,
+     "coefficient_rows = [[x[i - 1] for i in w._indices] for x in rows]",
+     "coefficient_rows = [[x[i - 2] for i in w._indices] for x in rows]"),
+    ("terminating index 0-based", SUB,
+     "    p = _last_nonzero(v._raw)\n    return None if p is None else p + 1",
+     "    p = _last_nonzero(v._raw)\n    return None if p is None else p"),
+    ("originating index off by one", SUB,
+     "return None if p is None else len(v._raw) - p",
+     "return None if p is None else len(v._raw) - p - 1"),
+    # the one elimination
+    ("lime rows not reversed", SUB,
+     "        rows = [r[::-1] for r in rows]",
+     "        rows = list(rows)"),
+    ("lime read-back without its [::-1]", SUB,
+     "tuple(basis[k][::-1])",
+     "tuple(basis[k])"),
+    ("lime read-back keys not mirrored", SUB,
+     "{n - 1 - k: tuple(",
+     "{k: tuple("),
+    ("lime keys not mirrored", SUB,
+     "{n - 1 - k for k in basis}",
+     "{k for k in basis}"),
+    ("GF(2) lime keys not mirrored", SUB,
+     "{n - 1 - t for t in keys}",
+     "{t for t in keys}"),
+    ("GF(2) lime rows' keys not mirrored", SUB,
+     "{n - 1 - t: table[x]",
+     "{t: table[x]"),
+    ("codec flip inverted", SUB,
+     "xs = _codes(rows, n, not lime)",
+     "xs = _codes(rows, n, lime)"),
+    ("table codec ignores flip", SUB,
+     "_CODES[tuple(r[::-1])]",
+     "_CODES[tuple(r)]"),
+    ("translation codec ignores flip", SUB,
+     "int(bytes(r)[::-1].translate(_DIGITS), 2)",
+     "int(bytes(r).translate(_DIGITS), 2)"),
+    ("GF(2) red rows not read backwards", SUB,
+     "{t: table[x][::-1] for",
+     "{t: table[x] for"),
+    ("two passes only on more rows than entries", SUB,
+     "len(rows) >= n else _red_slots",
+     "len(rows) > n else _red_slots"),
+    # the read-offs and the answers built on them
+    ("complement read-off drops the negation", "src/redlime/duality.py",
+     "z[i] = -row[o] if p is None else p - row[o]",
+     "z[i] = row[o]"),
+    ("dependent columns miss the last", "src/redlime/matrix.py",
+     "frozenset(range(1, a.ncols + 1))",
+     "frozenset(range(1, a.ncols))"),
+    ("CLI usage error exits 2", "src/redlime/cli.py",
+     '        print(f"usage error: {exc}", file=sys.stderr)\n        return 1',
+     '        print(f"usage error: {exc}", file=sys.stderr)\n        return 2'),
+    # equality and field checks: raw values coincide across fields
+    ("Scalar == ignores the field", "src/redlime/fields.py",
+     "return self.field == other.field and self.value == other.value",
+     "return self.value == other.value"),
+    ("Vector == ignores the field", SUB,
+     "return self.field == other.field and self._raw == other._raw",
+     "return self._raw == other._raw"),
+    ("Matrix == ignores the field", "src/redlime/matrix.py",
+     "return self.field == other.field and self._raw == other._raw",
+     "return self._raw == other._raw"),
+    ("subspace == ignores the ambient", SUB,
+     "return (self.field == other.field and self.ambient == other.ambient",
+     "return (self.field == other.field"),
+    ("subspace_leq without its field check", SUB,
+     "    _check_field(v.field, w.field)\n    if w.ambient != v.ambient:",
+     "    if w.ambient != v.ambient:"),
+)
+
+EQUIVALENT = (
+    # which kernel runs below and above the threshold, never the answer
+    ("slot kernels from another size", SUB,
+     "_SLOTS_FROM = 8", "_SLOTS_FROM = 5"),
+    # lookup and translation give the same codes and rows at every width
+    ("narrower codec tables", SUB,
+     "_TABLE_WIDTH = 8", "_TABLE_WIDTH = 6"),
+    # the Fractions of the answer are normalised anyway; the rows only grow
+    ("integer rows kept unnormalised", SUB,
+     "        if g != 1:\n            x = [u // g for u in x]",
+     "        if False:\n            x = [u // g for u in x]"),
+    # no stored key equals the new one, so i > t and i >= t agree
+    ("insertion clears at >= the new key", SUB,
+     "if i > t and piv[t]:", "if i >= t and piv[t]:"),
+)
+
+
+def check(mutants) -> list:
+    """The mutants whose original text does not occur exactly once."""
+    bad = []
+    for name, path, original, _ in mutants:
+        count = (ROOT / path).read_text().count(original)
+        if count != 1:
+            bad.append(f"{name}: original text occurs {count} times in {path}")
+    return bad
+
+
+def run_mutant(path, original, mutated) -> tuple:
+    """(the first failing test, or None if the mutant survived; seconds) for
+    one mutant, run on a copy of the tree."""
+    with tempfile.TemporaryDirectory(prefix="redlime-mutant-") as tmp:
+        for part in COPIED:
+            source = ROOT / part
+            if source.is_dir():
+                shutil.copytree(source, Path(tmp) / part,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(source, Path(tmp) / part)
+        target = Path(tmp) / path
+        target.write_text(target.read_text().replace(original, mutated, 1))
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        # the --check test fails on any mutant, whose original text is gone
+        result = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                                 "--deselect", CHECK_TEST],
+                                cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                                text=True)
+        seconds = time.perf_counter() - start
+    if result.returncode == 0:
+        return None, seconds
+    failed = [line.split()[1] for line in result.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return (failed[0] if failed else f"pytest exit {result.returncode}"), seconds
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--check", action="store_true",
+                    help="only check that each original text occurs once in its file")
+    args = ap.parse_args()
+    bad = check(MUTANTS + EQUIVALENT)
+    if args.check or bad:
+        print("\n".join(bad) or f"{len(MUTANTS)} mutants and {len(EQUIVALENT)} equivalent "
+                                 "mutants, each original text found once")
+        return 1 if bad else 0
+    listed = [(m, False) for m in MUTANTS] + [(m, True) for m in EQUIVALENT]
+    unexpected = []
+    for (name, path, original, mutated), equivalent in listed:
+        killer, seconds = run_mutant(path, original, mutated)
+        outcome = f"killed by {killer}" if killer else "survived"
+        print(f"{seconds:6.1f} s  {name}{' (equivalent)' if equivalent else ''}: {outcome}",
+              flush=True)
+        if (killer is None) != equivalent:
+            unexpected.append(f"{name}: {outcome}")
+    print(f"\n{len(unexpected)} unexpected outcome(s)" + "".join(f"\n  {u}" for u in unexpected))
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

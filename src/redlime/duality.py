@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import _check_type
 from .fields import FieldSpec, Scalar
-from .subspace import LimeBasis, Subspace, Vector, _check_vector, _lime_rows
+from .subspace import LimeBasis, Subspace, Vector, _check_vector, _eliminate
 
 
 def dot(x: Vector, y: Vector) -> Scalar:
@@ -57,7 +57,7 @@ def lime_of_complement_from_red(w: Subspace) -> LimeBasis:
 
 def _complement(field, n, rows) -> Subspace:
     """The complement of the span of raw rows in F^n, read off its lime basis."""
-    return _read_off(Subspace, field, n, _lime_rows(rows, n, field.modulus))
+    return _read_off(Subspace, field, n, _eliminate(rows, n, field.modulus, lime=True))
 
 
 def complement(w: Subspace) -> Subspace:

@@ -16,8 +16,7 @@ from .duality import _complement
 from .errors import DomainError, UsageError, _check_field, _check_int, _check_type, _items
 from .fields import FieldSpec, Scalar, _scalars, _text
 from .subspace import (Subspace, Vector, _check_space, _check_vector, _common_field_ambient,
-                       _keys, _lime_keys, _lime_rows, _product, _span, _unit, _values,
-                       _vector)
+                       _eliminate, _product, _span, _unit, _values, _vector)
 
 
 class Matrix:
@@ -105,8 +104,7 @@ class Matrix:
         if self.ncols != other.nrows:
             raise UsageError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        return _matrix(self.field, map(tuple, _product(self.field, self._raw, other._raw,
-                                                       other.ncols)))
+        return _matrix(self.field, _product(self.field, self._raw, other._raw, other.ncols))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -153,7 +151,7 @@ def apply_column_centric(a: Matrix, x: Vector) -> Vector:
     """
     _check_type(a, Matrix)
     _check_vector(x, a.field, a.ncols)
-    return _vector(a.field, tuple(_product(a.field, [x._raw], list(zip(*a._raw)), a.nrows)[0]))
+    return _vector(a.field, _product(a.field, [x._raw], list(zip(*a._raw)), a.nrows)[0])
 
 
 def row_space(a: Matrix) -> Subspace:
@@ -177,9 +175,10 @@ def nullspace(a: Matrix) -> Subspace:
 
 def rank(a: Matrix) -> int:
     """Common dimension of the row space and the column space: the number of
-    red indices of the row space, read off an echelon pass (``_keys``)."""
+    red indices of the row space, read off an echelon pass
+    (``_eliminate`` with keys_only)."""
     _check_type(a, Matrix)
-    return len(_keys(a._raw, a.field.modulus))
+    return len(_eliminate(a._raw, a.ncols, a.field.modulus, keys_only=True))
 
 
 def nullity(a: Matrix) -> int:
@@ -191,7 +190,8 @@ def pivot_columns(a: Matrix) -> tuple:
     """Lime indices of the row space; the columns they select form a basis
     of the column space."""
     _check_type(a, Matrix)
-    return tuple(sorted(o + 1 for o in _lime_keys(a._raw, a.ncols, a.field.modulus)))
+    lime = _eliminate(a._raw, a.ncols, a.field.modulus, lime=True, keys_only=True)
+    return tuple(sorted(o + 1 for o in lime))
 
 
 def dependent_columns(a: Matrix) -> frozenset:
@@ -206,9 +206,9 @@ def rref(a: Matrix) -> Matrix:
     """Reduced row echelon form: the lime basis of the row space as rows, in
     index order, padded below with zero rows. A pure function of the row
     space, hence unique. The Matrix is built straight from the row tuples
-    of ``_lime_rows``."""
+    of ``_eliminate`` on the lime side."""
     _check_type(a, Matrix)
-    return _padded(a, _lime_rows(a._raw, a.ncols, a.field.modulus))
+    return _padded(a, _eliminate(a._raw, a.ncols, a.field.modulus, lime=True))
 
 
 def _padded(a: Matrix, lime: dict) -> Matrix:
@@ -239,7 +239,7 @@ def full_rank_factorization(a: Matrix) -> FullRankFactors:
     indices, and those coefficients across all columns are exactly g.
     """
     _check_type(a, Matrix)
-    lime = _lime_rows(zip(*a._raw), a.nrows, a.field.modulus)
+    lime = _eliminate(zip(*a._raw), a.nrows, a.field.modulus, lime=True)
     if not lime:
         raise DomainError("the zero matrix has no full-rank factorization")
     b = _matrix(a.field, zip(*lime.values()))
@@ -275,13 +275,14 @@ def rref_factorization(a: Matrix, complete: bool = False) -> tuple:
     at the non-lime indices of the column space, making t invertible.
     """
     _check_type(a, Matrix)
-    lime = _lime_rows(a._raw, a.ncols, a.field.modulus)
+    lime = _eliminate(a._raw, a.ncols, a.field.modulus, lime=True)
     if not lime:
         raise DomainError("the zero matrix has no echelon factorization")
     columns = list(zip(*a._raw))
     t_cols = [columns[j] for j in lime]
     if complete:
-        t_cols += _completion_rows(a.field, a.nrows, _lime_keys(columns, a.nrows, a.field.modulus))
+        keys = _eliminate(columns, a.nrows, a.field.modulus, lime=True, keys_only=True)
+        t_cols += _completion_rows(a.field, a.nrows, keys)
     else:
         t_cols += [(a.field.zero.value,) * a.nrows] * (a.nrows - len(lime))
     return _matrix(a.field, zip(*t_cols)), _padded(a, lime)
@@ -295,7 +296,7 @@ def extend_rows_to_invertible(rows: Sequence[Vector]) -> Matrix:
     independent exactly when they have as many lime indices as rows."""
     rows, field, n = _common_field_ambient(rows, None, None)
     entries = [v._raw for v in rows]
-    lime = _lime_keys(entries, n, field.modulus)
+    lime = _eliminate(entries, n, field.modulus, lime=True, keys_only=True)
     if len(lime) != len(rows):
         raise DomainError("input rows are linearly dependent")
     return _matrix(field, entries + _completion_rows(field, n, lime))

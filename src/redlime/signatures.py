@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DomainError, ParseError, UsageError, _check_int, _check_type, _items
 from .fields import FieldSpec
-from .subspace import Subspace, Vector, _keys, _last_nonzero, _lime_keys, _span, _vector
+from .subspace import Subspace, Vector, _eliminate, _last_nonzero, _span, _vector
 
 
 class _MarkType(enum.EnumMeta):
@@ -104,10 +104,10 @@ def signature_from_indices(red, lime, n: int) -> Signature:
 def signature(w: Subspace) -> Signature:
     """The subspace's mark string; b- and r-counts sum to the dimension, as
     do b- and l-counts. The lime indices are read off an echelon pass
-    (``_lime_keys``)."""
+    (``_eliminate`` on the lime side, with keys_only)."""
     _check_type(w, Subspace)
-    lime = {o + 1 for o in _lime_keys(w._raw, w.ambient, w.field.modulus)}
-    return _signature(set(w._indices), lime, w.ambient)
+    lime = _eliminate(w._raw, w.ambient, w.field.modulus, lime=True, keys_only=True)
+    return _signature(set(w._indices), {o + 1 for o in lime}, w.ambient)
 
 
 def sub_terminal_index(v: Vector) -> int:
@@ -249,7 +249,8 @@ def permute_presenting_positions(w: Subspace, positions) -> tuple:
         _check_int(p, "position", 1, n)
     positions = sorted(set(positions))
     k = len(positions)
-    if k and len(_keys([[r[p - 1] for p in positions] for r in w._raw], w.field.modulus)) != k:
+    if k and len(_eliminate([[r[p - 1] for p in positions] for r in w._raw], k,
+                            w.field.modulus, keys_only=True)) != k:
         raise DomainError("the subspace does not present as the full space there")
     chosen = set(positions)
     order = [q for q in range(1, n + 1) if q not in chosen] + positions

@@ -195,9 +195,9 @@ def _insert_red(basis: dict, row: list, p) -> Optional[int]:
 
     Returns the new key when the row enlarged the span, else None. The dict
     stays canonical throughout: each stored row terminates with a 1 at its
-    key and is zero at every other key. ``_red`` runs it over odd p on
-    inputs below ``_SLOTS_FROM``; over Q, on Fractions, it is the tests'
-    referee for ``_red_ints``.
+    key and is zero at every other key. ``_eliminate`` runs it over odd p
+    on inputs below ``_SLOTS_FROM``; in every field it is the tests'
+    referee for the packed and integer kernels.
     """
     t = _last_nonzero(row)
     while t is not None and t in basis:
@@ -222,16 +222,39 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 # struct formats by slot size: slots of 1, 2, 4 or 8 bytes pack in C
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-# GF(2) rows of at most _TABLE_WIDTH entries convert between tuple and int by
-# lookup, wider ones by bytes translation. _ROWS[n] lists the rows of n
-# entries by code, the code of a row being its binary digits, first entry
-# highest; _CODES is the inverse. Lookup is the faster way at every width
-# measured, and the tables are built at import, so the bound is the widest
-# whose tables build within a budget of the import's time
-# (``scripts/kernel_crossover.py --codec``).
+# A GF(2) row of n entries is packed as one int, its code: its binary
+# digits, first entry highest, so entry j sits at bit n - 1 - j and the
+# leading bit is the originating position. Rows of at most _TABLE_WIDTH
+# entries convert between tuple and code by lookup, wider ones by bytes
+# translation. _ROWS[n] lists the rows of n entries by code; _CODES is the
+# inverse. Lookup is the faster way at every width measured, and the tables
+# are built at import, so the bound is the widest whose tables build within
+# a budget of the import's time (``scripts/kernel_crossover.py --codec``).
 _TABLE_WIDTH = 8
 _ROWS = tuple([tuple(product((0, 1), repeat=n)) for n in range(_TABLE_WIDTH + 1)])
 _CODES = {row: x for rows in _ROWS for x, row in enumerate(rows)}
+
+
+def _codes(rows, n: int, flip: bool) -> list:
+    """The codes of an iterable of GF(2) rows of n entries, or with flip the
+    codes of the reversed rows (entry j at bit j, so the leading bit is the
+    terminating position): by table up to ``_TABLE_WIDTH`` entries, the
+    reversed tuple looked up; above it by bytes translation, the bytes
+    reversed by a slice."""
+    if n <= _TABLE_WIDTH:
+        if flip:
+            return [_CODES[tuple(r[::-1])] for r in rows]
+        return [_CODES[tuple(r)] for r in rows]
+    if flip:
+        return [int(bytes(r)[::-1].translate(_DIGITS), 2) for r in rows]
+    return [int(bytes(r).translate(_DIGITS), 2) for r in rows]
+
+
+def _wide_rows(xs, n: int) -> dict:
+    """The GF(2) row tuples of the codes xs of n entries, by code, for rows
+    wider than ``_ROWS`` holds: each the code's binary digits, highest first
+    (``bin(x | 1 << n)`` keeps the leading zeros), by bytes translation."""
+    return {x: tuple(bin(x | 1 << n)[3:].encode().translate(_BITS)) for x in xs}
 
 
 def _slot_bytes(bits: int) -> int:
@@ -241,93 +264,85 @@ def _slot_bytes(bits: int) -> int:
     return 1 << (k - 1).bit_length() if k <= 8 else k
 
 
-def _pack(row, k: int = 0) -> int:
+def _pack(row, k: int) -> int:
     """One int holding a raw row (a sequence) of values below 256**k, entry
-    j in the k bytes from byte k*j; with k = 0 a GF(2) row, bit j holding
-    entry j, so the terminating position is ``x.bit_length() - 1``: the code
-    of the reversed row, by table up to ``_TABLE_WIDTH`` entries."""
-    if not k:
-        if len(row) <= _TABLE_WIDTH:
-            return _CODES[tuple(row[::-1])]
-        return int(bytes(row)[::-1].translate(_DIGITS), 2)
+    j in the k bytes from byte k*j."""
     if k in _FORMATS:
         return int.from_bytes(struct.pack(f"<{len(row)}{_FORMATS[k]}", *row), "little")
     return int.from_bytes(b"".join([v.to_bytes(k, "little") for v in row]), "little")
 
 
-def _unpack(x: int, n: int, k: int = 0):
-    """The n entries packed in x by ``_pack(row, k)``; for k = 0 a list, the
-    reversed row of code x, by table up to ``_TABLE_WIDTH`` entries. Above
-    it, the bit set at n makes the binary digits exactly n + 1, so reversed
-    and stripped of that bit they are the entries in position order."""
-    if not k:
-        if n <= _TABLE_WIDTH:
-            return list(_ROWS[n][x][::-1])
-        return list(bin(x | 1 << n)[:2:-1].encode().translate(_BITS))
+def _unpack(x: int, n: int, k: int):
+    """The n entries packed in x by ``_pack(row, k)``."""
     b = x.to_bytes(k * n, "little")
     if k in _FORMATS:
         return struct.unpack(f"<{n}{_FORMATS[k]}", b)
     return [int.from_bytes(b[j:j + k], "little") for j in range(0, k * n, k)]
 
 
-def _lime_codes(rows, n: int) -> list:
-    """The codes of an iterable of GF(2) rows of n entries, entry j at bit
-    n - 1 - j: by table up to ``_TABLE_WIDTH`` entries, else by translation."""
-    if n <= _TABLE_WIDTH:
-        return [_CODES[tuple(r)] for r in rows]
-    return [int(bytes(r).translate(_DIGITS), 2) for r in rows]
-
-
-# Over odd p, _red runs the slot kernel when both the row count and the width,
-# and so the rank bound, are at least _SLOTS_FROM, and the insertion kernel
-# otherwise: below it packing and unpacking each row cost more than the row
-# operations saved (scripts/kernel_crossover.py; CHANGES.md).
+# Over odd p, _eliminate runs a slot kernel when both the row count and the
+# width, and so the rank bound, are at least _SLOTS_FROM, and the insertion
+# kernel otherwise: below it packing and unpacking each row cost more than
+# the row operations saved (scripts/kernel_crossover.py; CHANGES.md).
 _SLOTS_FROM = 8
 
 
-def _red(rows, p) -> dict:
-    """Raw red-basis dict of the span of a sequence of raw rows (p the
-    modulus, None over Q): the one elimination, by one kernel chosen from
-    the field and the shape before any row is eliminated. Over Q the rows
-    are eliminated as integers (``_red_ints``); over GF(2) they are packed
-    as bits (``_red_bits``, an echelon pass and then back-substitution);
-    over odd p, on at least ``_SLOTS_FROM`` rows of at least
-    ``_SLOTS_FROM`` entries, into slots, by those two passes on at least as
-    many rows as entries, the only shape whose span can be F^n
-    (``_red_echelon_slots``), else by one (``_red_slots``); otherwise they go
-    through the insertion kernel. Every kernel returns the same dict.
-    Callers that read only the keys (the red indices) call ``_keys``, which
-    skips the reduction.
-    """
-    if p is None:
-        return _red_ints(rows)
-    if p == 2:
-        n = len(rows[0]) if rows else 0
-        return {t: _unpack(x, n) for t, x in _red_bits(map(_pack, rows), n).items()}
-    if len(rows) >= _SLOTS_FROM and len(rows[0]) >= _SLOTS_FROM:
-        return (_red_echelon_slots if len(rows) >= len(rows[0]) else _red_slots)(rows, p)
-    basis: dict = {}
-    for row in rows:
-        _insert_red(basis, list(row), p)
-    return basis
+def _eliminate(rows, n: int, p, lime: bool = False, keys_only: bool = False):
+    """The red basis of the span of raw rows of n entries, or with lime its
+    lime basis, as {0-based index: row tuple} in ascending index order; with
+    keys_only, only the indices, in no set order. p is the modulus, None
+    over Q. Rows are a sequence; on the lime side any iterable will do.
 
+    This is the one elimination: it picks one kernel from the field and the
+    shape before any row is eliminated. Each kernel computes one side
+    naturally; the other side is the same kernel on the reversed rows, its
+    answer read backwards.
 
-def _keys(rows, p):
-    """The 0-based red keys of the span of a sequence of raw rows, the keys
-    of ``_red(rows, p)``, with no row reduced: any basis whose members
-    terminate at distinct positions terminates exactly at the red indices,
-    so an echelon pass gives them. The kernel is chosen by ``_red``'s rule:
-    ``_echelon_bits`` over GF(2); ``_echelon_slots`` over odd p from
-    ``_SLOTS_FROM`` rows and entries, the insertion kernel's keys below it;
-    over Q, the integer phase of ``_red_ints``, before any Fraction is built.
+    - GF(2): rows are packed as bits (``_codes``), entry j at bit n - 1 - j,
+      so the leading bit is the originating position and the natural side
+      is lime; the red side flips the bit order in the codec.
+      ``_echelon_bits`` gives the keys and ``_red_bits`` the rows, each
+      looked up by its code in ``_ROWS`` (``_wide_rows`` above it).
+    - Q: integer rows (``_red_ints``; its integer phase ``_int_basis`` for
+      the keys).
+    - Odd p, on at least ``_SLOTS_FROM`` rows of at least ``_SLOTS_FROM``
+      entries: slots. The keys come from ``_echelon_slots``. The rows take
+      two passes on at least as many rows as entries, the only shape whose
+      span can be F^n (``_red_echelon_slots``), and one pass on fewer
+      (``_red_slots``). Below that: the insertion kernel.
+
+    Any basis whose members terminate at distinct positions terminates
+    exactly at the red indices, so the keys come off an echelon pass, with
+    no row reduced.
     """
-    if p is None:
-        return _int_basis(rows).keys()
     if p == 2:
-        return _echelon_bits(map(_pack, rows)).keys()
-    if len(rows) >= _SLOTS_FROM and len(rows[0]) >= _SLOTS_FROM:
-        return _echelon_slots(rows, p).keys()
-    return _red(rows, p).keys()
+        xs = _codes(rows, n, not lime)
+        if keys_only:
+            keys = _echelon_bits(xs)
+            return {n - 1 - t for t in keys} if lime else keys.keys()
+        basis = _red_bits(xs, n)
+        table = _ROWS[n] if n <= _TABLE_WIDTH else _wide_rows(basis.values(), n)
+        if lime:
+            return {n - 1 - t: table[x] for t, x in reversed(basis.items())}
+        return {t: table[x][::-1] for t, x in basis.items()}
+    if lime:
+        rows = [r[::-1] for r in rows]
+    if p is None:
+        basis = (_int_basis if keys_only else _red_ints)(rows)
+    elif len(rows) >= _SLOTS_FROM and n >= _SLOTS_FROM:
+        if keys_only:
+            basis = _echelon_slots(rows, p)
+        else:
+            basis = (_red_echelon_slots if len(rows) >= n else _red_slots)(rows, p)
+    else:
+        basis = {}
+        for row in rows:
+            _insert_red(basis, list(row), p)
+    if keys_only:
+        return {n - 1 - k for k in basis} if lime else basis.keys()
+    if lime:
+        return {n - 1 - k: tuple(basis[k][::-1]) for k in sorted(basis, reverse=True)}
+    return {k: tuple(basis[k]) for k in sorted(basis)}
 
 
 def _int_basis(rows) -> dict:
@@ -363,9 +378,10 @@ def _int_basis(rows) -> dict:
 
 
 def _red_ints(rows) -> dict:
-    """_red over Q, fraction-free: each row's denominators are cleared once,
-    and the stored rows are primitive int lists, each nonzero at its own key
-    and zero at every other key (its pivot need not be 1).
+    """The red basis over Q, fraction-free, for ``_eliminate``: each row's
+    denominators are cleared once, and the stored rows are primitive int
+    lists, each nonzero at its own key and zero at every other key (its
+    pivot need not be 1).
 
     A new row x is cleared at each key t by ``x = d·x - c·b`` for the stored
     row b, with d = b[t] and c = x[t] both divided by their gcd; b is zero
@@ -417,12 +433,13 @@ def _red_bits(xs, n: int) -> dict:
 
 
 def _red_slots(rows, p: int) -> dict:
-    """_red over GF(p), p odd, on a nonempty sequence of raw rows of n entries:
-    each row is packed into one int, entry j in slot j of w bits, so a row
-    operation is one big-int multiply-add ``x += (p - c) * b``. A stored row
-    b is zero mod p at every key but its own, so adding it leaves x's
-    residues at the other keys alone: the coefficients c that clear a new
-    row at every key are its own entries there, and one sum clears it.
+    """The red basis over GF(p), p odd, of a nonempty sequence of raw rows
+    of n entries, in one pass: each row is packed into one int, entry j in
+    slot j of w bits, so a row operation is one big-int multiply-add
+    ``x += (p - c) * b``. A stored row b is zero mod p at every key but its
+    own, so adding it leaves x's residues at the other keys alone: the
+    coefficients c that clear a new row at every key are its own entries
+    there, and one sum clears it.
 
     Slots are never reduced inside that arithmetic, only when a row is
     unpacked, so the width must hold every value a slot can reach. With
@@ -504,8 +521,8 @@ def _echelon_slots(rows, p: int) -> dict:
 
 
 def _red_echelon_slots(rows, p: int) -> dict:
-    """_red over GF(p), p odd, on a nonempty sequence of raw rows of n
-    entries, in the two passes of ``_red_bits``: the standard basis if
+    """The red basis over GF(p), p odd, of a nonempty sequence of raw rows
+    of n entries, in the two passes of ``_red_bits``: the standard basis if
     ``_echelon_slots`` finds n keys; else, keys ascending, each stored row x
     is cleared by one sum ``x + Σ (p - x[i])·b_i`` over the reduced rows b_i
     at the lower keys, then reduced and repacked. With q = p - 1 the sum's
@@ -525,19 +542,22 @@ def _red_echelon_slots(rows, p: int) -> dict:
 
 
 def _product(field: FieldSpec, coefficient_rows, rows, m: int) -> list:
-    """Raw rows of the product: for each coefficient row c, the sum of
-    c[j]·rows[j] over raw rows of m entries, packed as in ``_red`` (bits
-    over GF(2); slots over odd p, one sum reduced once per output row: a
-    slot adds at most len(rows) products of two residues, so
-    2·bits(p) + bits(len(rows)) bits hold it); ``_axpy`` adds them over Q."""
+    """Raw row tuples of the product: for each coefficient row c, the sum of
+    c[j]·rows[j] over raw rows of m entries, packed as in ``_eliminate``
+    (bits over GF(2), in the one codec; slots over odd p, one sum reduced
+    once per output row: a slot adds at most len(rows) products of two
+    residues, so 2·bits(p) + bits(len(rows)) bits hold it); ``_axpy`` adds
+    them over Q."""
     p = field.modulus
     if p == 2:
-        others = [_pack(r) for r in rows]
-        return [_unpack(reduce(xor, compress(others, r), 0), m) for r in coefficient_rows]
+        others = _codes(rows, m, False)
+        xs = [reduce(xor, compress(others, r), 0) for r in coefficient_rows]
+        table = _ROWS[m] if m <= _TABLE_WIDTH else _wide_rows(xs, m)
+        return [table[x] for x in xs]
     if p is not None:
         k = _slot_bytes(2 * p.bit_length() + len(rows).bit_length())
         others = [_pack(r, k) for r in rows]
-        return [[v % p for v in _unpack(sum(map(mul, r, others)), m, k)]
+        return [tuple([v % p for v in _unpack(sum(map(mul, r, others)), m, k)])
                 for r in coefficient_rows]
     out = []
     for r in coefficient_rows:
@@ -545,33 +565,8 @@ def _product(field: FieldSpec, coefficient_rows, rows, m: int) -> list:
         for c, src in zip(r, rows):
             if c:
                 _axpy(acc, -c, src, m, p)
-        out.append(acc)
+        out.append(tuple(acc))
     return out
-
-
-def _lime_rows(rows, n: int, p) -> dict:
-    """The lime basis of the span of an iterable of raw rows of n entries as
-    {0-based lime index: row tuple}, ascending: the red basis of the reversed
-    rows, read backwards. Over GF(2) entry j is packed at bit n - 1 - j
-    (``_lime_codes``), so the bit order reverses, and each answer's code is
-    its row: looked up in ``_ROWS`` up to ``_TABLE_WIDTH`` entries, its
-    binary digits, highest first, above."""
-    if p == 2:
-        basis = _red_bits(_lime_codes(rows, n), n)
-        if n <= _TABLE_WIDTH:
-            table = _ROWS[n]
-            return {n - 1 - t: table[x] for t, x in reversed(basis.items())}
-        return {n - 1 - t: tuple(bin(x | 1 << n)[3:].encode().translate(_BITS))
-                for t, x in reversed(basis.items())}
-    red = _red([r[::-1] for r in rows], p)
-    return {n - 1 - k: tuple(red[k][::-1]) for k in sorted(red, reverse=True)}
-
-
-def _lime_keys(rows, n: int, p) -> set:
-    """The keys of ``_lime_rows``, off an echelon pass with no row reduced."""
-    if p == 2:
-        return {n - 1 - t for t in _echelon_bits(_lime_codes(rows, n))}
-    return {n - 1 - k for k in _keys([r[::-1] for r in rows], p)}
 
 
 class _Canonical:
@@ -685,18 +680,12 @@ class LimeBasis(_Canonical):
         return cls(field, ambient, (), ())
 
 
-def _span(field, n, rows) -> Subspace:
-    """The span of raw rows in F^n, in canonical red form."""
-    basis = _red(rows, field.modulus)
-    idx = sorted(basis)
-    return Subspace._made(field, n, tuple(i + 1 for i in idx),
-                          tuple([tuple(basis[i]) for i in idx]))
-
-
-def _lime(field, n, rows) -> LimeBasis:
-    """The lime basis of the span of raw rows in F^n."""
-    lime = _lime_rows(rows, n, field.modulus)
-    return LimeBasis._made(field, n, tuple([o + 1 for o in lime]), tuple(lime.values()))
+def _span(field, n, rows, lime: bool = False):
+    """The span of raw rows in F^n: its red basis as a Subspace, or with
+    lime its lime basis as a LimeBasis."""
+    basis = _eliminate(rows, n, field.modulus, lime)
+    return (LimeBasis if lime else Subspace)._made(
+        field, n, tuple([i + 1 for i in basis]), tuple(basis.values()))
 
 
 def _common_field_ambient(generators, ambient, field):
@@ -719,8 +708,8 @@ def _common_field_ambient(generators, ambient, field):
 def span_red_basis(generators: Sequence[Vector], ambient: Optional[int] = None,
                    field: Optional[FieldSpec] = None) -> Subspace:
     """Canonical red basis of span(generators): one elimination of their
-    raw rows by ``_red``, which picks its kernel from the field and the
-    shape of the rows. Zero generators add nothing.
+    raw rows by ``_eliminate``, which picks its kernel from the field and
+    the shape of the rows. Zero generators add nothing.
     """
     generators, field, ambient = _common_field_ambient(generators, ambient, field)
     return _span(field, ambient, [g._raw for g in generators])
@@ -733,7 +722,7 @@ def lime_basis(w: Subspace) -> LimeBasis:
     The span always has as many lime indices as red ones.
     """
     _check_type(w, Subspace)
-    return _lime(w.field, w.ambient, w._raw)
+    return _span(w.field, w.ambient, w._raw, lime=True)
 
 
 def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
@@ -746,7 +735,7 @@ def append_lime(basis: LimeBasis, y: Vector) -> LimeBasis:
     """
     _check_type(basis, LimeBasis)
     _check_vector(y, basis.field, basis.ambient)
-    grown = _lime(basis.field, basis.ambient, basis._raw + (y._raw,))
+    grown = _span(basis.field, basis.ambient, basis._raw + (y._raw,), lime=True)
     return basis if grown.dimension == basis.dimension else grown
 
 
@@ -754,7 +743,7 @@ def _holds(w: Subspace, rows) -> bool:
     """True iff every raw row of w's ambient lies in w: each equals the
     combination of w's red-basic elements with its red-position entries."""
     coefficient_rows = [[x[i - 1] for i in w._indices] for x in rows]
-    return _product(w.field, coefficient_rows, w._raw, w.ambient) == list(map(list, rows))
+    return _product(w.field, coefficient_rows, w._raw, w.ambient) == list(rows)
 
 
 def contains_vector(w: Subspace, x: Vector) -> bool:
@@ -780,7 +769,7 @@ def element_from_red_entries(w: Subspace, coefficients) -> Vector:
     coeffs = w.field._coerce_row(coefficients, "coefficients")
     if len(coeffs) != w.dimension:
         raise UsageError(f"expected {w.dimension} coefficients, got {len(coeffs)}")
-    return _vector(w.field, tuple(_product(w.field, [coeffs], w._raw, w.ambient)[0]))
+    return _vector(w.field, _product(w.field, [coeffs], w._raw, w.ambient)[0])
 
 
 def subspace_leq(w: Subspace, v: Subspace) -> bool:

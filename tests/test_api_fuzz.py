@@ -7,7 +7,9 @@ of range (-1, 0, sizes past ``sys.maxsize``) where an int goes, or a wrong
 value (None, bools, text, floats and NaN, ints where sequences or paths go,
 nested lists, vectors of another field or length). Each call must return,
 or raise a ``RedlimeError``, within a deadline; a generator is run to its
-end. Budgets are always small, so no enumeration runs long.
+end. Budgets are always small, so no enumeration runs long. Every callable
+that takes two field-bearing arguments must also raise ``UsageError`` on a
+pair drawn with another field or another length.
 """
 
 import contextlib
@@ -200,3 +202,68 @@ def test_scalars_from_drawn_arguments_are_refused_or_canonical(field, value):
                 call()
             except RedlimeError:
                 pass
+
+
+# -- mismatched pairs --------------------------------------------------------
+
+PAIR_FIELDS = (rl.gf(2), G, F, Q)
+
+
+@st.composite
+def _mismatches(draw):
+    """(field, n, other field, other n): the field differs, or the length."""
+    field, n = draw(st.sampled_from(PAIR_FIELDS)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return field, n, draw(st.sampled_from([f for f in PAIR_FIELDS if f != field])), n
+    return field, n, field, draw(st.integers(1, 5).filter(lambda m: m != n))
+
+
+def _vectors(field, n):
+    return st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(
+        lambda values: rl.Vector.from_values(field, values))
+
+
+def _subspaces(field, n):
+    return st.lists(_vectors(field, n), max_size=3).map(
+        lambda vs: rl.span_red_basis(vs, n, field))
+
+
+def _matrices(field, n, m):
+    row = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    return st.lists(row, min_size=n, max_size=n).map(
+        lambda rows: rl.Matrix.from_values(field, rows))
+
+
+# Each callable that takes two field-bearing arguments: the call on a pair
+# drawn with data, one argument over (field, n), the other over (other
+# field, other n); for ``@`` the inner dimensions are n and the other n.
+MISMATCHED = {
+    "subspace_leq": lambda d, f, n, g, m: (
+        rl.subspace_leq(d(_subspaces(f, n)), d(_subspaces(g, m)))),
+    "contains_vector": lambda d, f, n, g, m: (
+        rl.contains_vector(d(_subspaces(f, n)), d(_vectors(g, m)))),
+    "coordinates": lambda d, f, n, g, m: rl.coordinates(d(_subspaces(f, n)), d(_vectors(g, m))),
+    "append_lime": lambda d, f, n, g, m: (
+        rl.append_lime(rl.lime_basis(d(_subspaces(f, n))), d(_vectors(g, m)))),
+    "dot": lambda d, f, n, g, m: rl.dot(d(_vectors(f, n)), d(_vectors(g, m))),
+    "@": lambda d, f, n, g, m: d(_matrices(f, 2, n)) @ d(_matrices(g, m, 3)),
+    "is_coordinate_system": lambda d, f, n, g, m: rl.is_coordinate_system(
+        d(st.lists(_vectors(g, m), min_size=1, max_size=3)), d(_subspaces(f, n))),
+    "apply_row_centric": lambda d, f, n, g, m: (
+        rl.apply_row_centric(d(_matrices(f, 2, n)), d(_vectors(g, m)))),
+    "apply_column_centric": lambda d, f, n, g, m: (
+        rl.apply_column_centric(d(_matrices(f, 2, n)), d(_vectors(g, m)))),
+    # the full space takes n coefficients of its field
+    "element_from_red_entries": lambda d, f, n, g, m: rl.element_from_red_entries(
+        rl.Subspace.full_space(f, n), [g.scalar(d(st.integers(-3, 3))) for _ in range(m)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHED))
+@settings(max_examples=20)
+@given(_mismatches(), st.data())
+def test_mismatched_pairs_raise_usage_error(name, mismatch, data):
+    """Raw values coincide across fields, so a pair of another field or
+    length must be refused, not computed with."""
+    with pytest.raises(rl.UsageError):
+        MISMATCHED[name](data.draw, *mismatch)

@@ -116,7 +116,7 @@ def test_gaussian_binomials():
 def test_enumerate_subspaces_counts_and_distinctness(monkeypatch):
     for n, p in [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (3, 5)]:
         with monkeypatch.context() as m:  # the red bases are written, not eliminated
-            m.setattr(subspace, "_red", lambda *args: pytest.fail("enumeration eliminated"))
+            m.setattr(subspace, "_eliminate", lambda *args: pytest.fail("enumeration eliminated"))
             subs = tuple(rl.enumerate_subspaces(n, p))
         assert len(subs) == rl.subspace_count(n, p)
         assert len(set(subs)) == len(subs)

@@ -1,25 +1,26 @@
-"""The packed and integer eliminations and products against the generic kernels.
+"""The one elimination and the product against the generic kernels.
 
-``subspace._red`` and ``subspace._product`` (behind ``@``, membership and
-``apply_column_centric``) work on rows packed into ints: as bits over
-GF(2), and in wide slots over odd p, where a row operation is one
-multiply-add and slots are reduced only when a row is unpacked. Over odd p,
-``_red`` runs a slot kernel when both the row count and the width are at
-least ``_SLOTS_FROM``, and the insertion kernel otherwise: on at least as
-many rows as entries an echelon pass, then the standard basis if it finds
-every key or back-substitution if not (``_red_echelon_slots``), and on
-wider rows one pass (``_red_slots``). Over Q, ``_red``
-eliminates integer rows (``_red_ints``) and builds Fractions only in its
-answer, while ``_product`` still adds Fraction rows with ``_axpy``.
-``subspace._keys`` gives only the keys (the red indices), behind ``rank``:
-by an echelon pass over GF(2) (which ``_red_bits`` then back-substitutes)
-and, from ``_SLOTS_FROM``, over odd p, and by the integer phase of
-``_red_ints`` over Q. The lime side has two helpers: ``_lime_rows`` (the
-lime basis, behind ``rref``, ``nullspace``, ``lime_basis`` and
-``complement``) and ``_lime_keys`` (its indices, behind ``pivot_columns``,
-``dependent_columns`` and ``signature``). Over GF(2) they pack each row
-with its first entry in the top bit, so no row is reversed; over odd p and
-Q they eliminate the reversed rows.
+``subspace._eliminate`` is the one elimination: it gives the red basis or
+the lime basis of the span of some raw rows, or only its indices, and is
+the one place besides ``subspace._product`` (behind ``@``, membership and
+``apply_column_centric``) that picks a kernel. Both work on rows packed
+into ints: as bits over GF(2), and in wide slots over odd p, where a row
+operation is one multiply-add and slots are reduced only when a row is
+unpacked. Each kernel computes one side, and the other side is the same
+kernel on the reversed rows, read backwards. Over GF(2) the bit kernels
+compute the lime side, each row packed with its first entry in the top bit,
+and the red side flips that bit order in the codec (``_codes``); the keys
+come off an echelon pass (``_echelon_bits``), which ``_red_bits`` then
+back-substitutes. Over odd p and Q the kernels compute the red side. Over
+odd p, from ``_SLOTS_FROM`` rows of at least ``_SLOTS_FROM`` entries, a
+slot kernel runs: for the keys an echelon pass (``_echelon_slots``); for
+the rows, on at least as many rows as entries, that pass and then the
+standard basis if it finds every key or back-substitution if not
+(``_red_echelon_slots``), and on wider rows one pass (``_red_slots``).
+Below it the insertion kernel runs. Over Q the rows are eliminated as
+integers (``_red_ints``, whose integer phase gives the keys) and Fractions
+are built only in the answer, while ``_product`` still adds Fraction rows
+with ``_axpy``.
 GF(2) rows of up to ``_TABLE_WIDTH`` entries are packed and unpacked by
 table lookup, wider ones by bytes translation: one test holds every tabled
 row to translation, and the widths below fall on both sides of the bound.
@@ -28,8 +29,10 @@ rows (past one machine word), low rank, zero and duplicate rows, row counts
 and widths on both sides of the kernel choice, rows that drive the
 unreduced slots to their largest values, Q rows with 200-bit numerators or
 distinct large prime denominators, and every row form the callers pass;
-white-box checks watch the slot values themselves against the width the
-code asks for.
+the lime side is refereed by ``_insert_red`` on the reversed rows, read
+backwards. White-box checks watch the slot values themselves against the
+width the code asks for, and one test pins how many eliminations each
+public call makes.
 """
 
 import random
@@ -44,7 +47,7 @@ import redlime as rl
 from redlime import duality, matrix, signatures, subspace
 from redlime.errors import DomainError
 from redlime.fields import MODULUS_LIMIT, _is_prime, _random_scalar
-from redlime.subspace import _axpy, _insert_red, _keys, _last_nonzero, _red
+from redlime.subspace import _axpy, _eliminate, _insert_red, _last_nonzero
 
 from conftest import GF2, GF3, GF5, Q, random_matrix
 
@@ -56,11 +59,20 @@ GF65521 = rl.gf(65521)
 
 
 def _generic_red(rows, p):
-    """The red-basis dict the insertion kernel builds from the same raw rows."""
+    """The red basis the insertion kernel builds from the same raw rows, as
+    ``_eliminate`` gives it: row tuples, keys ascending."""
     basis = {}
     for row in rows:
         _insert_red(basis, list(row), p)
-    return basis
+    return {t: tuple(basis[t]) for t in sorted(basis)}
+
+
+def _red(rows, p, keys_only=False):
+    """``_eliminate`` on the red side of a sequence of raw rows, the width
+    read off the first row; the keys of the rows it gives must ascend."""
+    red = _eliminate(rows, len(rows[0]) if rows else 0, p, keys_only=keys_only)
+    assert keys_only or list(red) == sorted(red)
+    return red
 
 
 def _generic_combination(field, coefficients, rows, m):
@@ -101,42 +113,42 @@ def _gf2_rows(rng, n, m, rank):
     return [tuple(_bits(x, m)) for x in rows]
 
 
-def _translated(row, lime=False):
-    """The code of a GF(2) row by bytes translation: entry j at bit j, or at
-    bit n - 1 - j on the lime side."""
+def _translated(row, flip=False):
+    """The code of a GF(2) row by bytes translation: entry j at bit
+    n - 1 - j, or with flip at bit j."""
     digits = bytes(row).translate(subspace._DIGITS)
-    return int(digits if lime else digits[::-1], 2)
+    return int(digits[::-1] if flip else digits, 2)
 
 
-def _untranslated(x, n, lime=False):
-    """The row of n entries of code x by bytes translation, as ``_unpack``
-    gives it (a list), or as ``_lime_rows`` does on the lime side (a tuple)."""
-    bits = bin(x | 1 << n)[3:] if lime else bin(x | 1 << n)[:2:-1]
-    return (tuple if lime else list)(bits.encode().translate(subspace._BITS))
+def _untranslated(x, n):
+    """The row tuple of n entries of code x by bytes translation."""
+    return tuple(bin(x | 1 << n)[3:].encode().translate(subspace._BITS))
 
 
 def test_table_codec_matches_translation_at_every_tabled_row():
     """Every GF(2) row of width 1 to ``_TABLE_WIDTH``, as a tuple and as a
-    list, converts by table as by translation, in both bit orders; the
-    tables are whole at import, and past their width translation takes over."""
+    list, converts by table as by translation, flipped or not; the tables
+    are whole at import, and past their width translation takes over."""
     top = subspace._TABLE_WIDTH
     assert len(subspace._CODES) == 2 ** (top + 1) - 1
     for n in range(1, top + 4):
         rows = product((0, 1), repeat=n) if n <= top else (
             tuple(x >> j & 1 for j in range(n)) for x in (0, 1, 5, 2 ** n - 1))
         for row in rows:
-            x, lime_x = _translated(row), _translated(row, lime=True)
+            x, flipped = _translated(row), _translated(row, flip=True)
             for given in (row, list(row)):
-                assert subspace._pack(given) == x, given
-                assert subspace._lime_codes([given], n) == [lime_x], given
-            assert subspace._unpack(x, n) == _untranslated(x, n) == list(row)
+                assert subspace._codes([given], n, False) == [x], given
+                assert subspace._codes([given], n, True) == [flipped], given
+            wide = subspace._wide_rows([x, flipped], n)
+            assert wide[x] == _untranslated(x, n) == row and wide[flipped] == row[::-1]
             if n <= top:
-                assert subspace._ROWS[n][lime_x] == _untranslated(lime_x, n, lime=True) == row
-            rows_out = subspace._lime_rows([row], n, 2)
-            assert list(rows_out.values()) == ([row] if any(row) else []), row
+                assert subspace._ROWS[n][x] == row and subspace._ROWS[n][flipped] == row[::-1]
+            for lime in (False, True):
+                rows_out = _eliminate([row], n, 2, lime=lime)
+                assert list(rows_out.values()) == ([row] if any(row) else []), (row, lime)
 
 
-ROW_FORMS = {  # the sequences the callers of _red pass
+ROW_FORMS = {  # the sequences the callers of _eliminate pass
     "tuples": lambda rows: rows,
     "reversed": lambda rows: [r[::-1] for r in rows],
     "columns": lambda rows: list(zip(*rows)),
@@ -157,7 +169,7 @@ def test_packed_red_trivial_inputs():
     zero = (0,) * 70
     assert _red([zero, zero], 2) == {}
     e70 = zero[:69] + (1,)
-    assert _red([e70], 2) == {69: [0] * 69 + [1]}
+    assert _red([e70], 2) == {69: e70}
 
 
 def _gfp_rows(rng, p, n, m, rank):
@@ -225,15 +237,16 @@ def _max_carry_rows(rng, p, m):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_slot_red_at_the_largest_slot_values(rng, p):
-    """The rows are tall, so ``_red`` takes two passes; ``_red_slots``, which
-    ``_red`` keeps for wide rows, is run on them directly."""
+    """The rows are tall, so ``_eliminate`` takes two passes; ``_red_slots``,
+    which it keeps for wide rows, is run on them directly."""
     for m in (8, 31, 64, 129, 200):
         rows = _max_carry_rows(rng, p, m)
         for form in ("tuples", "reversed"):
             make = ROW_FORMS[form]
             generic = _generic_red(make(rows), p)
             assert _red(make(rows), p) == generic, (m, form)
-            assert subspace._red_slots(make(rows), p) == generic, (m, form)
+            red_slots = subspace._red_slots(make(rows), p)
+            assert {t: tuple(red_slots[t]) for t in sorted(red_slots)} == generic, (m, form)
 
 
 def _watch_slots(monkeypatch):
@@ -247,10 +260,9 @@ def _watch_slots(monkeypatch):
         asked.append(bits)
         return slot_bytes(bits) + 8
 
-    def watched(x, n, k=0):
+    def watched(x, n, k):
         values = unpack(x, n, k)
-        if k:
-            largest[0] = max(largest[0], *values, 0)
+        largest[0] = max(largest[0], *values, 0)
         return values
 
     monkeypatch.setattr(subspace, "_slot_bytes", wider)
@@ -267,7 +279,7 @@ def test_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p):
         calls = {
             "_red": lambda: _red(rows, p),
             "_red_slots": lambda: subspace._red_slots(rows, p),
-            "_lime_rows": lambda: subspace._lime_rows(rows, m, p),
+            "lime side": lambda: _eliminate(rows, m, p, lime=True),
             "@": lambda: (rl.Matrix.from_values(field, [[q] * m] * 3)
                           @ rl.Matrix.from_values(field, [[q] * 5] * m)),
         }
@@ -302,7 +314,7 @@ def test_echelon_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p)
         for form in ("tuples", "reversed"):
             seen = []
             asked.clear()
-            keys = _keys(ROW_FORMS[form](rows), _Watched(p, seen))
+            keys = _red(ROW_FORMS[form](rows), _Watched(p, seen), keys_only=True)
             assert set(keys) == set(range(m))
             assert len(asked) == 1 and 0 < max(seen) < 2 ** asked[0], (m, form)
 
@@ -311,7 +323,7 @@ TWO_PASS_PRIMES = (3, 5, 65521)
 
 
 def _count_slot_kernels(monkeypatch):
-    """Record which odd-p slot kernel each ``_red`` call runs."""
+    """Record which odd-p slot kernel each ``_eliminate`` call runs."""
     ran = []
     for name in ("_red_slots", "_red_echelon_slots"):
         def counted(rows, p, kernel=getattr(subspace, name), name=name):
@@ -346,7 +358,7 @@ def test_two_pass_red_matches_insertion_kernel(rng, monkeypatch, p):
                     kernel = "_red_echelon_slots" if len(rows) >= m else "_red_slots"
                     assert ran == ([kernel] if len(rows) >= s and m >= s else []), (n, m)
     units = [tuple(int(i == j) for j in range(9)) for i in range(9)]
-    assert _red(units[::-1] + [(0,) * 9], p) == {i: list(u) for i, u in enumerate(units)}
+    assert _red(units[::-1] + [(0,) * 9], p) == dict(enumerate(units))
 
 
 def _max_back_substitution_rows(p, m):
@@ -367,8 +379,8 @@ def test_back_substitution_sums_stay_below_the_width_asked_for(monkeypatch, p):
     q = p - 1
     for m in (8, 31, 64, 129, 200):
         rows = _max_back_substitution_rows(p, m)
-        for call in (lambda: _red(rows, p), lambda: subspace._lime_rows(
-                [r[::-1] for r in rows], m, p)):
+        for call in (lambda: _red(rows, p), lambda: _eliminate(
+                [r[::-1] for r in rows], m, p, lime=True)):
             asked.clear()
             largest[0] = 0
             red = call()
@@ -387,13 +399,12 @@ def test_a_full_echelon_pass_gives_the_identity_without_back_substitution(monkey
     n = 9
     rows = [(1,) * n] * n
     echelon = "_echelon_bits" if p == 2 else "_echelon_slots"
-    identity = {t: [int(i == t) for i in range(n)] for t in range(n)}
+    identity = {t: tuple(int(i == t) for i in range(n)) for t in range(n)}
     for keys in (n, n - 1):
         monkeypatch.setattr(subspace, echelon, lambda *_: {t: object() for t in range(keys)})
         if keys == n:
             assert _red(rows, p) == identity
-            assert subspace._lime_rows(rows, n, p) == {
-                t: tuple(row) for t, row in identity.items()}
+            assert _eliminate(rows, n, p, lime=True) == identity
         else:
             with pytest.raises((TypeError, AttributeError)):
                 _red(rows, p)
@@ -402,7 +413,7 @@ def test_a_full_echelon_pass_gives_the_identity_without_back_substitution(monkey
 def test_slot_red_trivial_inputs():
     assert _red([], 5) == {}
     assert _red([(0,) * 70] * 9, 5) == {}
-    units = [[int(i == j) for j in range(70)] for i in range(9)]
+    units = [tuple(int(i == j) for j in range(70)) for i in range(9)]
     rows = [(4,) + tuple(u[1:]) for u in units]  # 4 e_1, then 4 e_1 + e_i for i = 2..9
     assert _red(rows, 5) == dict(enumerate(units))
 
@@ -454,8 +465,9 @@ def _q_rows(rng, entry, n, m, rank):
 
 
 def _assert_int_red_matches(rows):
-    """_red over Q equals the insertion kernel's dict, and every entry is a
-    Fraction (an int would compare equal but is not the canonical raw value)."""
+    """The red basis over Q equals the insertion kernel's dict, and every
+    entry is a Fraction (an int would compare equal but is not the
+    canonical raw value)."""
     red = _red(rows, None)
     assert red == _generic_red(rows, None)
     assert all(type(v) is Fraction for row in red.values() for v in row)
@@ -478,7 +490,7 @@ def test_int_red_matches_insertion_kernel(rng, form, kind):
 def test_int_red_single_entry_and_trivial_rows(rng):
     assert _red([], None) == {}
     assert _red([(Fraction(0),) * 70] * 3, None) == {}
-    assert _assert_int_red_matches([(Fraction(-3, 7),)]) == {0: [Fraction(1)]}
+    assert _assert_int_red_matches([(Fraction(-3, 7),)]) == {0: (Fraction(1),)}
     for m in WIDTHS:
         rows = []
         for _ in range(min(m, 12)):  # one nonzero entry each, positions repeating
@@ -487,15 +499,15 @@ def test_int_red_single_entry_and_trivial_rows(rng):
                                              rng.randint(1, 2**70))
             rows.append(tuple(row))
         red = _assert_int_red_matches(rows)
-        assert red == {j: [Fraction(int(i == j)) for i in range(m)]
+        assert red == {j: tuple(Fraction(int(i == j)) for i in range(m))
                        for j in {_last_nonzero(r) for r in rows}}
-    units = [[Fraction(int(i == j)) for j in range(9)] for i in range(9)]
+    units = [tuple(Fraction(int(i == j)) for j in range(9)) for i in range(9)]
     scaled = [tuple(Fraction(5, 3) * v for v in u) for u in units]
     assert _assert_int_red_matches(scaled + scaled[::-1]) == dict(enumerate(units))
 
 
 def _key_cases(rng, p):
-    """Row sets for ``_keys`` over p (None for Q): every width at a few row
+    """Row sets for the red keys over p (None for Q): every width at a few row
     counts and ranks, with zero and repeated rows, then row counts and
     widths on both sides of ``_SLOTS_FROM``."""
     for m in WIDTHS:
@@ -526,13 +538,14 @@ def test_keys_match_the_insertion_kernel(rng, form, p):
     make = ROW_FORMS[form]
     for rows in _key_cases(rng, p):
         rows = make(rows)
-        assert set(_keys(rows, p)) == set(_generic_red(rows, p)), (len(rows), len(rows[0]))
-    assert not _keys([], p)
-    assert set(_keys([(0,) * 9, (0,) * 8 + (1,)] * 9, p)) == {8}
+        assert set(_red(rows, p, keys_only=True)) == set(_generic_red(rows, p)), (
+            len(rows), len(rows[0]))
+    assert not _red([], p, keys_only=True)
+    assert set(_red([(0,) * 9, (0,) * 8 + (1,)] * 9, p, keys_only=True)) == {8}
 
 
 def _lime_cases(rng, p):
-    """Row sets for the lime helpers over p (None for Q): every width, at
+    """Row sets for the lime side over p (None for Q): every width, at
     one row, a few rows and more rows than entries, with zero and repeated
     rows."""
     for m in WIDTHS:
@@ -556,19 +569,21 @@ def _lime_read_back(red, n):
 @pytest.mark.parametrize("p", (2, 3, 65521, None), ids=lambda p: "Q" if p is None else str(p))
 @pytest.mark.parametrize("form", sorted(ROW_FORMS))
 def test_lime_helpers_match_the_red_basis_of_the_reversed_rows(rng, form, p):
-    """Over GF(2) the helpers pack rows first entry highest and unpack the
-    answers most significant bit first; at widths 63, 64 and 65 a leading
-    zero dropped there would shift every entry."""
+    """The referee is the insertion kernel on the reversed rows, read
+    backwards. Over GF(2) the lime side packs rows first entry highest and
+    unpacks the answers most significant bit first; at widths 63, 64 and 65
+    a leading zero dropped there would shift every entry."""
     for rows in _lime_cases(rng, p):
         rows = ROW_FORMS[form](rows)
         n = len(rows[0])
-        lime = _lime_read_back(_red([r[::-1] for r in rows], p), n)
+        lime = _lime_read_back(_generic_red([r[::-1] for r in rows], p), n)
         for given in (rows, zip(*zip(*rows))):  # a one-shot iterator, as callers pass
-            got = subspace._lime_rows(given, n, p)
+            got = _eliminate(given, n, p, lime=True)
             assert got == lime and list(got) == list(lime), (n, len(rows))
-        assert subspace._lime_keys(rows, n, p) == set(lime)
-        assert subspace._lime_keys(zip(*zip(*rows)), n, p) == set(lime)
-    assert subspace._lime_rows(iter([]), 5, p) == {} and subspace._lime_keys([], 5, p) == set()
+        assert _eliminate(rows, n, p, lime=True, keys_only=True) == set(lime)
+        assert _eliminate(zip(*zip(*rows)), n, p, lime=True, keys_only=True) == set(lime)
+    assert _eliminate(iter([]), 5, p, lime=True) == {}
+    assert _eliminate([], 5, p, lime=True, keys_only=True) == set()
 
 
 @st.composite
@@ -610,8 +625,8 @@ def _answers(a):
 def gfp_matrices(draw, fields=st.sampled_from((GF3, GF5, GF65521)),
                  nrows=st.integers(1, 14), ncols=st.integers(1, 40)):
     """Matrices over odd p whose rows combine a few drawn rows; their row
-    and column counts fall on both sides of the count from which ``_red``
-    runs the slot kernel."""
+    and column counts fall on both sides of the count from which
+    ``_eliminate`` runs the slot kernel."""
     field = draw(fields)
     p, n, m = field.modulus, draw(nrows), draw(ncols)
     row = st.lists(st.integers(0, p - 1), min_size=m, max_size=m)
@@ -624,36 +639,77 @@ def gfp_matrices(draw, fields=st.sampled_from((GF3, GF5, GF65521)),
     return rl.Matrix.from_values(field, rows)
 
 
+def _generic_eliminate(rows, n, p, lime=False, keys_only=False):
+    """What ``_eliminate`` gives, by the insertion kernel: on the lime side
+    on the reversed rows, read backwards."""
+    rows = list(rows)
+    if lime:
+        answer = _lime_read_back(_generic_red([r[::-1] for r in rows], p), n)
+    else:
+        answer = _generic_red(rows, p)
+    return set(answer) if keys_only else answer
+
+
+ELIMINATING_MODULES = (subspace, duality, matrix, signatures)  # each binds _eliminate
+
+
+def _count_eliminations(mp, eliminate=_eliminate):
+    """Rebind ``_eliminate`` wherever the package binds it to eliminate, and
+    record (p, lime, keys_only) for each call."""
+    calls = []
+
+    def counted(rows, n, p, lime=False, keys_only=False):
+        calls.append((p, lime, keys_only))
+        return eliminate(rows, n, p, lime, keys_only)
+
+    for module in ELIMINATING_MODULES:
+        mp.setattr(module, "_eliminate", counted)
+    return calls
+
+
 def _assert_answers_match_the_generic_kernel(a):
-    """Every answer is the same when the eliminations, ``_red`` and
-    ``_keys`` and the lime helpers ``_lime_rows`` and ``_lime_keys``, are
-    the insertion kernel, and each was called."""
+    """Every answer is the same when the elimination is the insertion
+    kernel, and each side, for rows and for keys, was asked for."""
     packed = _answers(a)
-    calls = {"_red": [], "_keys": [], "_lime_rows": [], "_lime_keys": []}
-
-    def counted(name, answer):
-        def run(rows, *args):
-            calls[name].append(args[-1])
-            return answer(list(rows), *args)
-        return run
-
-    fakes = {
-        "_red": counted("_red", _generic_red),
-        "_keys": counted("_keys", lambda rows, p: set(_generic_red(rows, p))),
-        "_lime_rows": counted("_lime_rows", lambda rows, n, p: _lime_read_back(
-            _generic_red([r[::-1] for r in rows], p), n)),
-        "_lime_keys": counted("_lime_keys", lambda rows, n, p: {
-            n - 1 - k for k in _generic_red([r[::-1] for r in rows], p)}),
-    }
     with pytest.MonkeyPatch.context() as mp:
-        for module in (subspace, duality, matrix, signatures):
-            for name, fake in fakes.items():
-                if hasattr(module, name):
-                    mp.setattr(module, name, fake)
+        calls = _count_eliminations(mp, _generic_eliminate)
         generic = _answers(a)
-    for name, ps in calls.items():
-        assert ps and set(ps) == {a.field.modulus}, name
+    assert {p for p, _, _ in calls} == {a.field.modulus}
+    assert {(lime, keys_only) for _, lime, keys_only in calls} == {
+        (False, False), (False, True), (True, False), (True, True)}
     assert packed == generic
+
+
+LIME_ROWS, LIME_KEYS = (2, True, False), (2, True, True)
+RED_ROWS, RED_KEYS = (2, False, False), (2, False, True)
+
+
+def test_each_public_call_makes_its_known_eliminations():
+    """On a 3×4 GF(2) matrix, the (p, lime, keys_only) of every elimination
+    each public call asks for: one each, and two for a complete echelon
+    factorization (the lime rows of the rows, the lime keys of the columns)."""
+    a = rl.Matrix.from_values(GF2, [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]])
+    w = rl.row_space(a)
+    independent = [rl.Vector.from_values(GF2, r) for r in ([0, 1, 1, 0], [1, 0, 0, 1])]
+    expected = {
+        "rref": (lambda: rl.rref(a), [LIME_ROWS]),
+        "nullspace": (lambda: rl.nullspace(a), [LIME_ROWS]),
+        "complement": (lambda: rl.complement(w), [LIME_ROWS]),
+        "rank": (lambda: rl.rank(a), [RED_KEYS]),
+        "pivot_columns": (lambda: rl.pivot_columns(a), [LIME_KEYS]),
+        "signature": (lambda: rl.signature(w), [LIME_KEYS]),
+        "span_red_basis": (lambda: rl.span_red_basis(a.row_vectors()), [RED_ROWS]),
+        "extend_rows_to_invertible": (
+            lambda: rl.extend_rows_to_invertible(independent), [LIME_KEYS]),
+        "rref_factorization": (
+            lambda: rl.rref_factorization(a, complete=True), [LIME_ROWS, LIME_KEYS]),
+    }
+    for name, (call, eliminations) in expected.items():
+        plain = call()
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_eliminations(mp)
+            assert call() == plain, name
+        assert calls == eliminations, name
 
 
 @given(gf2_matrices())

@@ -18,6 +18,14 @@ def test_kernel_crossover_codec_reports_a_table_width():
                          env=env, capture_output=True, text=True, timeout=60, check=True).stdout
     rows = [line.split() for line in out.splitlines() if re.match(r" +\d+ ", line)]
     assert [int(r[0]) for r in rows] == list(range(1, 13))
-    assert all(float(r[1]) > 0 and float(r[3]) > 0 for r in rows)
+    assert all(float(v) > 0 for r in rows for v in r[1:])
     assert re.search(r"largest width at which the table wins: \d+ .*_TABLE_WIDTH is "
                      + str(subspace._TABLE_WIDTH), out)
+
+
+def test_mutants_find_each_original_text_once():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "mutants.py"), "--check"],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stdout
+    assert re.match(r"\d+ mutants and \d+ equivalent mutants, each original text found once",
+                    out.stdout)
