@@ -113,6 +113,9 @@ MUTANTS = (
     ("dependent columns miss the last", "src/redlime/matrix.py",
      "frozenset(range(1, a.ncols + 1))",
      "frozenset(range(1, a.ncols))"),
+    ("matrix rows split at every str.splitlines() break", "src/redlime/matrixfile.py",
+     r're.split(r"\r\n?|\n", text)',
+     "text.splitlines()"),
     ("CLI usage error exits 2", "src/redlime/cli.py",
      '        print(f"usage error: {exc}", file=sys.stderr)\n        return 1',
      '        print(f"usage error: {exc}", file=sys.stderr)\n        return 2'),

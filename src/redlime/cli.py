@@ -17,7 +17,7 @@ from collections import Counter
 
 from .duality import complement
 from .errors import DomainError, ParseError, ResourceError, UsageError
-from .fields import FieldSpec, _random_scalar, _text, gf
+from .fields import FieldSpec, _random_scalar, _row_text, gf
 from .matrix import (Matrix, apply_column_centric, apply_row_centric,
                      column_space, dependent_columns, full_rank_factorization,
                      nullity, nullspace, pivot_columns, rank, rcef,
@@ -43,7 +43,7 @@ def _basis_text(w) -> str:
     """A Subspace or LimeBasis as text: field header, indices, one raw row a line."""
     indices = " ".join(str(i) for i in w._indices)
     lines = [field_header(w.field), f"# {w._side} indices: {indices}".rstrip()]
-    lines.extend(" ".join(_text(w.field, e) for e in r) for r in w._raw)
+    lines.extend([_row_text(w.field, r) for r in w._raw])
     return "\n".join(lines) + "\n"
 
 
@@ -80,7 +80,7 @@ def _cmd_member(args) -> int:
     x = parse_vector_text(args.vector, a.field)
     if contains_vector(w, x):
         coords = coordinates(w, x)
-        print(("yes\n" + " ".join(str(c) for c in coords)) if coords else "yes")
+        print(("yes\n" + _row_text(a.field, [c.value for c in coords])) if coords else "yes")
         return 0
     print("no")
     return 3

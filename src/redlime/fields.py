@@ -243,6 +243,13 @@ def _text(field: FieldSpec, value) -> str:
             " the interpreter's limit for integer text") from None
 
 
+def _row_text(field: FieldSpec, row) -> str:
+    """The text of one raw row of field, its values space-separated."""
+    if field.is_prime_field:  # residues below p, whose text is never too long
+        return " ".join(map(str, row))
+    return " ".join([_text(field, v) for v in row])
+
+
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     """Parse one scalar token: ``-?[0-9]+`` anywhere, ``a/b`` over Q only."""
     _check_type(text, str)

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .duality import _complement
 from .errors import DomainError, UsageError, _check_field, _check_int, _check_type, _items
-from .fields import FieldSpec, Scalar, _scalars, _text
+from .fields import FieldSpec, Scalar, _row_text, _scalars
 from .subspace import (Subspace, Vector, _check_space, _check_vector, _common_field_ambient,
                        _eliminate, _product, _span, _unit, _values, _vector)
 
@@ -115,9 +115,7 @@ class Matrix:
         return hash((self.field, self._raw))
 
     def __str__(self):
-        if self.field.is_prime_field:  # residues below p, whose text is never too long
-            return "\n".join([" ".join(map(str, r)) for r in self._raw])
-        return "\n".join(" ".join(_text(self.field, v) for v in r) for r in self._raw)
+        return "\n".join([_row_text(self.field, r) for r in self._raw])
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"

@@ -46,29 +46,31 @@ def parse_field_tokens(tokens) -> FieldSpec:
 _INT_ROW_RE = re.compile(r"-?[0-9]+(?:[ \t]+-?[0-9]+)*")
 
 
-def _int_row(line: str, p):
-    """The raw row of a line of integer tokens over GF(p), or over Q for
-    p None; None when the line is anything else, or holds a token with more
-    digits than int() converts, for ``_parse_scalar`` to take token by token."""
-    if not _INT_ROW_RE.fullmatch(line):
-        return None
-    try:
-        if p is None:
-            return tuple([Fraction(int(t)) for t in line.split()])
-        return tuple([int(t) % p for t in line.split()])
-    except ValueError:
-        return None
+def _parse_row(line: str, field: FieldSpec) -> tuple:
+    """The raw row of a line of scalar tokens. A line of integer tokens
+    converts in one pass; any other line, or one with a token of more digits
+    than int() converts, goes token by token through ``_parse_scalar``,
+    which gives every error message."""
+    if _INT_ROW_RE.fullmatch(line):
+        try:
+            if field.modulus is None:
+                return tuple([Fraction(int(t)) for t in line.split()])
+            return tuple([int(t) % field.modulus for t in line.split()])
+        except ValueError:
+            pass
+    return tuple([_parse_scalar(tok, field) for tok in line.split()])
 
 
 def parse_matrix_text(text: str) -> Matrix:
     """The matrix of a file's text. The text is checked here, once: a header,
-    at least one row, rows of equal width, each token a canonical raw value.
-    A row of integer tokens converts in one pass (``_int_row``); any other
-    row goes token by token, which gives every error message."""
+    at least one row, rows of equal width, each token a canonical raw value
+    (``_parse_row``)."""
     _check_type(text, str)
     field = None
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # the line ends of universal newlines: splitlines() also breaks at VT, FF,
+    # U+001C-U+001E, U+0085, U+2028 and U+2029, which split() reads as space
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -78,13 +80,10 @@ def parse_matrix_text(text: str) -> Matrix:
                 raise ParseError(f"line {lineno}: expected a 'field ...' header first")
             field = parse_field_tokens(tokens[1:])
             continue
-        row = _int_row(line, field.modulus)
-        if row is None:
-            try:
-                row = tuple([_parse_scalar(tok, field) for tok in line.split()])
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-        rows.append(row)
+        try:
+            rows.append(_parse_row(line, field))
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
     if field is None:
         raise ParseError("missing 'field ...' header")
     if not rows:
@@ -117,7 +116,7 @@ def render_matrix(a: Matrix) -> str:
 def parse_vector_text(text: str, field: FieldSpec) -> Vector:
     _check_type(text, str)
     _check_type(field, FieldSpec)
-    tokens = text.split()
-    if not tokens:
+    line = text.strip()
+    if not line:
         raise ParseError("empty vector text")
-    return _vector(field, tuple(_parse_scalar(tok, field) for tok in tokens))
+    return _vector(field, _parse_row(line, field))

@@ -229,7 +229,7 @@ _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # translation. _ROWS[n] lists the rows of n entries by code; _CODES is the
 # inverse. Lookup is the faster way at every width measured, and the tables
 # are built at import, so the bound is the widest whose tables build within
-# a budget of the import's time (``scripts/kernel_crossover.py --codec``).
+# a budget of the import's time (``scripts/kernel_crossover.py --table codec``).
 _TABLE_WIDTH = 8
 _ROWS = tuple([tuple(product((0, 1), repeat=n)) for n in range(_TABLE_WIDTH + 1)])
 _CODES = {row: x for rows in _ROWS for x, row in enumerate(rows)}
@@ -283,7 +283,7 @@ def _unpack(x: int, n: int, k: int):
 # Over odd p, _eliminate runs a slot kernel when both the row count and the
 # width, and so the rank bound, are at least _SLOTS_FROM, and the insertion
 # kernel otherwise: below it packing and unpacking each row cost more than
-# the row operations saved (scripts/kernel_crossover.py; CHANGES.md).
+# the row operations saved (scripts/kernel_crossover.py --table slots; CHANGES.md).
 _SLOTS_FROM = 8
 
 

@@ -50,10 +50,25 @@ def test_render_parse_round_trip(a):
     assert rl.parse_matrix_text(rl.render_matrix(a)) == a
 
 
+# str.splitlines() breaks at each of these; str.split() reads them as whitespace
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_rows_split_only_at_line_ends(tmp_path, sep):
+    path = tmp_path / "m.txt"
+    path.write_text(f"field gf 5\n1{sep}2\n3 x\n", encoding="utf-8", newline="")
+    with pytest.raises(ParseError, match=r"^line 3: malformed scalar token 'x'$"):
+        rl.load_matrix(path)
+    path.write_text(f"field gf 5\r\n1{sep}2 3\r4 5 6\n", encoding="utf-8", newline="")
+    assert rl.load_matrix(path) == mat(rl.gf(5), [[1, 2, 3], [4, 5, 6]])
+    assert rl.parse_matrix_text(f"field gf 5\r\n1{sep}2 3\r4 5 6\n") \
+        == mat(rl.gf(5), [[1, 2, 3], [4, 5, 6]])
+
+
 def test_parse_vector_text():
     v = rl.parse_vector_text("1 -2/3 0", Q)
     assert v == rl.Vector.from_values(Q, [1, rl.parse_scalar("-2/3", Q).value, 0])
-    with pytest.raises(ParseError):
-        rl.parse_vector_text("", GF2)
-    with pytest.raises(ParseError):
+    assert rl.parse_vector_text(" 4\t-1\n7 ", rl.gf(5)) == mat(rl.gf(5), [[4, 4, 2]]).row(1)
+    with pytest.raises(ParseError, match=r"^empty vector text$"):
+        rl.parse_vector_text(" \n", GF2)
+    with pytest.raises(ParseError, match=r"^malformed scalar token 'q'$"):
         rl.parse_vector_text("1 q", GF2)
