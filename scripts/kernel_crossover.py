@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Where each elimination kernel starts to pay: time two kernels on the same
-inputs and print the ratio of their times, for one of four tables.
+inputs and print the ratio of their times, for one of three tables.
 
 Every table is measured the same way, by ``ratios``. Each case is a set of
 inputs; a batch is a number of calls on them calibrated to about BATCH_S of
@@ -14,8 +14,8 @@ batches only, and restored after. The process is pinned to one core.
 ``--table slots`` (the default) times ``subspace._eliminate`` over odd p,
 for the red rows and for the red keys, with the slot kernel against the
 insertion kernel, each forced by rebinding ``_SLOTS_FROM``: ``_eliminate``
-runs a slot kernel (for the rows ``_red_slots`` or ``_red_echelon_slots``,
-for the keys ``_echelon_slots``) when both the row count and the width are
+runs a slot kernel (for the rows ``_red_echelon_slots``, for the keys
+``_echelon_slots``) when both the row count and the width are
 at least ``_SLOTS_FROM``. A case is SAMPLES sets of random rows over GF(p),
 so of rank min(rows, width) but for chance dependencies, eliminated one
 after the other (one set alone makes the ratio depend on its entries). For
@@ -24,16 +24,6 @@ among the cases whose rank bound min(rows, width) is b, and a line giving
 the fewest b from which no case, at any prime, takes the slot kernel more
 than TOLERANCE times the insertion kernel's time (a margin for timing
 noise): the rule that sets ``_SLOTS_FROM``, which serves both.
-
-``--table passes`` times the two odd-p slot reductions that ``_eliminate``
-chooses between from ``_SLOTS_FROM`` on: ``_red_slots`` (one Gauss–Jordan
-pass) against ``_red_echelon_slots`` (an echelon pass, then the standard
-basis if it finds every key, else back-substitution), by prime (3, 5,
-65521) and shape (tall, square and wide, 8 to 150 rows or entries), at full
-rank min(rows, width) and at about three quarters of it. The summary gives
-the largest ratio by shape class, which is what sets the gate:
-``_eliminate`` takes two passes on at least as many rows as entries, the
-only shape whose span can be all of F^n.
 
 ``--table q`` times Q, where ``_eliminate`` has no crossover: the
 ``_insert_red`` loop on Fractions (the kernel it ran over Q before) against
@@ -54,7 +44,7 @@ narrower one, for every conversion, and the tables up to that width build
 within BUILD_BUDGET_MS. That width sets ``_TABLE_WIDTH``.
 
     PYTHONPATH=src python3 scripts/kernel_crossover.py [--rounds 7] \
-        [--table slots|passes|q|codec]
+        [--table slots|q|codec]
 """
 
 import argparse
@@ -151,54 +141,6 @@ def slots_table(rounds):
                            on_samples(op, _SLOTS_FROM=1), rounds)
         report(name, cases, median, rounds)
         print()
-
-
-# (rows, width) for the passes table: tall, square and wide, 8 to 150
-PASS_SHAPES = ((16, 8), (30, 10), (60, 25), (150, 100),
-               (8, 8), (12, 12), (25, 25), (50, 50), (100, 100), (150, 150),
-               (8, 16), (12, 24), (25, 50), (75, 150))
-
-
-def rows_of_rank(rng, p, n, m, rank):
-    """n random rows of width m over GF(p) spanning ``rank`` dimensions (but
-    for chance dependencies): combinations of ``rank`` random rows."""
-    base = [[rng.randrange(p) for _ in range(m)] for _ in range(rank)]
-    rows = []
-    for _ in range(n):
-        cs = [rng.randrange(p) for _ in range(rank)]
-        rows.append(tuple(sum(c * b[j] for c, b in zip(cs, base)) % p for j in range(m)))
-    return rows
-
-
-def passes_table(rounds):
-    """Median time ratio of the two-pass odd-p reduction to the one-pass one."""
-    rng = random.Random(SEED)
-    cases = {}
-    for p in PRIMES:
-        for n, m in PASS_SHAPES:
-            for rank in (min(n, m), 3 * min(n, m) // 4):
-                samples = [rows_of_rank(rng, p, n, m, rank) for _ in range(2)]
-                assert subspace._red_slots(samples[0], p) \
-                    == subspace._red_echelon_slots(samples[0], p), (p, n, m, rank)
-                cases[p, n, m, rank] = samples, p
-    median, _ = ratios(cases, on_samples(subspace._red_slots),
-                       on_samples(subspace._red_echelon_slots), rounds)
-    print(f"two-pass time / one-pass time, median of {rounds} rounds of best-of-{REPEAT}")
-    print(f"{'shape':>16} {'rank':>8}" + "".join(f"{'GF(' + str(p) + ')':>12}" for p in PRIMES))
-    worst = {}
-    for n, m in PASS_SHAPES:
-        shape = "wide" if n < m else "square" if n == m else "tall"
-        for full in (True, False):
-            rank = min(n, m) if full else 3 * min(n, m) // 4
-            span = "full" if full and n >= m else "rank " + str(rank)
-            row = [median[p, n, m, rank] for p in PRIMES]
-            key = ("rows < entries" if n < m else "rows >= entries",
-                   "full span" if full and n >= m else "not full span")
-            worst[key] = max(worst.get(key, 0), *row)
-            print(f"{n:4}x{m:<4} {shape:>6} {span:>8}" + "".join(f"{g:12.2f}" for g in row))
-    print("\nlargest ratio by class")
-    for (gate, span), g in sorted(worst.items()):
-        print(f"  {gate:16} {span:14} {g:5.2f}")
 
 
 Q_ROWS = (1, 2, 3, 4, 6, 8, 10, 12)
@@ -302,7 +244,7 @@ def codec_table(rounds):
           f"_TABLE_WIDTH is {subspace._TABLE_WIDTH}")
 
 
-TABLES = {"slots": slots_table, "passes": passes_table, "q": q_table, "codec": codec_table}
+TABLES = {"slots": slots_table, "q": q_table, "codec": codec_table}
 
 
 def main():

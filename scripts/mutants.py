@@ -40,16 +40,19 @@ CHECK_TEST = "tests/test_scripts.py::test_mutants_find_each_original_text_once"
 
 # (name, file, original text, mutated text)
 MUTANTS = (
-    # slot widths, each narrowed
-    ("one-pass slot width narrowed", SUB,
-     "_slot_bytes(3 * p.bit_length() + 2 * n.bit_length())",
-     "_slot_bytes(2 * p.bit_length() + 2 * n.bit_length())"),
-    ("echelon slot width narrowed", SUB,
-     "    n = len(rows[0])\n    k = _slot_bytes(2 * p.bit_length() + n.bit_length())",
-     "    n = len(rows[0])\n    k = _slot_bytes(2 * p.bit_length())"),
-    ("back-substitution slot width narrowed", SUB,
-     "    k = _slot_bytes(2 * p.bit_length() + n.bit_length())\n    packed, basis",
-     "    k = _slot_bytes(2 * p.bit_length())\n    packed, basis"),
+    # the slot width and the packed reducer
+    ("slot width narrowed to the reducer's bound", SUB,
+     "k = _slot_bytes(2 * (s - a))",
+     "k = _slot_bytes(s)"),
+    ("reducer bound without bits(n)", SUB,
+     "2 * b + n.bit_length(), b + 1",
+     "2 * b, b + 1"),
+    ("one correction round instead of two", SUB,
+     "        x -= ((x + over) >> f & ones) * p\n",
+     ""),
+    ("quotient estimate from bits(p), not bits(p) - 1", SUB,
+     "a, s, f = b - 1,",
+     "a, s, f = b,"),
     ("product slot width narrowed", SUB,
      "_slot_bytes(2 * p.bit_length() + len(rows).bit_length())",
      "_slot_bytes(2 * p.bit_length())"),
@@ -98,14 +101,11 @@ MUTANTS = (
      "_CODES[tuple(r[::-1])]",
      "_CODES[tuple(r)]"),
     ("translation codec ignores flip", SUB,
-     "int(bytes(r)[::-1].translate(_DIGITS), 2)",
-     "int(bytes(r).translate(_DIGITS), 2)"),
+     "int(bytearray(r)[::-1].translate(_DIGITS), 2)",
+     "int(bytearray(r).translate(_DIGITS), 2)"),
     ("GF(2) red rows not read backwards", SUB,
      "{t: table[x][::-1] for",
      "{t: table[x] for"),
-    ("two passes only on more rows than entries", SUB,
-     "len(rows) >= n else _red_slots",
-     "len(rows) > n else _red_slots"),
     # the read-offs and the answers built on them
     ("complement read-off drops the negation", "src/redlime/duality.py",
      "z[i] = -row[o] if p is None else p - row[o]",

@@ -99,7 +99,7 @@ def load_matrix(path) -> Matrix:
     if not isinstance(path, (str, bytes, os.PathLike)):  # an int would be a file descriptor
         raise UsageError(f"a path must be a str, bytes or os.PathLike, not {type(path).__name__}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None

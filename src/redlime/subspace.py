@@ -239,15 +239,15 @@ def _codes(rows, n: int, flip: bool) -> list:
     """The codes of an iterable of GF(2) rows of n entries, or with flip the
     codes of the reversed rows (entry j at bit j, so the leading bit is the
     terminating position): by table up to ``_TABLE_WIDTH`` entries, the
-    reversed tuple looked up; above it by bytes translation, the bytes
-    reversed by a slice."""
+    reversed tuple looked up; above it by translating each row's bytearray
+    (built faster than bytes from a tuple), reversed by a slice."""
     if n <= _TABLE_WIDTH:
         if flip:
             return [_CODES[tuple(r[::-1])] for r in rows]
         return [_CODES[tuple(r)] for r in rows]
     if flip:
-        return [int(bytes(r)[::-1].translate(_DIGITS), 2) for r in rows]
-    return [int(bytes(r).translate(_DIGITS), 2) for r in rows]
+        return [int(bytearray(r)[::-1].translate(_DIGITS), 2) for r in rows]
+    return [int(bytearray(r).translate(_DIGITS), 2) for r in rows]
 
 
 def _wide_rows(xs, n: int) -> dict:
@@ -280,10 +280,11 @@ def _unpack(x: int, n: int, k: int):
     return [int.from_bytes(b[j:j + k], "little") for j in range(0, k * n, k)]
 
 
-# Over odd p, _eliminate runs a slot kernel when both the row count and the
-# width, and so the rank bound, are at least _SLOTS_FROM, and the insertion
-# kernel otherwise: below it packing and unpacking each row cost more than
-# the row operations saved (scripts/kernel_crossover.py --table slots; CHANGES.md).
+# Over odd p, _eliminate runs the slot kernels when both the row count and
+# the width, and so the rank bound, are at least _SLOTS_FROM, and the
+# insertion kernel otherwise: below it packing and unpacking each row cost
+# more than the row operations saved (scripts/kernel_crossover.py --table
+# slots; CHANGES.md).
 _SLOTS_FROM = 8
 
 
@@ -306,10 +307,11 @@ def _eliminate(rows, n: int, p, lime: bool = False, keys_only: bool = False):
     - Q: integer rows (``_red_ints``; its integer phase ``_int_basis`` for
       the keys).
     - Odd p, on at least ``_SLOTS_FROM`` rows of at least ``_SLOTS_FROM``
-      entries: slots. The keys come from ``_echelon_slots``. The rows take
-      two passes on at least as many rows as entries, the only shape whose
-      span can be F^n (``_red_echelon_slots``), and one pass on fewer
-      (``_red_slots``). Below that: the insertion kernel.
+      entries, whatever their shape: slots, reduced by ``_slot_reducer``.
+      The keys come from the echelon pass ``_echelon_slots``; the rows from
+      ``_red_echelon_slots``, that pass and then the standard basis if it
+      finds every key, else back-substitution. Below that: the insertion
+      kernel.
 
     Any basis whose members terminate at distinct positions terminates
     exactly at the red indices, so the keys come off an echelon pass, with
@@ -330,10 +332,7 @@ def _eliminate(rows, n: int, p, lime: bool = False, keys_only: bool = False):
     if p is None:
         basis = (_int_basis if keys_only else _red_ints)(rows)
     elif len(rows) >= _SLOTS_FROM and n >= _SLOTS_FROM:
-        if keys_only:
-            basis = _echelon_slots(rows, p)
-        else:
-            basis = (_red_echelon_slots if len(rows) >= n else _red_slots)(rows, p)
+        basis = (_echelon_slots if keys_only else _red_echelon_slots)(rows, p)
     else:
         basis = {}
         for row in rows:
@@ -432,76 +431,71 @@ def _red_bits(xs, n: int) -> dict:
     return basis
 
 
-def _red_slots(rows, p: int) -> dict:
-    """The red basis over GF(p), p odd, of a nonempty sequence of raw rows
-    of n entries, in one pass: each row is packed into one int, entry j in
-    slot j of w bits, so a row operation is one big-int multiply-add
-    ``x += (p - c) * b``. A stored row b is zero mod p at every key but its
-    own, so adding it leaves x's residues at the other keys alone: the
-    coefficients c that clear a new row at every key are its own entries
-    there, and one sum clears it.
+def _slot_reducer(p: int, n: int) -> tuple:
+    """(k, reduce) for rows of n entries over GF(p), p odd, packed into one
+    int with k bytes a slot: reduce takes such a row whose slots are each
+    below 2**s, s = 2·bits(p) + bits(n), to the same row with every slot
+    reduced into range(p), in a fixed handful of big-int operations on all
+    slots at once (Barrett reduction), masks keeping each slot's own bits.
 
-    Slots are never reduced inside that arithmetic, only when a row is
-    unpacked, so the width must hold every value a slot can reach. With
-    q = p - 1, every slot holds a nonnegative integer congruent to its
-    entry, and as long as none reaches 2**w, no slot carries into the next:
+    With a = bits(p) - 1, so 2**a <= p, and M = ⌊2**s / p⌋, a slot x gets
+    the quotient estimate q̂ = ⌊⌊x / 2**a⌋·M / 2**(s - a)⌋ of q = ⌊x / p⌋.
+    Each floored factor is at most its unfloored value, so q̂ <= x / p and
+    q̂ <= q. Below 2**a, x gives q̂ = q = 0. From 2**a on, each factor is
+    also more than its unfloored value less 1, which is not negative, so
+    ⌊x / 2**a⌋·M / 2**(s - a) >= (x / 2**a - 1)(2**s / p - 1) / 2**(s - a)
+    > x/p - x / 2**s - 2**a / p >= x/p - 2, as x < 2**s and 2**a <= p:
+    q̂ > x/p - 3, so q̂ >= q - 2 and x - q̂·p is in range(3p). Two rounds
+    then each subtract p from every slot of at least p. A round adds
+    2**f - p to each slot, f = bits(p) + 1: a slot r in range(3p) becomes
+    r + 2**f - p, which is at least 2**f exactly when r >= p and below
+    2**(f + 1) as 2p < 2**f, so its bit f is the flag.
 
-    - a reduced row has slots of at most q;
-    - a stored row enters reduced and scaled. It then changes only when a
-      new key t below its own is inserted, gaining (p - c)·x for the new
-      reduced row x, with 1 <= p - c <= q: at most q² per slot. At most
-      n - 1 keys come after it, so its slots stay at most q + (n - 1)·q²;
-    - a new row starts at most q and gains (p - c)·b once for each of the
-      at most n stored rows b. So its slots stay at most
-      q + n·q·(q + (n - 1)·q²) = q + n·q² + n(n - 1)·q³, which is below
-      n²·q³ because q >= 2 gives n·q³ >= 2n·q² >= n·q² + q.
-
-    n²·q³ < 2**(2·bits(n) + 3·bits(p)), so that many bits per slot suffice.
-    A row is unpacked and reduced once as it enters (for its terminating
-    index and its scale), and each stored row once at the end.
+    No slot carries into the next or borrows from it while each step fits
+    in its w = 8k bits: ⌊x / 2**a⌋ < 2**(s - a) and M <= 2**(s - a), so
+    their product is below 2**(2(s - a)); q̂·p <= x; a round's sum is below
+    2**(f + 1). And a shift by a or by s - a, masked to s - a bits a slot,
+    keeps only the slot's own bits: those shifted in from the slot above
+    land at w - a or w - (s - a), both at least s - a. 2(s - a) =
+    2·(bits(p) + bits(n) + 1) exceeds s and f + 1, so that many bits,
+    rounded up by ``_slot_bytes``, are the width.
     """
-    n = len(rows[0])
-    k = _slot_bytes(3 * p.bit_length() + 2 * n.bit_length())
-    w = 8 * k
-    mask = (1 << w) - 1
-    basis: dict = {}
-    for row in rows:
-        x = sum([(p - row[i]) * b for i, b in basis.items() if row[i]], _pack(row, k))
-        row = [v % p for v in _unpack(x, n, k)]
-        t = _last_nonzero(row)
-        if t is None:
-            continue
-        if row[t] != 1:
-            inv = pow(row[t], -1, p)
-            row = [v * inv % p for v in row]
-        x = _pack(row, k)
-        for i, b in basis.items():  # clear the new red position from older rows
-            if i > t:
-                c = (b >> w * t & mask) % p
-                if c:
-                    basis[i] = b + (p - c) * x
-        basis[t] = x
-    return {t: [v % p for v in _unpack(x, n, k)] for t, x in basis.items()}
+    b = p.bit_length()
+    a, s, f = b - 1, 2 * b + n.bit_length(), b + 1
+    k = _slot_bytes(2 * (s - a))
+    ones = ((1 << 8 * k * n) - 1) // ((1 << 8 * k) - 1)  # a 1 in every slot
+    low, m, over = ones * ((1 << s - a) - 1), (1 << s) // p, ones * ((1 << f) - p)
+
+    def reduce(x: int) -> int:
+        x -= ((x >> a & low) * m >> s - a & low) * p
+        x -= ((x + over) >> f & ones) * p
+        return x - ((x + over) >> f & ones) * p
+
+    return k, reduce
 
 
 def _echelon_slots(rows, p: int) -> dict:
     """An echelon basis over GF(p), p odd, of a nonempty sequence of raw
-    rows of n entries, by key, each row packed into slots of w bits as in
-    ``_red_slots``. Stored rows are reduced and scaled to end in 1. A new
-    row x is scanned from its top slot down: slot j is read as
-    ``(x >> w·j & mask) % p``, and where that is some c != 0 at a key, x
-    gains ``(p - c)·b`` for the row b stored there, which clears slot j and
-    changes only slots below it. At the first nonzero slot that is no key,
-    x is reduced, scaled and stored.
+    rows of n entries, by key. Each row is packed into one int, entry j in
+    slot j of w bits, so a row operation is one big-int multiply-add
+    ``x += (p - c)·b`` over every slot at once; a slot is reduced only as
+    it is read, and a row only by ``_slot_reducer``, which also sets w.
+    Stored rows are reduced and scaled to end in 1. A new row x is scanned
+    from its top slot down: slot j is read as ``(x >> w·j & mask) % p``,
+    and where that is some c != 0 at a key, x gains ``(p - c)·b`` for the
+    row b stored there, which clears slot j and changes only slots below
+    it. At the first nonzero slot that is no key, x is reduced, multiplied
+    by the inverse of c, reduced again and stored.
 
     With q = p - 1, a slot of x starts at most q and gains at most n
     products (p - c)·v with p - c <= q and v <= q, since b is reduced: so
     it stays at most q + n·q² < 2**(2·bits(p) + bits(n)), as
     q + n·q² <= (n + 1)·q² - q <= 2**bits(n)·q² and q² < 2**(2·bits(p)).
-    That many bits per slot keep every slot from carrying into the next.
+    That is the bound ``_slot_reducer`` takes; a reduced slot times the
+    inverse is below p², within it too.
     """
     n = len(rows[0])
-    k = _slot_bytes(2 * p.bit_length() + n.bit_length())
+    k, reduce = _slot_reducer(p, n)
     w = 8 * k
     mask = (1 << w) - 1
     basis: dict = {}
@@ -513,8 +507,7 @@ def _echelon_slots(rows, p: int) -> dict:
                 continue
             b = basis.get(j)
             if b is None:
-                inv = pow(c, -1, p)
-                basis[j] = _pack([v % p * inv % p for v in _unpack(x, n, k)], k)
+                basis[j] = reduce(reduce(x) * pow(c, -1, p))
                 break
             x += (p - c) * b
     return basis
@@ -522,22 +515,22 @@ def _echelon_slots(rows, p: int) -> dict:
 
 def _red_echelon_slots(rows, p: int) -> dict:
     """The red basis over GF(p), p odd, of a nonempty sequence of raw rows
-    of n entries, in the two passes of ``_red_bits``: the standard basis if
-    ``_echelon_slots`` finds n keys; else, keys ascending, each stored row x
-    is cleared by one sum ``x + Σ (p - x[i])·b_i`` over the reduced rows b_i
-    at the lower keys, then reduced and repacked. With q = p - 1 the sum's
-    slots stay at most q + (n - 1)·q², within what ``_echelon_slots``' width holds."""
+    of n entries, of any shape, in the two passes of ``_red_bits``: the
+    standard basis if ``_echelon_slots`` finds n keys; else, keys
+    ascending, each stored row x is cleared by one sum
+    ``x + Σ (p - x[i])·b_i`` over the reduced rows b_i at the lower keys,
+    then reduced by ``_slot_reducer``. With q = p - 1 the sum's slots stay
+    at most q + (n - 1)·q², within the reducer's bound."""
     n = len(rows[0])
     echelon = _echelon_slots(rows, p)
     if len(echelon) == n:
         return {t: [0] * t + [1] + [0] * (n - 1 - t) for t in range(n)}
-    k = _slot_bytes(2 * p.bit_length() + n.bit_length())
+    k, reduce = _slot_reducer(p, n)
     packed, basis = {}, {}
     for t, x in sorted(echelon.items()):
         row = _unpack(x, n, k)
-        x = sum([(p - row[i]) * b for i, b in packed.items() if row[i]], x)
-        basis[t] = row = [v % p for v in _unpack(x, n, k)]
-        packed[t] = _pack(row, k)
+        packed[t] = x = reduce(sum([(p - row[i]) * b for i, b in packed.items() if row[i]], x))
+        basis[t] = _unpack(x, n, k)
     return basis
 
 

@@ -40,6 +40,17 @@ def test_unknown_field_header():
         rl.parse_matrix_text("field gf two\n1 0\n")
 
 
+def test_a_leading_byte_order_mark_is_read_past(tmp_path):
+    """Some editors begin a UTF-8 file with the encoded U+FEFF, which
+    ``str.strip()`` keeps; only a leading one is dropped."""
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbffield gf 5\n1 2\n")
+    assert rl.load_matrix(path) == mat(rl.gf(5), [[1, 2]])
+    path.write_bytes(b"field gf 5\n\xef\xbb\xbf1 2\n")
+    with pytest.raises(ParseError, match=r"^line 2: "):
+        rl.load_matrix(path)
+
+
 def test_missing_file_is_a_usage_error(tmp_path):
     with pytest.raises(UsageError):
         rl.load_matrix(tmp_path / "absent.txt")

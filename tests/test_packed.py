@@ -13,14 +13,14 @@ and the red side flips that bit order in the codec (``_codes``); the keys
 come off an echelon pass (``_echelon_bits``), which ``_red_bits`` then
 back-substitutes. Over odd p and Q the kernels compute the red side. Over
 odd p, from ``_SLOTS_FROM`` rows of at least ``_SLOTS_FROM`` entries, a
-slot kernel runs: for the keys an echelon pass (``_echelon_slots``); for
-the rows, on at least as many rows as entries, that pass and then the
-standard basis if it finds every key or back-substitution if not
-(``_red_echelon_slots``), and on wider rows one pass (``_red_slots``).
-Below it the insertion kernel runs. Over Q the rows are eliminated as
-integers (``_red_ints``, whose integer phase gives the keys) and Fractions
-are built only in the answer, while ``_product`` still adds Fraction rows
-with ``_axpy``.
+slot kernel runs, whatever the shape: for the keys an echelon pass
+(``_echelon_slots``); for the rows that pass and then the standard basis if
+it finds every key or back-substitution if not (``_red_echelon_slots``).
+Both reduce a row's slots all at once (``_slot_reducer``, Barrett
+reduction). Below it the insertion kernel runs. Over Q the rows are
+eliminated as integers (``_red_ints``, whose integer phase gives the keys)
+and Fractions are built only in the answer, while ``_product`` still adds
+Fraction rows with ``_axpy``.
 GF(2) rows of up to ``_TABLE_WIDTH`` entries are packed and unpacked by
 table lookup, wider ones by bytes translation: one test holds every tabled
 row to translation, and the widths below fall on both sides of the bound.
@@ -31,8 +31,9 @@ unreduced slots to their largest values, Q rows with 200-bit numerators or
 distinct large prime denominators, and every row form the callers pass;
 the lime side is refereed by ``_insert_red`` on the reversed rows, read
 backwards. White-box checks watch the slot values themselves against the
-width the code asks for, and one test pins how many eliminations each
-public call makes.
+width the code asks for and the bound the reducer takes, the reducer is
+held to ``v % p`` at the extreme slot values, and one test pins how many
+eliminations each public call makes.
 """
 
 import random
@@ -225,36 +226,50 @@ def _rows_of_rank(rng, p, n, m, rank):
 
 def _max_carry_rows(rng, p, m):
     """Rows that drive the unreduced slots toward their bound: one row per
-    position, last position first, so each stored row gains a multiple of
-    every later row; entries are p - 1 but for a few 1s, with a 1 at the
-    terminating position. Then a row of ones and a row of p - 1, each
-    cleared at every key."""
+    position, last position first, entries p - 1 but for a few 1s, with a
+    1 at the terminating position. Then a row of ones and a row of p - 1,
+    each cleared at every key, so each slot gains up to one product of two
+    residues near p - 1 per key above it."""
     q = p - 1
     rows = [tuple([q if rng.random() < 0.99 else 1 for _ in range(t)]) + (1,) + (0,) * (m - 1 - t)
             for t in range(m - 1, -1, -1)]
     return rows + [(1,) * m, (q,) * m]
 
 
+def _wide(rows, m):
+    """Fewer rows than the m entries, from ``_max_carry_rows``: all but two
+    of the one-per-position rows, then the two cleared at every key."""
+    return rows[:m - 3] + rows[-2:]
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_slot_red_at_the_largest_slot_values(rng, p):
-    """The rows are tall, so ``_eliminate`` takes two passes; ``_red_slots``,
-    which it keeps for wide rows, is run on them directly."""
+    """Tall rows, and wide ones where they reach ``_SLOTS_FROM``, both
+    through the two passes."""
     for m in (8, 31, 64, 129, 200):
         rows = _max_carry_rows(rng, p, m)
-        for form in ("tuples", "reversed"):
-            make = ROW_FORMS[form]
-            generic = _generic_red(make(rows), p)
-            assert _red(make(rows), p) == generic, (m, form)
-            red_slots = subspace._red_slots(make(rows), p)
-            assert {t: tuple(red_slots[t]) for t in sorted(red_slots)} == generic, (m, form)
+        for shape in (rows, _wide(rows, m)) if m > subspace._SLOTS_FROM else (rows,):
+            for form in ("tuples", "reversed"):
+                make = ROW_FORMS[form]
+                assert _red(make(shape), p) == _generic_red(make(shape), p), (m, len(shape), form)
+
+
+def _bound(p, n):
+    """The bits s below which every unreduced slot of a row of n entries
+    over GF(p) stays in the slot kernels (proved in ``_echelon_slots``),
+    and so the bound ``_slot_reducer`` takes: 2·bits(p) + bits(n)."""
+    return 2 * p.bit_length() + n.bit_length()
 
 
 def _watch_slots(monkeypatch):
     """Make every slot width the code asks for 8 bytes wider, and record the
-    bits it asks for and the largest slot value it unpacks: a value past the
-    width asked for then shows instead of carrying into the next slot."""
-    asked, largest = [], [0]
+    bits it asks for, the largest slot value it unpacks, and by bound s the
+    largest slot value handed to a slot reducer: a value past the width
+    asked for, or past the reducer's bound, then shows instead of carrying
+    into the next slot."""
+    asked, largest, given = [], [0], {}
     slot_bytes, unpack = subspace._slot_bytes, subspace._unpack
+    slot_reducer = subspace._slot_reducer
 
     def wider(bits):
         asked.append(bits)
@@ -265,29 +280,45 @@ def _watch_slots(monkeypatch):
         largest[0] = max(largest[0], *values, 0)
         return values
 
+    def watched_reducer(p, n):
+        k, reduce = slot_reducer(p, n)
+        s = _bound(p, n)
+
+        def watched_reduce(x):
+            given[s] = max(given.get(s, 0), *unpack(x, n, k))
+            return reduce(x)
+        return k, watched_reduce
+
     monkeypatch.setattr(subspace, "_slot_bytes", wider)
     monkeypatch.setattr(subspace, "_unpack", watched)
-    return asked, largest
+    monkeypatch.setattr(subspace, "_slot_reducer", watched_reducer)
+    return asked, largest, given
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p):
-    asked, largest = _watch_slots(monkeypatch)
+    """The eliminations, tall, wide and on the lime side, hand their
+    reducer only slots below its bound; the product unpacks only slots
+    below the width it asks for."""
+    asked, largest, given = _watch_slots(monkeypatch)
     field, q = rl.gf(p), p - 1
     for m in (8, 31, 64, 129, 200):
         rows = _max_carry_rows(rng, p, m)
         calls = {
             "_red": lambda: _red(rows, p),
-            "_red_slots": lambda: subspace._red_slots(rows, p),
+            "wide": lambda: _red(_wide(rows, m), p),
             "lime side": lambda: _eliminate(rows, m, p, lime=True),
-            "@": lambda: (rl.Matrix.from_values(field, [[q] * m] * 3)
-                          @ rl.Matrix.from_values(field, [[q] * 5] * m)),
         }
         for name, call in calls.items():
-            asked.clear()
-            largest[0] = 0
+            given.clear()
             call()
-            assert len(asked) == 1 and 0 < largest[0] < 2 ** asked[0], (m, name)
+            if name != "wide" or m > subspace._SLOTS_FROM:
+                assert list(given) == [_bound(p, m)], (m, name)
+                assert 0 < given[_bound(p, m)] < 2 ** _bound(p, m), (m, name)
+        asked.clear()
+        largest[0] = 0
+        rl.Matrix.from_values(field, [[q] * m] * 3) @ rl.Matrix.from_values(field, [[q] * 5] * m)
+        assert len(asked) == 1 and 0 < largest[0] < 2 ** asked[0], m
 
 
 class _Watched(int):
@@ -307,38 +338,42 @@ class _Watched(int):
 def test_echelon_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p):
     """``_echelon_slots`` reads each slot by shift and mask and reduces it
     by ``% p``, so a modulus that records its left operands sees every slot
-    value read (and the products v·inv, at most (p - 1)², of the scaling)."""
-    asked, _ = _watch_slots(monkeypatch)
+    value read; the reducer sees each row it stores, and that row scaled
+    by an inverse."""
+    asked, _, given = _watch_slots(monkeypatch)
     for m in (8, 31, 64, 129, 200):
         rows = _max_carry_rows(rng, p, m)
+        s = _bound(p, m)
         for form in ("tuples", "reversed"):
             seen = []
             asked.clear()
+            given.clear()
             keys = _red(ROW_FORMS[form](rows), _Watched(p, seen), keys_only=True)
             assert set(keys) == set(range(m))
-            assert len(asked) == 1 and 0 < max(seen) < 2 ** asked[0], (m, form)
+            assert len(asked) == 1 and 0 < max(seen) < 2 ** s, (m, form)
+            assert list(given) == [s] and 0 < given[s] < 2 ** s, (m, form)
 
 
 TWO_PASS_PRIMES = (3, 5, 65521)
 
 
 def _count_slot_kernels(monkeypatch):
-    """Record which odd-p slot kernel each ``_eliminate`` call runs."""
-    ran = []
-    for name in ("_red_slots", "_red_echelon_slots"):
-        def counted(rows, p, kernel=getattr(subspace, name), name=name):
-            ran.append(name)
-            return kernel(rows, p)
-        monkeypatch.setattr(subspace, name, counted)
+    """Record each run of the odd-p slot reduction by ``_eliminate``."""
+    ran, kernel = [], subspace._red_echelon_slots
+
+    def counted(rows, p):
+        ran.append("_red_echelon_slots")
+        return kernel(rows, p)
+    monkeypatch.setattr(subspace, "_red_echelon_slots", counted)
     return ran
 
 
 @pytest.mark.parametrize("p", TWO_PASS_PRIMES)
 def test_two_pass_red_matches_insertion_kernel(rng, monkeypatch, p):
-    """At least as many rows as entries, from ``_SLOTS_FROM`` on, go through
-    the echelon pass and back-substitution, full span or not; fewer rows
-    than entries still reach ``_red_slots``, and below ``_SLOTS_FROM``
-    neither slot kernel runs."""
+    """Every shape from ``_SLOTS_FROM`` rows of ``_SLOTS_FROM`` entries on,
+    tall, square or wide, full span or not, goes through the echelon pass
+    and then the standard basis or back-substitution; below it the slot
+    kernel does not run."""
     ran = _count_slot_kernels(monkeypatch)
     s = subspace._SLOTS_FROM
     for m in (s - 1, s, s + 1, 12, 31, 50):
@@ -355,8 +390,8 @@ def test_two_pass_red_matches_insertion_kernel(rng, monkeypatch, p):
                     got = _red(ROW_FORMS[form](rows), p)
                     assert got == _generic_red(ROW_FORMS[form](rows), p), (n, m, rank, form)
                     assert len(got) == rank
-                    kernel = "_red_echelon_slots" if len(rows) >= m else "_red_slots"
-                    assert ran == ([kernel] if len(rows) >= s and m >= s else []), (n, m)
+                    slots = len(rows) >= s and m >= s
+                    assert ran == (["_red_echelon_slots"] if slots else []), (n, m)
     units = [tuple(int(i == j) for j in range(9)) for i in range(9)]
     assert _red(units[::-1] + [(0,) * 9], p) == dict(enumerate(units))
 
@@ -375,19 +410,22 @@ def _max_back_substitution_rows(p, m):
 
 @pytest.mark.parametrize("p", TWO_PASS_PRIMES)
 def test_back_substitution_sums_stay_below_the_width_asked_for(monkeypatch, p):
-    asked, largest = _watch_slots(monkeypatch)
+    """The sums reach the reducer below its bound, at one width for both
+    passes."""
+    asked, _, given = _watch_slots(monkeypatch)
     q = p - 1
     for m in (8, 31, 64, 129, 200):
         rows = _max_back_substitution_rows(p, m)
+        s = _bound(p, m)
         for call in (lambda: _red(rows, p), lambda: _eliminate(
                 [r[::-1] for r in rows], m, p, lime=True)):
             asked.clear()
-            largest[0] = 0
+            given.clear()
             red = call()
             assert len(red) == m - 1
             # one width for the echelon pass and the same for back-substitution
             assert len(asked) == 2 and asked[0] == asked[1], (m, asked)
-            assert (m - 2) * q * q <= largest[0] < 2 ** asked[0], m
+            assert list(given) == [s] and (m - 2) * q * q <= given[s] < 2 ** s, m
     assert _red(rows, p) == _generic_red(rows, p)
 
 
@@ -408,6 +446,32 @@ def test_a_full_echelon_pass_gives_the_identity_without_back_substitution(monkey
         else:
             with pytest.raises((TypeError, AttributeError)):
                 _red(rows, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_slot_reducer_at_the_extreme_slot_values(monkeypatch, p):
+    """Every slot value below 2**s, s = ``_bound(p, n)``, reduces to
+    ``v % p``, in rows of 1 to 200 slots, at the width ``_slot_reducer``
+    asks for and at every wider struct size and past 8 bytes: the extremes
+    0, p - 1, p, 3p - 1 and 2**s - 1, and two runs just below 2**s (one by
+    1, one by 2**(bits(p) - 1)), where its quotient estimate falls furthest
+    short (two short for p = 5 at some s, three with 2**bits(p) in place
+    of 2**(bits(p) - 1))."""
+    slot_bytes, step = subspace._slot_bytes, 2 ** (p.bit_length() - 1)
+    natives = {n: subspace._slot_reducer(p, n)[0] for n in (1, 8, 100, 200)}
+    for n, native in natives.items():
+        s, run = _bound(p, n), range(min(16 * p, 512))
+        values = [0, p - 1, p, 3 * p - 1, *(2 ** s - 1 - i for i in run if i < 2 ** s),
+                  *(2 ** s - 1 - i * step for i in run if i * step < 2 ** s)]
+        rows = [[values[(i + j) % len(values)] for j in range(n)]
+                for i in range(0, len(values), n)]
+        for k in (native, *(k for k in (1, 2, 4, 8, 9, 16, 24) if k > native)):
+            monkeypatch.setattr(subspace, "_slot_bytes", lambda bits: max(k, slot_bytes(bits)))
+            width, reduce = subspace._slot_reducer(p, n)
+            assert width == k
+            for row in rows:
+                got = subspace._unpack(reduce(subspace._pack(row, k)), n, k)
+                assert list(got) == [v % p for v in row], (n, k)
 
 
 def test_slot_red_trivial_inputs():
