@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Where each elimination kernel starts to pay: time two kernels on the same
-inputs and print the ratio of their times, for one of three tables.
+inputs and print the ratio of their times, for one of two tables.
 
 Every table is measured the same way, by ``ratios``. Each case is a set of
 inputs; a batch is a number of calls on them calibrated to about BATCH_S of
@@ -18,43 +18,35 @@ runs a slot kernel (for the rows ``_red_echelon_slots``, for the keys
 ``_echelon_slots``) when both the row count and the width are
 at least ``_SLOTS_FROM``. A case is SAMPLES sets of random rows over GF(p),
 so of rank min(rows, width) but for chance dependencies, eliminated one
-after the other (one set alone makes the ratio depend on its entries). For
-the rows and then the keys: a table by prime, the largest ratio, by prime,
-among the cases whose rank bound min(rows, width) is b, and a line giving
-the fewest b from which no case, at any prime, takes the slot kernel more
-than TOLERANCE times the insertion kernel's time (a margin for timing
-noise): the rule that sets ``_SLOTS_FROM``, which serves both.
+after the other (one set alone makes the ratio depend on its entries).
+Every row count is also a width, so each rank bound has square, tall and
+wide cases. For the rows and then the keys: a table by prime, the largest
+ratio, by prime, among the cases whose rank bound min(rows, width) is b,
+and a line giving the fewest b from which no case, at any prime, takes the
+slot kernel more than TOLERANCE times the insertion kernel's time (a margin
+for timing noise): the rule that sets ``_SLOTS_FROM``, which serves both.
 
-``--table q`` times Q, where ``_eliminate`` has no crossover: the
-``_insert_red`` loop on Fractions (the kernel it ran over Q before) against
-the integer kernel (``_red_ints``), on random rows of small fractions, 1-12
-rows, widths 1-30. The last line gives the largest ratio.
-
-``--table codec`` times the two ways the one GF(2) codec converts a row of
-width 1 to 12 between tuple and code: by bytes translation against the
-lookup tables (``subspace._CODES`` and ``subspace._ROWS``, rebuilt here to
-width 12), each forced by rebinding ``_TABLE_WIDTH``, for ``_codes``
-(packing, as the lime side and ``_product`` do, and flipped, as the red
-side does) and for decoding (``_ROWS`` against ``_wide_rows``) on the same
-random rows. It also prints translation's ns per row, and the build time of
-the table rows up to each width, the best over the rounds. The tables are
-built at every import of the package, so the last line gives the largest
-width at which the table wins: it is faster at that width and every
-narrower one, for every conversion, and the tables up to that width build
-within BUILD_BUDGET_MS. That width sets ``_TABLE_WIDTH``.
+``--table codec`` times the package's two ways of converting a GF(2) row of
+width 1 to ``_TABLE_WIDTH`` between tuple and code: its lookup tables
+(``subspace._CODES`` and ``subspace._ROWS``, built at import) as they are,
+against bytes translation, forced by rebinding ``_TABLE_WIDTH`` to 0, for
+``_codes`` (packing, as the lime side and ``_product`` do, and flipped, as
+the red side does) and for decoding (``_rows_of``: ``_ROWS`` against
+``_wide_rows``) on the same random rows. It also prints translation's ns
+per row. It checks which way is faster below the bound, not the bound
+itself, which is set by the tables' build time at import (see its
+comment); the last line says whether lookup is the faster way at every
+width it covers.
 
     PYTHONPATH=src python3 scripts/kernel_crossover.py [--rounds 7] \
-        [--table slots|q|codec]
+        [--table slots|codec]
 """
 
 import argparse
 import os
 import random
 import statistics
-import time
 import timeit
-from fractions import Fraction
-from itertools import product
 
 from redlime import subspace
 
@@ -100,7 +92,7 @@ def on_samples(op, **forced):
 
 PRIMES = (3, 5, 65521)
 ROWS = (4, 5, 6, 7, 8, 9, 10, 12)
-WIDTHS = (4, 6, 8, 12, 16, 30)
+WIDTHS = ROWS + (16, 30)
 SAMPLES = 4  # row sets per case
 TOLERANCE = 1.05  # largest slot/insertion ratio still counted as no slower
 
@@ -143,51 +135,14 @@ def slots_table(rounds):
         print()
 
 
-Q_ROWS = (1, 2, 3, 4, 6, 8, 10, 12)
-Q_WIDTHS = (1, 2, 4, 8, 16, 30)
-
-
-def insertion_red(rows):
-    """The red-basis dict of rows over Q by the insertion kernel."""
-    basis = {}
-    for row in rows:
-        subspace._insert_red(basis, list(row), None)
-    return basis
-
-
-def q_table(rounds):
-    """Median time ratio of the integer kernel to the insertion kernel over Q."""
-    rng = random.Random(SEED)
-    cases = {(n, m): ([[tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m))
-                        for _ in range(n)] for _ in range(SAMPLES)], None)
-             for n in Q_ROWS for m in Q_WIDTHS}
-    median, _ = ratios(cases, on_samples(lambda rows, p: insertion_red(rows)),
-                       on_samples(lambda rows, p: subspace._red_ints(rows)), rounds)
-    print(f"Q: integer kernel time / insertion kernel time, median of {rounds} rounds "
-          f"of best-of-{REPEAT}")
-    print("rows " + "".join(f"{'w=' + str(m):>7}" for m in Q_WIDTHS))
-    for n in Q_ROWS:
-        print(f"{n:4} " + "".join(f"{median[n, m]:7.2f}" for m in Q_WIDTHS))
-    print(f"\nlargest ratio {max(median.values()):.2f}")
-
-
-CODEC_WIDTHS = range(1, 13)
+CODEC_WIDTHS = range(1, subspace._TABLE_WIDTH + 1)
 CODEC_ROWS = 64  # random rows per width
-# the tables' build time allowed at import: about 2% of importing redlime.cli
-# (about 11 ms), which every CLI run pays
-BUILD_BUDGET_MS = 0.2
 CODEC_OPS = {
     "pack": lambda rows, xs, n: subspace._codes(rows, n, False),
     "flip": lambda rows, xs, n: subspace._codes(rows, n, True),
-    "unpack": lambda rows, xs, n: decode(xs, n),
+    # each code indexed in the table _rows_of picks, as _eliminate and _product do
+    "unpack": lambda rows, xs, n: list(map(subspace._rows_of(xs, n).__getitem__, xs)),
 }
-
-
-def decode(xs, n):
-    """The rows of the codes xs as the package decodes them: by table up to
-    ``_TABLE_WIDTH`` entries, else by translation."""
-    table = subspace._ROWS[n] if n <= subspace._TABLE_WIDTH else subspace._wide_rows(xs, n)
-    return [table[x] for x in xs]
 
 
 def convert(op, rows, xs, n):
@@ -195,56 +150,29 @@ def convert(op, rows, xs, n):
     return op(rows, xs, n)
 
 
-def build_tables(widths):
-    """The package's tables for the given widths, with the time each width's
-    rows took to build, in seconds."""
-    rows, took = [((),)], {}
-    for n in widths:
-        start = time.perf_counter()
-        rows.append(tuple(product((0, 1), repeat=n)))
-        took[n] = time.perf_counter() - start
-    start = time.perf_counter()
-    codes = {row: x for by_code in rows for x, row in enumerate(by_code)}
-    per_row = (time.perf_counter() - start) / len(codes)
-    return tuple(rows), codes, {n: t + per_row * 2 ** n for n, t in took.items()}
-
-
 def codec_table(rounds):
-    """Time ratios of table to translation by width, and the tables' build time."""
+    """Time ratios of the package's table lookup to translation by width."""
     rng = random.Random(SEED)
     cases = {}
     for n in CODEC_WIDTHS:
         rows = [tuple(rng.getrandbits(1) for _ in range(n)) for _ in range(CODEC_ROWS)]
         xs = [rng.getrandbits(n) for _ in range(CODEC_ROWS)]
         cases.update({(n, op): (CODEC_OPS[op], rows, xs, n) for op in CODEC_OPS})
-    builds = [build_tables(CODEC_WIDTHS) for _ in range(rounds)]
-    build = {n: min(took[n] for _, _, took in builds) for n in CODEC_WIDTHS}
-    saved = subspace._ROWS, subspace._CODES
-    subspace._ROWS, subspace._CODES, _ = builds[-1]
-    try:
-        ratio, medians = ratios(cases, (convert, {"_TABLE_WIDTH": 0}),
-                                (convert, {"_TABLE_WIDTH": max(CODEC_WIDTHS)}), rounds)
-    finally:
-        subspace._ROWS, subspace._CODES = saved
-    per_row = {case: translated / CODEC_ROWS * 1e9 for case, (translated, _) in medians.items()}
+    ratio, medians = ratios(cases, (convert, {"_TABLE_WIDTH": 0}), (convert, {}), rounds)
     print(f"GF(2) row codec: table time / translation time, median of {rounds} rounds of "
-          f"best-of-{REPEAT}, and translation's ns per row; build: ms for the tables up to "
-          f"the width, best of {rounds}")
-    print(f"{'width':>5}" + "".join(f"{op:>7} {'ns':>5}" for op in CODEC_OPS) + f"{'build':>8}")
-    total, wins = 0.0, 0
+          f"best-of-{REPEAT}, and translation's ns per row")
+    print(f"{'width':>5}" + "".join(f"{op:>7} {'ns':>5}" for op in CODEC_OPS))
     for n in CODEC_WIDTHS:
-        total += build[n]
-        print(f"{n:5}" + "".join(f"{ratio[n, op]:7.2f} {per_row[n, op]:5.0f}" for op in CODEC_OPS)
-              + f"{total * 1e3:8.3f}")
-        if wins == n - 1 and max(ratio[n, op] for op in CODEC_OPS) < 1 \
-                and total * 1e3 <= BUILD_BUDGET_MS:
-            wins = n
-    print(f"\nlargest width at which the table wins: {wins} (faster there and at every "
-          f"narrower width, tables built within {BUILD_BUDGET_MS} ms); "
-          f"_TABLE_WIDTH is {subspace._TABLE_WIDTH}")
+        print(f"{n:5}" + "".join(f"{ratio[n, op]:7.2f} {medians[n, op][0] / CODEC_ROWS * 1e9:5.0f}"
+                                 for op in CODEC_OPS))
+    slower = sorted({n for n, op in ratio if ratio[n, op] >= 1})
+    verdict = (f"not faster at width {', '.join(map(str, slower))} for some conversion"
+               if slower else f"faster at every tabled width (1-{max(CODEC_WIDTHS)}) for "
+               "every conversion")
+    print(f"\ntable lookup {verdict}; _TABLE_WIDTH is {subspace._TABLE_WIDTH}")
 
 
-TABLES = {"slots": slots_table, "q": q_table, "codec": codec_table}
+TABLES = {"slots": slots_table, "codec": codec_table}
 
 
 def main():

@@ -116,6 +116,9 @@ MUTANTS = (
     ("matrix rows split at every str.splitlines() break", "src/redlime/matrixfile.py",
      r're.split(r"\r\n?|\n", text)',
      "text.splitlines()"),
+    ("header modulus takes any Unicode digit", "src/redlime/matrixfile.py",
+     're.fullmatch(r"[0-9]+", tokens[1])',
+     "tokens[1].isdigit()"),
     ("CLI usage error exits 2", "src/redlime/cli.py",
      '        print(f"usage error: {exc}", file=sys.stderr)\n        return 1',
      '        print(f"usage error: {exc}", file=sys.stderr)\n        return 2'),
@@ -140,7 +143,7 @@ MUTANTS = (
 EQUIVALENT = (
     # which kernel runs below and above the threshold, never the answer
     ("slot kernels from another size", SUB,
-     "_SLOTS_FROM = 8", "_SLOTS_FROM = 5"),
+     "_SLOTS_FROM = 7", "_SLOTS_FROM = 5"),
     # lookup and translation give the same codes and rows at every width
     ("narrower codec tables", SUB,
      "_TABLE_WIDTH = 8", "_TABLE_WIDTH = 6"),

@@ -30,11 +30,12 @@ def parse_field_tokens(tokens) -> FieldSpec:
     if tokens == ("q",):
         return RATIONALS
     if len(tokens) == 2 and tokens[0] == "gf":
-        if not tokens[1].isdigit():
-            raise ParseError(f"bad modulus {tokens[1]!r}")
+        # ASCII digits only: str.isdigit() and int() take any Unicode digit
+        if not re.fullmatch(r"[0-9]+", tokens[1]):
+            raise ParseError(f"bad modulus {tokens[1]!r:.40}")
         try:
             return gf(int(tokens[1]))
-        except ValueError:  # a non-ASCII digit, or more digits than int() converts
+        except ValueError:  # more digits than int() converts
             raise ParseError(f"bad modulus {tokens[1]!r:.40}") from None
         except DomainError as exc:
             raise ParseError(str(exc)) from None

@@ -227,9 +227,11 @@ _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # leading bit is the originating position. Rows of at most _TABLE_WIDTH
 # entries convert between tuple and code by lookup, wider ones by bytes
 # translation. _ROWS[n] lists the rows of n entries by code; _CODES is the
-# inverse. Lookup is the faster way at every width measured, and the tables
-# are built at import, so the bound is the widest whose tables build within
-# a budget of the import's time (``scripts/kernel_crossover.py --table codec``).
+# inverse. The tables are built at every import, which each
+# ``python -m redlime`` run pays, and each width doubles them: at 8 (511
+# rows) the build is about 1% of the package's import, at 12 it would be
+# over ten times as long. Lookup is the faster way at every tabled width
+# (``scripts/kernel_crossover.py --table codec`` checks it).
 _TABLE_WIDTH = 8
 _ROWS = tuple([tuple(product((0, 1), repeat=n)) for n in range(_TABLE_WIDTH + 1)])
 _CODES = {row: x for rows in _ROWS for x, row in enumerate(rows)}
@@ -255,6 +257,12 @@ def _wide_rows(xs, n: int) -> dict:
     wider than ``_ROWS`` holds: each the code's binary digits, highest first
     (``bin(x | 1 << n)`` keeps the leading zeros), by bytes translation."""
     return {x: tuple(bin(x | 1 << n)[3:].encode().translate(_BITS)) for x in xs}
+
+
+def _rows_of(xs, n: int):
+    """The GF(2) row tuples of the codes xs of n entries, indexed by code:
+    ``_ROWS[n]`` up to ``_TABLE_WIDTH`` entries, else ``_wide_rows``."""
+    return _ROWS[n] if n <= _TABLE_WIDTH else _wide_rows(xs, n)
 
 
 def _slot_bytes(bits: int) -> int:
@@ -283,9 +291,11 @@ def _unpack(x: int, n: int, k: int):
 # Over odd p, _eliminate runs the slot kernels when both the row count and
 # the width, and so the rank bound, are at least _SLOTS_FROM, and the
 # insertion kernel otherwise: below it packing and unpacking each row cost
-# more than the row operations saved (scripts/kernel_crossover.py --table
-# slots; CHANGES.md).
-_SLOTS_FROM = 8
+# more than the row operations saved. It is the rank bound from which no
+# square, tall or wide case at any prime takes the slot kernels more than
+# 1.05 times the insertion kernel's time (scripts/kernel_crossover.py
+# --table slots; CHANGES.md).
+_SLOTS_FROM = 7
 
 
 def _eliminate(rows, n: int, p, lime: bool = False, keys_only: bool = False):
@@ -303,7 +313,7 @@ def _eliminate(rows, n: int, p, lime: bool = False, keys_only: bool = False):
       so the leading bit is the originating position and the natural side
       is lime; the red side flips the bit order in the codec.
       ``_echelon_bits`` gives the keys and ``_red_bits`` the rows, each
-      looked up by its code in ``_ROWS`` (``_wide_rows`` above it).
+      looked up by its code in ``_rows_of``.
     - Q: integer rows (``_red_ints``; its integer phase ``_int_basis`` for
       the keys).
     - Odd p, on at least ``_SLOTS_FROM`` rows of at least ``_SLOTS_FROM``
@@ -323,7 +333,7 @@ def _eliminate(rows, n: int, p, lime: bool = False, keys_only: bool = False):
             keys = _echelon_bits(xs)
             return {n - 1 - t for t in keys} if lime else keys.keys()
         basis = _red_bits(xs, n)
-        table = _ROWS[n] if n <= _TABLE_WIDTH else _wide_rows(basis.values(), n)
+        table = _rows_of(basis.values(), n)
         if lime:
             return {n - 1 - t: table[x] for t, x in reversed(basis.items())}
         return {t: table[x][::-1] for t, x in basis.items()}
@@ -545,7 +555,7 @@ def _product(field: FieldSpec, coefficient_rows, rows, m: int) -> list:
     if p == 2:
         others = _codes(rows, m, False)
         xs = [reduce(xor, compress(others, r), 0) for r in coefficient_rows]
-        table = _ROWS[m] if m <= _TABLE_WIDTH else _wide_rows(xs, m)
+        table = _rows_of(xs, m)
         return [table[x] for x in xs]
     if p is not None:
         k = _slot_bytes(2 * p.bit_length() + len(rows).bit_length())

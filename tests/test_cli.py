@@ -267,6 +267,9 @@ def test_unreadable_inputs_exit_2_promptly(tmp_path, capsys):
 def test_huge_field_flag_is_usage_error(capsys):
     code, _, err = cli(capsys, "synthesize", "lr", "--field", "gf", str(2**127 - 1))
     assert code == 1 and "usage error" in err
+    # a fullwidth three: int() takes it, the header grammar does not
+    code, _, err = cli(capsys, "synthesize", "rl", "--field", "gf", "\uff13")
+    assert code == 1 and "usage error: bad --field value: bad modulus" in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given
 
 import redlime as rl
 from redlime.errors import ParseError, UsageError
+from redlime.matrixfile import parse_field_tokens
 
 from conftest import GF2, Q, mat, matrices
 
@@ -38,6 +39,16 @@ def test_unknown_field_header():
         rl.parse_matrix_text("field r\n1 0\n")
     with pytest.raises(ParseError):
         rl.parse_matrix_text("field gf two\n1 0\n")
+
+
+# Arabic-Indic and fullwidth three: str.isdigit() and int() take both
+@pytest.mark.parametrize("digit", ["٣", "３"])
+def test_modulus_takes_only_ascii_digits(digit):
+    with pytest.raises(ParseError, match=r"^bad modulus "):
+        rl.parse_matrix_text(f"field gf {digit}\n1 0\n")
+    with pytest.raises(ParseError, match=r"^bad modulus ") as info:
+        parse_field_tokens(["gf", digit * 100])
+    assert len(str(info.value)) == len("bad modulus ") + 40
 
 
 def test_a_leading_byte_order_mark_is_read_past(tmp_path):

@@ -1,5 +1,6 @@
-"""The measurement scripts run end to end at their smallest setting, and the
-crossover timing loop runs on a stubbed batch timer."""
+"""The measurement scripts run end to end at their smallest setting, the
+crossover timing loop runs on a stubbed batch timer, and the rules that read
+each crossover table run on stubbed ratios."""
 
 import importlib.util
 import os
@@ -7,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from redlime import subspace
 
@@ -20,26 +23,64 @@ def crossover(*argv):
                           env=env, capture_output=True, text=True, timeout=60)
 
 
+def load_crossover():
+    spec = importlib.util.spec_from_file_location("kernel_crossover", CROSSOVER)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_kernel_crossover_codec_reports_a_table_width():
     run = crossover("--table", "codec", "--rounds", "1")
     assert run.returncode == 0, run.stderr
     out = run.stdout
     rows = [line.split() for line in out.splitlines() if re.match(r" +\d+ ", line)]
-    assert [int(r[0]) for r in rows] == list(range(1, 13))
+    assert [int(r[0]) for r in rows] == list(range(1, subspace._TABLE_WIDTH + 1))
     assert all(float(v) > 0 for r in rows for v in r[1:])
-    assert re.search(r"largest width at which the table wins: \d+ .*_TABLE_WIDTH is "
-                     + str(subspace._TABLE_WIDTH), out)
+    assert re.search(r"table lookup (faster at every tabled width|not faster at width [\d, ]+)"
+                     r".*; _TABLE_WIDTH is " + str(subspace._TABLE_WIDTH) + "$", out, re.M)
 
 
 def test_kernel_crossover_rejects_an_unknown_table():
-    run = crossover("--table", "bogus")
-    assert run.returncode == 2 and "invalid choice: 'bogus'" in run.stderr
+    for table in ("bogus", "q"):
+        run = crossover("--table", table)
+        assert run.returncode == 2 and f"invalid choice: '{table}'" in run.stderr
+
+
+def test_slots_rule_starts_past_the_largest_slower_rank_bound(monkeypatch, capsys):
+    script = load_crossover()
+
+    def ratios(cases, first, second, rounds):
+        # one tall GF(3) case of rank bound 7 past the tolerance, every other level
+        return {case: 1.2 if case == (3, 12, 7) else 1.0 for case in cases}, {}
+
+    monkeypatch.setattr(script, "ratios", ratios)
+    script.slots_table(1)
+    rules = [line for line in capsys.readouterr().out.splitlines() if "from rank bound" in line]
+    assert [line.split(":")[0] for line in rules] == ["red rows", "red keys"]
+    assert all(" from rank bound 8 on " in line for line in rules)
+
+
+@pytest.mark.parametrize("slow, verdict", [
+    (None, "faster at every tabled width (1-{}) for every conversion"),
+    ((5, "flip"), "not faster at width 5 for some conversion")])
+def test_codec_report_names_each_width_where_lookup_loses(monkeypatch, capsys, slow, verdict):
+    script = load_crossover()
+
+    def ratios(cases, first, second, rounds):
+        assert first[1] == {"_TABLE_WIDTH": 0} and second[1] == {}
+        return ({case: 1.0 if case == slow else 0.5 for case in cases},
+                {case: (1e-5, 5e-6) for case in cases})
+
+    monkeypatch.setattr(script, "ratios", ratios)
+    script.codec_table(1)
+    out = capsys.readouterr().out
+    top = subspace._TABLE_WIDTH
+    assert f"table lookup {verdict.format(top)}; _TABLE_WIDTH is {top}\n" in out
 
 
 def test_ratios_alternate_the_kernels_and_take_the_median_ratio(monkeypatch):
-    spec = importlib.util.spec_from_file_location("kernel_crossover", CROSSOVER)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_crossover()
     # per kernel: one calibration call (first only), then one time a round
     times = {"a": iter([1e-4, 1.0, 2.0, 4.0]), "b": iter([3.0, 4.0, 2.0])}
     calls = []
