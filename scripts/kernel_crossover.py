@@ -11,20 +11,19 @@ the first's, so below 1 means the second kernel is faster. A kernel forced
 by rebinding a constant of ``subspace`` has it rebound around its timed
 batches only, and restored after. The process is pinned to one core.
 
-``--table slots`` (the default) times ``subspace._eliminate`` over odd p,
-for the red rows and for the red keys, with the slot kernel against the
-insertion kernel, each forced by rebinding ``_SLOTS_FROM``: ``_eliminate``
-runs a slot kernel (for the rows ``_red_echelon_slots``, for the keys
-``_echelon_slots``) when both the row count and the width are
-at least ``_SLOTS_FROM``. A case is SAMPLES sets of random rows over GF(p),
-so of rank min(rows, width) but for chance dependencies, eliminated one
-after the other (one set alone makes the ratio depend on its entries).
-Every row count is also a width, so each rank bound has square, tall and
-wide cases. For the rows and then the keys: a table by prime, the largest
-ratio, by prime, among the cases whose rank bound min(rows, width) is b,
-and a line giving the fewest b from which no case, at any prime, takes the
-slot kernel more than TOLERANCE times the insertion kernel's time (a margin
-for timing noise): the rule that sets ``_SLOTS_FROM``, which serves both.
+``--table slots`` (the default) times the red rows of
+``subspace._eliminate`` over odd p, the slot kernel against the insertion
+kernel, each forced by rebinding ``_SLOTS_FROM``, the one gate of the slot
+kernels for the rows and the keys: they run when both the row count and the
+width are at least ``_SLOTS_FROM``. A case is SAMPLES sets of random rows
+over GF(p), so of rank min(rows, width) but for chance dependencies,
+eliminated one after the other (one set alone makes the ratio depend on its
+entries). Every row count is also a width, so each rank bound has square,
+tall and wide cases. It prints a table by prime, the largest ratio, by
+prime, among the cases whose rank bound min(rows, width) is b, and a line
+giving the fewest b from which no case, at any prime, takes the slot kernel
+more than TOLERANCE times the insertion kernel's time (a margin for timing
+noise): the rule that sets ``_SLOTS_FROM``.
 
 ``--table codec`` times the package's two ways of converting a GF(2) row of
 width 1 to ``_TABLE_WIDTH`` between tuple and code: its lookup tables
@@ -85,9 +84,11 @@ def ratios(cases, first, second, rounds):
     return ratio, medians
 
 
-def on_samples(op, **forced):
-    """A kernel that runs op(rows, p) on each row set of a case (samples, p)."""
-    return (lambda samples, p: [op(rows, p) for rows in samples]), forced
+def red_rows(**forced):
+    """A kernel that runs ``_eliminate`` for the red rows of each row set of
+    a case (samples, p)."""
+    return (lambda samples, p: [subspace._eliminate(rows, len(rows[0]), p)
+                                for rows in samples]), forced
 
 
 PRIMES = (3, 5, 65521)
@@ -97,8 +98,8 @@ SAMPLES = 4  # row sets per case
 TOLERANCE = 1.05  # largest slot/insertion ratio still counted as no slower
 
 
-def report(name, cases, median, rounds):
-    print(f"{name}: slot kernel time / insertion kernel time, median of {rounds} rounds "
+def report(cases, median, rounds):
+    print(f"red rows: slot kernel time / insertion kernel time, median of {rounds} rounds "
           f"of best-of-{REPEAT}")
     head = "rows " + "".join(f"{'w=' + str(m):>7}" for m in WIDTHS)
     for p in PRIMES:
@@ -115,24 +116,20 @@ def report(name, cases, median, rounds):
         worst[b] = max(largest)
         print(f"{b:4} " + "".join(f"{g:8.2f}" for g in largest))
     slower = [b for b in bounds if worst[b] > TOLERANCE]
-    print(f"\n{name}: slot kernel at most {TOLERANCE:.2f}x the insertion kernel's time for "
+    print(f"\nred rows: slot kernel at most {TOLERANCE:.2f}x the insertion kernel's time for "
           f"every case from rank bound {max(slower, default=0) + 1} on (past {bounds[-1]} "
           f"unmeasured); _SLOTS_FROM is {subspace._SLOTS_FROM}")
 
 
 def slots_table(rounds):
-    """Median time ratio of the slot kernels to the insertion kernel over odd p."""
+    """Median time ratio of the slot kernels to the insertion kernel for the
+    red rows over odd p."""
     rng = random.Random(SEED)
     cases = {(p, n, m): ([[tuple(rng.randrange(p) for _ in range(m)) for _ in range(n)]
                           for _ in range(SAMPLES)], p)
              for p in PRIMES for n in ROWS for m in WIDTHS}
-    for name, op in (("red rows", lambda rows, p: subspace._eliminate(rows, len(rows[0]), p)),
-                     ("red keys", lambda rows, p: subspace._eliminate(rows, len(rows[0]), p,
-                                                                       keys_only=True))):
-        median, _ = ratios(cases, on_samples(op, _SLOTS_FROM=1 << 30),
-                           on_samples(op, _SLOTS_FROM=1), rounds)
-        report(name, cases, median, rounds)
-        print()
+    median, _ = ratios(cases, red_rows(_SLOTS_FROM=1 << 30), red_rows(_SLOTS_FROM=1), rounds)
+    report(cases, median, rounds)
 
 
 CODEC_WIDTHS = range(1, subspace._TABLE_WIDTH + 1)

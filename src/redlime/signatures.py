@@ -198,6 +198,8 @@ class Permutation:
 
     def __init__(self, images: tuple):
         images = _items(images, "images")
+        if not images:
+            raise UsageError("a permutation needs at least one image")
         for i in images:
             _check_int(i, "an image", 1, len(images))
         if len(set(images)) != len(images):

@@ -210,8 +210,8 @@ def _insert_red(basis: dict, row: list, p) -> Optional[int]:
     for i in basis:  # clear surviving red entries below t
         if i < t and row[i]:
             _axpy(row, row[i], basis[i], i + 1, p)
-    for i, piv in basis.items():  # clear the new red position from older rows
-        if i > t and piv[t]:
+    for piv in basis.values():  # clear the new red position from older rows
+        if piv[t]:  # only rows at keys above t: the others end below it
             _axpy(piv, piv[t], row, t + 1, p)
     basis[t] = row
     return t
@@ -231,7 +231,8 @@ _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # ``python -m redlime`` run pays, and each width doubles them: at 8 (511
 # rows) the build is about 1% of the package's import, at 12 it would be
 # over ten times as long. Lookup is the faster way at every tabled width
-# (``scripts/kernel_crossover.py --table codec`` checks it).
+# (``scripts/kernel_crossover.py --table codec`` checks it). A literal in
+# tests/test_packed.py pins the value.
 _TABLE_WIDTH = 8
 _ROWS = tuple([tuple(product((0, 1), repeat=n)) for n in range(_TABLE_WIDTH + 1)])
 _CODES = {row: x for rows in _ROWS for x, row in enumerate(rows)}
@@ -294,7 +295,8 @@ def _unpack(x: int, n: int, k: int):
 # more than the row operations saved. It is the rank bound from which no
 # square, tall or wide case at any prime takes the slot kernels more than
 # 1.05 times the insertion kernel's time (scripts/kernel_crossover.py
-# --table slots; CHANGES.md).
+# --table slots; CHANGES.md). A literal in tests/test_packed.py pins the
+# value.
 _SLOTS_FROM = 7
 
 

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import redlime as rl
-from redlime.cli import run as cli_run
+from redlime.cli import _dependent_columns_by_prefix, run as cli_run
 from redlime.signatures import Mark
 
 from conftest import (GF2, GF5, Q, all_subspaces, random_matrix,
@@ -140,31 +140,18 @@ def _row_space_preserving_step(a, rng):
     return rl.Matrix(a.field, rows)
 
 
-def _dependent_by_prefix(a):
-    out = set()
-    running = rl.Subspace.zero_subspace(a.field, a.nrows)
-    for j in range(1, a.ncols + 1):
-        col = a.column(j)
-        if rl.contains_vector(running, col):
-            out.add(j)
-        else:
-            running = rl.span_red_basis(list(running.red_basis) + [col],
-                                        a.nrows, a.field)
-    return frozenset(out)
-
-
 @criterion(6)
 def test_criterion_6_rank_theory(rng):
     for a in _exhaustive_gf2_matrices():
         assert rl.rank(a) == rl.rank(a.transpose())
         assert rl.rank(a) + rl.nullity(a) == a.ncols
-        assert rl.dependent_columns(a) == _dependent_by_prefix(a)
+        assert rl.dependent_columns(a) == _dependent_columns_by_prefix(a)
     for field in (GF5, Q):
         for _ in range(1000):
             a = random_matrix(field, rng.randint(1, 4), rng.randint(1, 5), rng)
             assert rl.rank(a) == rl.rank(a.transpose())
             assert rl.rank(a) + rl.nullity(a) == a.ncols
-            assert rl.dependent_columns(a) == _dependent_by_prefix(a)
+            assert rl.dependent_columns(a) == _dependent_columns_by_prefix(a)
 
 
 def _check_factorizations(a):

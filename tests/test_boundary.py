@@ -146,6 +146,7 @@ BAD_TYPES = {
     "Permutation, int": lambda: rl.Permutation(5),
     "Permutation, text image": lambda: rl.Permutation((1, "a")),
     "Permutation, bool images": lambda: rl.Permutation((True,)),
+    "Permutation, no images": lambda: rl.Permutation(()),
     "Permutation.image_of, text position": lambda: rl.Permutation((1,)).image_of("a"),
     "Signature, int": lambda: rl.Signature(5),
     "Signature, list of marks": lambda: rl.Signature([rl.Mark.BOTH]),

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import redlime as rl
+from redlime.cli import _dependent_columns_by_prefix
 from redlime.errors import DomainError, UsageError
 
 from conftest import (GF2, GF3, GF5, Q, mat, matrices, random_matrix, span_of,
@@ -70,22 +71,9 @@ def test_dependent_columns_examples():
     assert rl.dependent_columns(mat(Q, [[1, 1], [2, 2]])) == frozenset({2})
 
 
-def _dependent_by_prefix(a):
-    out = set()
-    running = rl.Subspace.zero_subspace(a.field, a.nrows)
-    for j in range(1, a.ncols + 1):
-        col = a.column(j)
-        if rl.contains_vector(running, col):
-            out.add(j)
-        else:
-            running = rl.span_red_basis(
-                list(running.red_basis) + [col], a.nrows, a.field)
-    return frozenset(out)
-
-
 @given(matrices())
 def test_dependent_columns_two_routes_agree(a):
-    assert rl.dependent_columns(a) == _dependent_by_prefix(a)
+    assert rl.dependent_columns(a) == _dependent_columns_by_prefix(a)
 
 
 def test_rref_examples():
@@ -302,7 +290,7 @@ def test_six_dependence_claims_on_small_corpus():
         ns = rl.nullspace(a)
         dep = rl.dependent_columns(a)
         assert dep == frozenset(ns.red_indices)
-        assert dep == _dependent_by_prefix(a)
+        assert dep == _dependent_columns_by_prefix(a)
         for i, bv in zip(ns.red_indices, ns.red_basis):
             # canonical nullspace member terminating with 1 at i certifies
             # that column i combines the preceding columns

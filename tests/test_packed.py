@@ -39,6 +39,7 @@ eliminations each public call makes.
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -130,7 +131,9 @@ def test_table_codec_matches_translation_at_every_tabled_row():
     """Every GF(2) row of width 1 to ``_TABLE_WIDTH``, as a tuple and as a
     list, converts by table as by translation, flipped or not; the tables
     are whole at import, and past their width translation takes over."""
-    top = subspace._TABLE_WIDTH
+    # _TABLE_WIDTH as a literal, so that the bound itself is pinned: a
+    # change that retunes it updates this value and says so in CHANGES.md
+    top = 8
     assert len(subspace._CODES) == 2 ** (top + 1) - 1
     for n in range(1, top + 4):
         rows = product((0, 1), repeat=n) if n <= top else (
@@ -375,7 +378,9 @@ def test_two_pass_red_matches_insertion_kernel(rng, monkeypatch, p):
     and then the standard basis or back-substitution; below it the slot
     kernel does not run."""
     ran = _count_slot_kernels(monkeypatch)
-    s = subspace._SLOTS_FROM
+    # _SLOTS_FROM as a literal, so that the gate itself is pinned: a change
+    # that retunes it updates this value and says so in CHANGES.md
+    s = 7
     for m in (s - 1, s, s + 1, 12, 31, 50):
         for n in sorted({s - 1, s, s + 1, m - 1, m, m + 1, m + 5}):
             for rank in sorted({min(n, m), min(n, m) - 1, min(2, m), 1}):
@@ -531,10 +536,13 @@ def _q_rows(rng, entry, n, m, rank):
 def _assert_int_red_matches(rows):
     """The red basis over Q equals the insertion kernel's dict, and every
     entry is a Fraction (an int would compare equal but is not the
-    canonical raw value)."""
+    canonical raw value); every row the integer phase stores is primitive,
+    as ``_red_ints`` states (unnormalised rows give the same answer, only
+    larger numbers)."""
     red = _red(rows, None)
     assert red == _generic_red(rows, None)
     assert all(type(v) is Fraction for row in red.values() for v in row)
+    assert all(gcd(*b) == 1 for b in subspace._int_basis(rows).values())
     return red
 
 

@@ -1,6 +1,7 @@
 """The measurement scripts run end to end at their smallest setting, the
-crossover timing loop runs on a stubbed batch timer, and the rules that read
-each crossover table run on stubbed ratios."""
+crossover timing loop runs on a stubbed batch timer, the rules that read
+each crossover table run on stubbed ratios, and the mutation check's
+verdict runs on a stubbed mutant runner."""
 
 import importlib.util
 import os
@@ -15,6 +16,7 @@ from redlime import subspace
 
 ROOT = Path(__file__).resolve().parent.parent
 CROSSOVER = ROOT / "scripts" / "kernel_crossover.py"
+MUTANTS = ROOT / "scripts" / "mutants.py"
 
 
 def crossover(*argv):
@@ -23,8 +25,8 @@ def crossover(*argv):
                           env=env, capture_output=True, text=True, timeout=60)
 
 
-def load_crossover():
-    spec = importlib.util.spec_from_file_location("kernel_crossover", CROSSOVER)
+def load_script(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
@@ -48,7 +50,7 @@ def test_kernel_crossover_rejects_an_unknown_table():
 
 
 def test_slots_rule_starts_past_the_largest_slower_rank_bound(monkeypatch, capsys):
-    script = load_crossover()
+    script = load_script(CROSSOVER)
 
     def ratios(cases, first, second, rounds):
         # one tall GF(3) case of rank bound 7 past the tolerance, every other level
@@ -57,15 +59,15 @@ def test_slots_rule_starts_past_the_largest_slower_rank_bound(monkeypatch, capsy
     monkeypatch.setattr(script, "ratios", ratios)
     script.slots_table(1)
     rules = [line for line in capsys.readouterr().out.splitlines() if "from rank bound" in line]
-    assert [line.split(":")[0] for line in rules] == ["red rows", "red keys"]
-    assert all(" from rank bound 8 on " in line for line in rules)
+    assert [line.split(":")[0] for line in rules] == ["red rows"]
+    assert " from rank bound 8 on " in rules[0]
 
 
 @pytest.mark.parametrize("slow, verdict", [
     (None, "faster at every tabled width (1-{}) for every conversion"),
     ((5, "flip"), "not faster at width 5 for some conversion")])
 def test_codec_report_names_each_width_where_lookup_loses(monkeypatch, capsys, slow, verdict):
-    script = load_crossover()
+    script = load_script(CROSSOVER)
 
     def ratios(cases, first, second, rounds):
         assert first[1] == {"_TABLE_WIDTH": 0} and second[1] == {}
@@ -80,7 +82,7 @@ def test_codec_report_names_each_width_where_lookup_loses(monkeypatch, capsys, s
 
 
 def test_ratios_alternate_the_kernels_and_take_the_median_ratio(monkeypatch):
-    script = load_crossover()
+    script = load_script(CROSSOVER)
     # per kernel: one calibration call (first only), then one time a round
     times = {"a": iter([1e-4, 1.0, 2.0, 4.0]), "b": iter([3.0, 4.0, 2.0])}
     calls = []
@@ -100,8 +102,31 @@ def test_ratios_alternate_the_kernels_and_take_the_median_ratio(monkeypatch):
 
 
 def test_mutants_find_each_original_text_once():
-    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "mutants.py"), "--check"],
+    out = subprocess.run([sys.executable, str(MUTANTS), "--check"],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stdout
-    assert re.match(r"\d+ mutants and \d+ equivalent mutants, each original text found once",
-                    out.stdout)
+    assert re.match(r"\d+ mutants, each original text found once", out.stdout)
+
+
+@pytest.mark.parametrize("survivor", [None, "narrower codec tables"])
+def test_mutants_fail_on_each_survivor(monkeypatch, capsys, survivor):
+    script = load_script(MUTANTS)
+    ran = []
+
+    def run_mutant(path, original, mutated):
+        name = next(m[0] for m in script.MUTANTS if m[1:] == (path, original, mutated))
+        ran.append(name)
+        return (None if name == survivor else "tests/test_x.py::test_x"), 0.1
+
+    # the verdict only: inside a mutant's tree the real check() would fail
+    monkeypatch.setattr(script, "check", lambda mutants: [])
+    monkeypatch.setattr(script, "run_mutant", run_mutant)
+    monkeypatch.setattr(sys, "argv", [str(MUTANTS)])
+    assert script.main() == (1 if survivor else 0)
+    assert ran == [m[0] for m in script.MUTANTS]
+    out = capsys.readouterr().out
+    assert out.count("killed by tests/test_x.py::test_x") == len(ran) - bool(survivor)
+    if survivor:
+        assert f"{survivor}: survived" in out and out.endswith(f"1 survivor(s)\n  {survivor}\n")
+    else:
+        assert out.endswith("0 survivor(s)\n")
