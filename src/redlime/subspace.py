@@ -219,8 +219,6 @@ def _insert_red(basis: dict, row: list, p) -> Optional[int]:
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
-# struct formats by slot size: slots of 1, 2, 4 or 8 bytes pack in C
-_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 # A GF(2) row of n entries is packed as one int, its code: its binary
 # digits, first entry highest, so entry j sits at bit n - 1 - j and the
@@ -267,26 +265,35 @@ def _rows_of(xs, n: int):
 
 
 def _slot_bytes(bits: int) -> int:
-    """Bytes per slot for values below 2**bits: the next struct size (1, 2,
-    4 or 8) when one is wide enough."""
-    k = -(-bits // 8)
-    return 1 << (k - 1).bit_length() if k <= 8 else k
+    """Bytes per slot for values below 2**bits: ⌈bits / 8⌉, no more."""
+    return -(-bits // 8)
 
 
-def _pack(row, k: int) -> int:
-    """One int holding a raw row (a sequence) of values below 256**k, entry
-    j in the k bytes from byte k*j."""
-    if k in _FORMATS:
-        return int.from_bytes(struct.pack(f"<{len(row)}{_FORMATS[k]}", *row), "little")
-    return int.from_bytes(b"".join([v.to_bytes(k, "little") for v in row]), "little")
+# struct codes by size, smallest first: the value field of a slot of residues
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _unpack(x: int, n: int, k: int):
-    """The n entries packed in x by ``_pack(row, k)``."""
-    b = x.to_bytes(k * n, "little")
-    if k in _FORMATS:
-        return struct.unpack(f"<{n}{_FORMATS[k]}", b)
-    return [int.from_bytes(b[j:j + k], "little") for j in range(0, k * n, k)]
+def _codec(p: int, k: int, n: int) -> tuple:
+    """(pack, unpack) for rows of n residues mod p in slots of k bytes: pack
+    takes a sequence of residues to one int, entry j in the k bytes from
+    byte k·j, little-endian; unpack takes such an int, every slot a
+    residue, back to the tuple. A slot is the smallest struct size holding
+    p - 1 followed by zero pad bytes (``"<" + "H4x" * n`` for 6-byte
+    GF(65521) slots), so both stay in C at any width the kernels take
+    (2·bits(p) bits and more, never below that size); only moduli past
+    2**64 go through a ``to_bytes`` per value."""
+    for size, code in _FORMATS.items():
+        if p <= 1 << 8 * size:
+            row = struct.Struct("<" + f"{code}{k - size}x" * n)
+            return (lambda r: int.from_bytes(row.pack(*r), "little"),
+                    lambda x: row.unpack(x.to_bytes(k * n, "little")))
+
+    def unpack(x: int) -> tuple:
+        b = x.to_bytes(k * n, "little")
+        return tuple([int.from_bytes(b[j:j + k], "little") for j in range(0, k * n, k)])
+
+    return (lambda r: int.from_bytes(b"".join([v.to_bytes(k, "little") for v in r]), "little"),
+            unpack)
 
 
 # Over odd p, _eliminate runs the slot kernels when both the row count and
@@ -443,12 +450,14 @@ def _red_bits(xs, n: int) -> dict:
     return basis
 
 
-def _slot_reducer(p: int, n: int) -> tuple:
+def _slot_reducer(p: int, terms: int, n: int) -> tuple:
     """(k, reduce) for rows of n entries over GF(p), p odd, packed into one
     int with k bytes a slot: reduce takes such a row whose slots are each
-    below 2**s, s = 2·bits(p) + bits(n), to the same row with every slot
-    reduced into range(p), in a fixed handful of big-int operations on all
-    slots at once (Barrett reduction), masks keeping each slot's own bits.
+    below 2**s, s = 2·bits(p) + bits(terms), which holds a sum of up to
+    ``terms`` products of two residues and one residue more, to the same
+    row with every slot reduced into range(p), in a fixed handful of big-int
+    operations on all slots at once (Barrett reduction), masks keeping each
+    slot's own bits.
 
     With a = bits(p) - 1, so 2**a <= p, and M = ⌊2**s / p⌋, a slot x gets
     the quotient estimate q̂ = ⌊⌊x / 2**a⌋·M / 2**(s - a)⌋ of q = ⌊x / p⌋.
@@ -469,11 +478,11 @@ def _slot_reducer(p: int, n: int) -> tuple:
     2**(f + 1). And a shift by a or by s - a, masked to s - a bits a slot,
     keeps only the slot's own bits: those shifted in from the slot above
     land at w - a or w - (s - a), both at least s - a. 2(s - a) =
-    2·(bits(p) + bits(n) + 1) exceeds s and f + 1, so that many bits,
-    rounded up by ``_slot_bytes``, are the width.
+    2·(bits(p) + bits(terms) + 1) exceeds s and f + 1, so those bits, in
+    whole bytes (``_slot_bytes``), are the slot width.
     """
     b = p.bit_length()
-    a, s, f = b - 1, 2 * b + n.bit_length(), b + 1
+    a, s, f = b - 1, 2 * b + terms.bit_length(), b + 1
     k = _slot_bytes(2 * (s - a))
     ones = ((1 << 8 * k * n) - 1) // ((1 << 8 * k) - 1)  # a 1 in every slot
     low, m, over = ones * ((1 << s - a) - 1), (1 << s) // p, ones * ((1 << f) - p)
@@ -486,12 +495,13 @@ def _slot_reducer(p: int, n: int) -> tuple:
     return k, reduce
 
 
-def _echelon_slots(rows, p: int) -> dict:
+def _echelon_slots(rows, p: int, reducer: Optional[tuple] = None) -> dict:
     """An echelon basis over GF(p), p odd, of a nonempty sequence of raw
     rows of n entries, by key. Each row is packed into one int, entry j in
     slot j of w bits, so a row operation is one big-int multiply-add
     ``x += (p - c)·b`` over every slot at once; a slot is reduced only as
-    it is read, and a row only by ``_slot_reducer``, which also sets w.
+    it is read, and a row only by the reducer, ``_slot_reducer(p, n, n)``
+    unless the caller passes it, which also sets w.
     Stored rows are reduced and scaled to end in 1. A new row x is scanned
     from its top slot down: slot j is read as ``(x >> w·j & mask) % p``,
     and where that is some c != 0 at a key, x gains ``(p - c)·b`` for the
@@ -503,16 +513,17 @@ def _echelon_slots(rows, p: int) -> dict:
     products (p - c)·v with p - c <= q and v <= q, since b is reduced: so
     it stays at most q + n·q² < 2**(2·bits(p) + bits(n)), as
     q + n·q² <= (n + 1)·q² - q <= 2**bits(n)·q² and q² < 2**(2·bits(p)).
-    That is the bound ``_slot_reducer`` takes; a reduced slot times the
-    inverse is below p², within it too.
+    That is the bound ``_slot_reducer`` takes for n terms; a reduced slot
+    times the inverse is below p², within it too.
     """
     n = len(rows[0])
-    k, reduce = _slot_reducer(p, n)
+    k, reduce = reducer or _slot_reducer(p, n, n)
+    pack = _codec(p, k, n)[0]
     w = 8 * k
     mask = (1 << w) - 1
     basis: dict = {}
     for row in rows:
-        x = _pack(row, k)
+        x = pack(row)
         for j in range((x.bit_length() - 1) // w, -1, -1):
             c = (x >> w * j & mask) % p
             if not c:
@@ -531,28 +542,30 @@ def _red_echelon_slots(rows, p: int) -> dict:
     standard basis if ``_echelon_slots`` finds n keys; else, keys
     ascending, each stored row x is cleared by one sum
     ``x + Σ (p - x[i])·b_i`` over the reduced rows b_i at the lower keys,
-    then reduced by ``_slot_reducer``. With q = p - 1 the sum's slots stay
-    at most q + (n - 1)·q², within the reducer's bound."""
+    then reduced by the reducer the echelon pass used. With q = p - 1 the
+    sum's slots stay at most q + (n - 1)·q², within its bound."""
     n = len(rows[0])
-    echelon = _echelon_slots(rows, p)
+    reducer = _slot_reducer(p, n, n)
+    echelon = _echelon_slots(rows, p, reducer)
     if len(echelon) == n:
         return {t: [0] * t + [1] + [0] * (n - 1 - t) for t in range(n)}
-    k, reduce = _slot_reducer(p, n)
+    k, reduce = reducer
+    unpack = _codec(p, k, n)[1]
     packed, basis = {}, {}
     for t, x in sorted(echelon.items()):
-        row = _unpack(x, n, k)
+        row = unpack(x)
         packed[t] = x = reduce(sum([(p - row[i]) * b for i, b in packed.items() if row[i]], x))
-        basis[t] = _unpack(x, n, k)
+        basis[t] = unpack(x)
     return basis
 
 
 def _product(field: FieldSpec, coefficient_rows, rows, m: int) -> list:
     """Raw row tuples of the product: for each coefficient row c, the sum of
     c[j]·rows[j] over raw rows of m entries, packed as in ``_eliminate``
-    (bits over GF(2), in the one codec; slots over odd p, one sum reduced
-    once per output row: a slot adds at most len(rows) products of two
-    residues, so 2·bits(p) + bits(len(rows)) bits hold it); ``_axpy`` adds
-    them over Q."""
+    (bits over GF(2), in the one codec; slots over odd p, in the residue
+    codec: a slot of one output row's sum adds at most len(rows) products
+    of two residues, so ``_slot_reducer`` with len(rows) terms sets the
+    width and reduces the sum while packed); ``_axpy`` adds them over Q."""
     p = field.modulus
     if p == 2:
         others = _codes(rows, m, False)
@@ -560,10 +573,10 @@ def _product(field: FieldSpec, coefficient_rows, rows, m: int) -> list:
         table = _rows_of(xs, m)
         return [table[x] for x in xs]
     if p is not None:
-        k = _slot_bytes(2 * p.bit_length() + len(rows).bit_length())
-        others = [_pack(r, k) for r in rows]
-        return [tuple([v % p for v in _unpack(sum(map(mul, r, others)), m, k)])
-                for r in coefficient_rows]
+        k, reduce_slots = _slot_reducer(p, len(rows), m)
+        pack, unpack = _codec(p, k, m)
+        others = [pack(r) for r in rows]
+        return [unpack(reduce_slots(sum(map(mul, r, others)))) for r in coefficient_rows]
     out = []
     for r in coefficient_rows:
         acc = [field.zero.value] * m

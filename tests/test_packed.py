@@ -32,8 +32,9 @@ distinct large prime denominators, and every row form the callers pass;
 the lime side is refereed by ``_insert_red`` on the reversed rows, read
 backwards. White-box checks watch the slot values themselves against the
 width the code asks for and the bound the reducer takes, the reducer is
-held to ``v % p`` at the extreme slot values, and one test pins how many
-eliminations each public call makes.
+held to ``v % p`` at the extreme slot values and every width from its own
+on, the residue codec to the generic byte layout, and literals pin the
+GF(65521) slot width and how many eliminations each public call makes.
 """
 
 import random
@@ -264,46 +265,50 @@ def _bound(p, n):
     return 2 * p.bit_length() + n.bit_length()
 
 
+def _packed(row, k):
+    """The generic little-endian layout of a row in slots of k bytes: entry
+    j in the k bytes from byte k·j, whatever its value."""
+    return sum(v << 8 * k * j for j, v in enumerate(row))
+
+
+def _slots(x, n, k):
+    """The n slots of k bytes of a packed row, whatever their values."""
+    mask = (1 << 8 * k) - 1
+    return [x >> 8 * k * j & mask for j in range(n)]
+
+
 def _watch_slots(monkeypatch):
     """Make every slot width the code asks for 8 bytes wider, and record the
-    bits it asks for, the largest slot value it unpacks, and by bound s the
-    largest slot value handed to a slot reducer: a value past the width
-    asked for, or past the reducer's bound, then shows instead of carrying
-    into the next slot."""
-    asked, largest, given = [], [0], {}
-    slot_bytes, unpack = subspace._slot_bytes, subspace._unpack
-    slot_reducer = subspace._slot_reducer
+    bits it asks for and, by bound s, the largest slot value handed to a
+    slot reducer: a value past the reducer's bound, or past the width asked
+    for, then shows instead of carrying into the next slot."""
+    asked, given = [], {}
+    slot_bytes, slot_reducer = subspace._slot_bytes, subspace._slot_reducer
 
     def wider(bits):
         asked.append(bits)
         return slot_bytes(bits) + 8
 
-    def watched(x, n, k):
-        values = unpack(x, n, k)
-        largest[0] = max(largest[0], *values, 0)
-        return values
-
-    def watched_reducer(p, n):
-        k, reduce = slot_reducer(p, n)
-        s = _bound(p, n)
+    def watched_reducer(p, terms, n):
+        k, reduce = slot_reducer(p, terms, n)
+        s = _bound(p, terms)
 
         def watched_reduce(x):
-            given[s] = max(given.get(s, 0), *unpack(x, n, k))
+            given[s] = max(given.get(s, 0), *_slots(x, n, k))
             return reduce(x)
         return k, watched_reduce
 
     monkeypatch.setattr(subspace, "_slot_bytes", wider)
-    monkeypatch.setattr(subspace, "_unpack", watched)
     monkeypatch.setattr(subspace, "_slot_reducer", watched_reducer)
-    return asked, largest, given
+    return asked, given
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p):
     """The eliminations, tall, wide and on the lime side, hand their
-    reducer only slots below its bound; the product unpacks only slots
-    below the width it asks for."""
-    asked, largest, given = _watch_slots(monkeypatch)
+    reducer only slots below its bound; the product hands its reducer sums
+    of len(rows) products, below that bound and the width it asks for."""
+    asked, given = _watch_slots(monkeypatch)
     field, q = rl.gf(p), p - 1
     for m in (8, 31, 64, 129, 200):
         rows = _max_carry_rows(rng, p, m)
@@ -319,9 +324,11 @@ def test_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p):
                 assert list(given) == [_bound(p, m)], (m, name)
                 assert 0 < given[_bound(p, m)] < 2 ** _bound(p, m), (m, name)
         asked.clear()
-        largest[0] = 0
+        given.clear()
         rl.Matrix.from_values(field, [[q] * m] * 3) @ rl.Matrix.from_values(field, [[q] * 5] * m)
-        assert len(asked) == 1 and 0 < largest[0] < 2 ** asked[0], m
+        s = _bound(p, m)  # m rows, so m terms a slot, in output rows of 5 slots
+        assert len(asked) == 1 and list(given) == [s], m
+        assert given[s] == m * q * q < min(2 ** s, 2 ** asked[0]), m
 
 
 class _Watched(int):
@@ -343,7 +350,7 @@ def test_echelon_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p)
     by ``% p``, so a modulus that records its left operands sees every slot
     value read; the reducer sees each row it stores, and that row scaled
     by an inverse."""
-    asked, _, given = _watch_slots(monkeypatch)
+    asked, given = _watch_slots(monkeypatch)
     for m in (8, 31, 64, 129, 200):
         rows = _max_carry_rows(rng, p, m)
         s = _bound(p, m)
@@ -415,9 +422,9 @@ def _max_back_substitution_rows(p, m):
 
 @pytest.mark.parametrize("p", TWO_PASS_PRIMES)
 def test_back_substitution_sums_stay_below_the_width_asked_for(monkeypatch, p):
-    """The sums reach the reducer below its bound, at one width for both
+    """The sums reach the reducer below its bound, one reducer serving both
     passes."""
-    asked, _, given = _watch_slots(monkeypatch)
+    asked, given = _watch_slots(monkeypatch)
     q = p - 1
     for m in (8, 31, 64, 129, 200):
         rows = _max_back_substitution_rows(p, m)
@@ -428,8 +435,8 @@ def test_back_substitution_sums_stay_below_the_width_asked_for(monkeypatch, p):
             given.clear()
             red = call()
             assert len(red) == m - 1
-            # one width for the echelon pass and the same for back-substitution
-            assert len(asked) == 2 and asked[0] == asked[1], (m, asked)
+            # one reducer, so one width, for the echelon pass and back-substitution
+            assert len(asked) == 1, (m, asked)
             assert list(given) == [s] and (m - 2) * q * q <= given[s] < 2 ** s, m
     assert _red(rows, p) == _generic_red(rows, p)
 
@@ -455,28 +462,54 @@ def test_a_full_echelon_pass_gives_the_identity_without_back_substitution(monkey
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_slot_reducer_at_the_extreme_slot_values(monkeypatch, p):
-    """Every slot value below 2**s, s = ``_bound(p, n)``, reduces to
-    ``v % p``, in rows of 1 to 200 slots, at the width ``_slot_reducer``
-    asks for and at every wider struct size and past 8 bytes: the extremes
-    0, p - 1, p, 3p - 1 and 2**s - 1, and two runs just below 2**s (one by
-    1, one by 2**(bits(p) - 1)), where its quotient estimate falls furthest
-    short (two short for p = 5 at some s, three with 2**bits(p) in place
-    of 2**(bits(p) - 1))."""
+    """Every slot value below 2**s, s = ``_bound(p, terms)``, reduces to
+    ``v % p``, in rows of 1 to 200 slots, with as many terms as slots (the
+    eliminations) and with fewer or more (the product), at the width
+    ``_slot_reducer`` asks for and at every wider one up to 9 bytes, and at
+    16 and 24: the extremes 0, p - 1, p, 3p - 1 and 2**s - 1, and two runs
+    just below 2**s (one by 1, one by 2**(bits(p) - 1)), where its quotient
+    estimate falls furthest short (two short for p = 5 at some s, three
+    with 2**bits(p) in place of 2**(bits(p) - 1)). Every slot, pad bits
+    included, must read back as the residue."""
     slot_bytes, step = subspace._slot_bytes, 2 ** (p.bit_length() - 1)
-    natives = {n: subspace._slot_reducer(p, n)[0] for n in (1, 8, 100, 200)}
-    for n, native in natives.items():
-        s, run = _bound(p, n), range(min(16 * p, 512))
+    shapes = ((1, 1), (8, 8), (100, 100), (200, 200), (1, 200), (200, 3))
+    exact = {shape: subspace._slot_reducer(p, *shape)[0] for shape in shapes}
+    for (terms, n), own in exact.items():
+        s, run = _bound(p, terms), range(min(16 * p, 512))
         values = [0, p - 1, p, 3 * p - 1, *(2 ** s - 1 - i for i in run if i < 2 ** s),
                   *(2 ** s - 1 - i * step for i in run if i * step < 2 ** s)]
         rows = [[values[(i + j) % len(values)] for j in range(n)]
                 for i in range(0, len(values), n)]
-        for k in (native, *(k for k in (1, 2, 4, 8, 9, 16, 24) if k > native)):
+        for k in (*range(own, max(own, 9) + 1), *(k for k in (16, 24) if k > own)):
             monkeypatch.setattr(subspace, "_slot_bytes", lambda bits: max(k, slot_bytes(bits)))
-            width, reduce = subspace._slot_reducer(p, n)
+            width, reduce = subspace._slot_reducer(p, terms, n)
             assert width == k
             for row in rows:
-                got = subspace._unpack(reduce(subspace._pack(row, k)), n, k)
-                assert list(got) == [v % p for v in row], (n, k)
+                assert _slots(reduce(_packed(row, k)), n, k) == [v % p for v in row], (n, k)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_residue_codec_round_trips_at_every_width(rng, p):
+    """The residue codec packs rows of 1 to 200 residues into the generic
+    little-endian layout and reads them back as tuples: at the exact width
+    for p - 1, up to 3 bytes wider, and at 8, 9 and 16 bytes where those
+    hold p - 1."""
+    exact = subspace._slot_bytes((p - 1).bit_length())
+    for k in sorted({*range(exact, exact + 4), *(k for k in (8, 9, 16) if k >= exact)}):
+        for n in (1, 2, 7, 100, 200):
+            pack, unpack = subspace._codec(p, k, n)
+            for row in ([0] * n, [p - 1] * n, [rng.randrange(p) for _ in range(n)]):
+                for given in (row, tuple(row)):
+                    x = pack(given)
+                    assert x == _packed(row, k), (k, n)
+                    assert unpack(x) == tuple(row), (k, n)
+
+
+def test_gf65521_slot_widths_are_pinned():
+    # the widths as literals, so that the width rule itself is pinned: a
+    # change that retunes it updates these values and says so in CHANGES.md
+    widths = [subspace._slot_reducer(65521, n, n)[0] for n in (12, 100, 200)]
+    assert widths == [6, 6, 7]
 
 
 def test_slot_red_trivial_inputs():

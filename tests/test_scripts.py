@@ -1,7 +1,7 @@
 """The measurement scripts run end to end at their smallest setting, the
 crossover timing loop runs on a stubbed batch timer, the rules that read
 each crossover table run on stubbed ratios, and the mutation check's
-verdict runs on a stubbed mutant runner."""
+verdict and test order run on a stubbed mutant runner."""
 
 import importlib.util
 import os
@@ -113,7 +113,7 @@ def test_mutants_fail_on_each_survivor(monkeypatch, capsys, survivor):
     script = load_script(MUTANTS)
     ran = []
 
-    def run_mutant(path, original, mutated):
+    def run_mutant(path, original, mutated, first=None):
         name = next(m[0] for m in script.MUTANTS if m[1:] == (path, original, mutated))
         ran.append(name)
         return (None if name == survivor else "tests/test_x.py::test_x"), 0.1
@@ -130,3 +130,27 @@ def test_mutants_fail_on_each_survivor(monkeypatch, capsys, survivor):
         assert f"{survivor}: survived" in out and out.endswith(f"1 survivor(s)\n  {survivor}\n")
     else:
         assert out.endswith("0 survivor(s)\n")
+
+
+def test_white_box_mutants_run_their_test_file_first(monkeypatch, capsys):
+    script = load_script(MUTANTS)
+    every = sorted(f"tests/{f.name}" for f in (ROOT / "tests").glob("test_*.py"))
+    packed = script.suite_files(script.PACKED)
+    assert packed[0] == "tests/test_packed.py" and sorted(packed) == every
+    assert script.suite_files() == every
+    firsts = {}
+
+    def run_mutant(path, original, mutated, first=None):
+        firsts[next(m[0] for m in script.MUTANTS if m[1:] == (path, original, mutated))] = first
+        return "tests/test_x.py::test_x", 0.1
+
+    check = script.check
+    # as in test_mutants_fail_on_each_survivor: a mutant's tree fails check()
+    monkeypatch.setattr(script, "check", lambda mutants: [])
+    monkeypatch.setattr(script, "run_mutant", run_mutant)
+    monkeypatch.setattr(sys, "argv", [str(MUTANTS)])
+    assert script.main() == 0
+    assert {name for name, first in firsts.items() if first} == script.PACKED_FIRST
+    assert set(firsts.values()) == {None, script.PACKED}
+    monkeypatch.setattr(script, "PACKED_FIRST", {"no such mutant"})
+    assert "no such mutant: in PACKED_FIRST but no mutant" in check(script.MUTANTS)
