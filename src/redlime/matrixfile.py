@@ -102,10 +102,10 @@ def load_matrix(path) -> Matrix:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError, so caught first
         raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise UsageError(f"cannot read {path}: {exc}") from None
     return parse_matrix_text(text)
 
 

@@ -157,12 +157,17 @@ def subspace_from_pattern(pattern: Sequence, field: FieldSpec) -> Subspace:
     if not pattern:
         raise UsageError("empty pattern")
     zero, one = field.zero.value, field.one.value
+    # each label's positions, grouped by dict lookup, so that a label
+    # unequal to itself (nan) still gets its own
+    supports: dict = {}
     try:
-        labels = dict.fromkeys(label for label in pattern if label is not None and label != 0)
+        for i, label in enumerate(pattern):
+            if label is not None and label != 0:
+                supports.setdefault(label, set()).add(i)
     except TypeError:
         raise UsageError("pattern labels must be hashable") from None
-    return _span(field, len(pattern),
-                 [[one if x == label else zero for x in pattern] for label in labels])
+    return _span(field, len(pattern), [[one if i in support else zero for i in range(len(pattern))]
+                                       for support in supports.values()])
 
 
 def synthesize(sig: Signature, field: FieldSpec) -> Subspace:

@@ -50,7 +50,7 @@ KINDS = {
     "int": (1, 2, 3),
     "bool": (False, True),
     "str": ("1", "-3/4", "1 0 2", "field gf 5\n1 2 0\n0 1 1\n", "lbr"),
-    "path": (str(Path(__file__).parent / "data" / "a_gf2.txt"), "no such file"),
+    "path": (str(Path(__file__).parent / "data" / "a_gf2.txt"), "no such file", "a\0b"),
     "value": (2, Fraction(1, 2), F.one, "l"),
     "values": ((1, 2, 3), [[1, 0], [0, 1]]),
     "coefficients": ([1], [F.one, 2]),

@@ -263,6 +263,7 @@ MESSAGES = {  # each names the argument, and its range where it has one
     "vector values must be an iterable, not int": lambda: rl.Vector.from_values(GF5, 5),
     "a matrix row must be an iterable, not int": lambda: rl.Matrix.from_values(GF5, [5]),
     "mixed fields: GF(3) where GF(5) is needed": lambda: V + BAD_VECTORS["wrong field"],
+    "cannot read a\0b: embedded null byte": lambda: rl.load_matrix("a\0b"),
 }
 
 

@@ -151,6 +151,10 @@ def test_subspace_from_pattern_dimension():
     w = rl.subspace_from_pattern(W18, GF2)
     assert w.dimension == 10
     assert rl.subspace_from_pattern((0, 0, 0), Q) == rl.Subspace.zero_subspace(Q, 3)
+    nan = float("nan")  # a label unequal to itself still gets its positions
+    w = rl.subspace_from_pattern([nan, 0], GF2)
+    assert w.dimension == 1 and w.red_indices == (1,)
+    assert rl.subspace_from_pattern([nan, 1, nan], GF2).red_indices == (2, 3)
 
 
 def test_permutation_type():
