@@ -149,8 +149,10 @@ def subspace_from_pattern(pattern: Sequence, field: FieldSpec) -> Subspace:
     """Span of one indicator generator per distinct pattern label.
 
     ``pattern`` assigns each position a label; equal labels share one free
-    coefficient and a label of 0/None pins the position to zero. The
-    generators are the 0/1 indicator vectors of the label supports.
+    coefficient and a label of 0/None pins the position to zero. Labels
+    group as dict keys do: by equality, and a label unequal to itself (nan)
+    by identity, so one nan object shares a coefficient and two do not.
+    The generators are the 0/1 indicator vectors of the label supports.
     """
     _check_type(field, FieldSpec)
     pattern = _items(pattern, "a pattern")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress, product
 from math import gcd, lcm
 from operator import mul, xor
@@ -273,6 +273,7 @@ def _slot_bytes(bits: int) -> int:
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+@lru_cache(maxsize=256)
 def _codec(p: int, k: int, n: int) -> tuple:
     """(pack, unpack) for rows of n residues mod p in slots of k bytes: pack
     takes a sequence of residues to one int, entry j in the k bytes from
@@ -281,7 +282,7 @@ def _codec(p: int, k: int, n: int) -> tuple:
     p - 1 followed by zero pad bytes (``"<" + "H4x" * n`` for 6-byte
     GF(65521) slots), so both stay in C at any width the kernels take
     (2·bits(p) bits and more, never below that size); only moduli past
-    2**64 go through a ``to_bytes`` per value."""
+    2**64 go through a ``to_bytes`` per value. Built once per (p, k, n)."""
     for size, code in _FORMATS.items():
         if p <= 1 << 8 * size:
             row = struct.Struct("<" + f"{code}{k - size}x" * n)
@@ -450,6 +451,7 @@ def _red_bits(xs, n: int) -> dict:
     return basis
 
 
+@lru_cache(maxsize=256)
 def _slot_reducer(p: int, terms: int, n: int) -> tuple:
     """(k, reduce) for rows of n entries over GF(p), p odd, packed into one
     int with k bytes a slot: reduce takes such a row whose slots are each
@@ -479,7 +481,8 @@ def _slot_reducer(p: int, terms: int, n: int) -> tuple:
     keeps only the slot's own bits: those shifted in from the slot above
     land at w - a or w - (s - a), both at least s - a. 2(s - a) =
     2·(bits(p) + bits(terms) + 1) exceeds s and f + 1, so those bits, in
-    whole bytes (``_slot_bytes``), are the slot width.
+    whole bytes (``_slot_bytes``), are the slot width. Built once per
+    (p, terms, n): a tiny product costs less than building the masks.
     """
     b = p.bit_length()
     a, s, f = b - 1, 2 * b + terms.bit_length(), b + 1
@@ -495,13 +498,13 @@ def _slot_reducer(p: int, terms: int, n: int) -> tuple:
     return k, reduce
 
 
-def _echelon_slots(rows, p: int, reducer: Optional[tuple] = None) -> dict:
+def _echelon_slots(rows, p: int) -> dict:
     """An echelon basis over GF(p), p odd, of a nonempty sequence of raw
     rows of n entries, by key. Each row is packed into one int, entry j in
     slot j of w bits, so a row operation is one big-int multiply-add
     ``x += (p - c)·b`` over every slot at once; a slot is reduced only as
-    it is read, and a row only by the reducer, ``_slot_reducer(p, n, n)``
-    unless the caller passes it, which also sets w.
+    it is read, and a row only by the reducer, ``_slot_reducer(p, n, n)``,
+    which also sets w.
     Stored rows are reduced and scaled to end in 1. A new row x is scanned
     from its top slot down: slot j is read as ``(x >> w·j & mask) % p``,
     and where that is some c != 0 at a key, x gains ``(p - c)·b`` for the
@@ -517,7 +520,7 @@ def _echelon_slots(rows, p: int, reducer: Optional[tuple] = None) -> dict:
     times the inverse is below p², within it too.
     """
     n = len(rows[0])
-    k, reduce = reducer or _slot_reducer(p, n, n)
+    k, reduce = _slot_reducer(p, n, n)
     pack = _codec(p, k, n)[0]
     w = 8 * k
     mask = (1 << w) - 1
@@ -545,11 +548,10 @@ def _red_echelon_slots(rows, p: int) -> dict:
     then reduced by the reducer the echelon pass used. With q = p - 1 the
     sum's slots stay at most q + (n - 1)·q², within its bound."""
     n = len(rows[0])
-    reducer = _slot_reducer(p, n, n)
-    echelon = _echelon_slots(rows, p, reducer)
+    echelon = _echelon_slots(rows, p)
     if len(echelon) == n:
         return {t: [0] * t + [1] + [0] * (n - 1 - t) for t in range(n)}
-    k, reduce = reducer
+    k, reduce = _slot_reducer(p, n, n)
     unpack = _codec(p, k, n)[1]
     packed, basis = {}, {}
     for t, x in sorted(echelon.items()):

@@ -25,6 +25,13 @@ GF3 = rl.gf(3)
 GF5 = rl.gf(5)
 ALL_FIELDS = (Q, GF2, GF3, GF5)
 
+# coefficient patterns of three 18-position subspaces sharing one signature;
+# positions with equal labels share a free coefficient, 0 pins a zero
+W18 = (0, 1, 2, 3, 4, 0, 1, 5, 6, 0, 4, 6, 7, 7, 8, 9, 8, 10)
+Z18 = (0, 1, 2, 3, 4, 4, 1, 5, 6, 6, 4, 6, 7, 7, 8, 9, 8, 10)
+X18 = (0, 1, 2, 3, 4, 1, 1, 5, 6, 4, 4, 6, 7, 7, 8, 9, 8, 10)
+SIG18 = "nlbblnrblnrrlrlbrb"
+
 
 def pytest_addoption(parser):
     parser.addoption("--seed", type=int, default=20260810,

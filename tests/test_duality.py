@@ -58,17 +58,6 @@ def test_complement_examples():
     assert c.red_basis == (vec(Q, -2, 1),)
 
 
-def test_set_duality_exhaustive():
-    for n, p in [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (1, 3), (2, 3), (3, 3), (4, 3)]:
-        everything = set(range(1, n + 1))
-        for w in all_subspaces(n, p):
-            c = rl.complement(w)
-            assert set(rl.lime_basis(c).lime_indices) == everything - set(w.red_indices)
-            assert set(c.red_indices) == everything - set(rl.lime_basis(w).lime_indices)
-            assert w.dimension + c.dimension == n
-            assert rl.complement(c) == w
-
-
 @given(subspaces())
 def test_complement_involution_random(w):
     c = rl.complement(w)

@@ -14,9 +14,10 @@ callers pass; widths past one machine word, low rank, zero and repeated rows,
 and row counts and widths on both sides of ``_SLOTS_FROM``. White-box checks
 hold the GF(2) tables to bytes translation, the slot values to the width asked
 for and the reducer's bound, the reducer to ``v % p`` at the extreme slot
-values, the residue codec to the generic byte layout and Q's stored integer
-rows to being primitive; literals pin ``_TABLE_WIDTH``, ``_SLOTS_FROM``, the
-GF(65521) slot widths and the eliminations each public call makes.
+values, the residue codec to the generic byte layout, the slot layouts to
+one build per shape and Q's stored integer rows to being primitive; literals
+pin ``_TABLE_WIDTH``, ``_SLOTS_FROM``, the GF(65521) slot widths and the
+eliminations each public call makes.
 """
 
 import random
@@ -237,9 +238,10 @@ def _watch_slots(monkeypatch):
     """Make every slot width the code asks for 8 bytes wider, and record the
     bits it asks for and, by bound s, the largest slot value handed to a
     slot reducer: a value past the reducer's bound, or past the width asked
-    for, then shows instead of carrying into the next slot."""
+    for, then shows instead of carrying into the next slot. Each reducer is
+    built afresh, past the cache, which keeps only the real widths."""
     asked, given = [], {}
-    slot_bytes, slot_reducer = subspace._slot_bytes, subspace._slot_reducer
+    slot_bytes, slot_reducer = subspace._slot_bytes, subspace._slot_reducer.__wrapped__
 
     def wider(bits):
         asked.append(bits)
@@ -378,8 +380,8 @@ def _max_back_substitution_rows(p, m):
 
 @pytest.mark.parametrize("p", TWO_PASS_PRIMES)
 def test_back_substitution_sums_stay_below_the_width_asked_for(monkeypatch, p):
-    """The sums reach the reducer below its bound, one reducer serving both
-    passes."""
+    """The sums reach the reducer below its bound, the echelon pass and
+    back-substitution asking for one width."""
     asked, given = _watch_slots(monkeypatch)
     q = p - 1
     for m in (8, 31, 64, 129, 200):
@@ -391,8 +393,8 @@ def test_back_substitution_sums_stay_below_the_width_asked_for(monkeypatch, p):
             given.clear()
             red = call()
             assert len(red) == m - 1
-            # one reducer, so one width, for the echelon pass and back-substitution
-            assert len(asked) == 1, (m, asked)
+            # one width, built for the echelon pass and for back-substitution
+            assert len(asked) == 2 and len(set(asked)) == 1, (m, asked)
             assert list(given) == [s] and (m - 2) * q * q <= given[s] < 2 ** s, m
     assert _red(rows, p) == _generic_red(rows, p)
 
@@ -438,7 +440,7 @@ def test_slot_reducer_at_the_extreme_slot_values(monkeypatch, p):
                 for i in range(0, len(values), n)]
         for k in (*range(own, max(own, 9) + 1), *(k for k in (16, 24) if k > own)):
             monkeypatch.setattr(subspace, "_slot_bytes", lambda bits: max(k, slot_bytes(bits)))
-            width, reduce = subspace._slot_reducer(p, terms, n)
+            width, reduce = subspace._slot_reducer.__wrapped__(p, terms, n)
             assert width == k
             for row in rows:
                 assert _slots(reduce(_packed(row, k)), n, k) == [v % p for v in row], (n, k)
@@ -459,6 +461,17 @@ def test_residue_codec_round_trips_at_every_width(rng, p):
                     x = pack(given)
                     assert x == _packed(row, k), (k, n)
                     assert unpack(x) == tuple(row), (k, n)
+
+
+def test_slot_layouts_are_built_once_per_shape():
+    """Two odd-p products of the same shape build one reducer and one codec."""
+    subspace._slot_reducer.cache_clear()
+    subspace._codec.cache_clear()
+    a = rl.Matrix.from_values(GF5, [[1, 2, 3], [4, 0, 1]])
+    b = rl.Matrix.from_values(GF5, [[1, 0, 2, 3], [0, 1, 4, 4], [2, 2, 0, 1]])
+    assert a @ b == a @ b
+    for built in (subspace._slot_reducer, subspace._codec):
+        assert built.cache_info()[:2] == (1, 1), built  # (hits, misses)
 
 
 def test_gf65521_slot_widths_are_pinned():

@@ -257,16 +257,6 @@ def test_lime_count_equals_red_count_random(w):
     assert rl.lime_basis(w).dimension == w.dimension
 
 
-def test_monotonicity_exhaustive_small():
-    subs = all_subspaces(3, 2)
-    for w in subs:
-        for v in subs:
-            if rl.subspace_leq(w, v):
-                assert w.dimension <= v.dimension
-                if w.dimension == v.dimension:
-                    assert w == v
-
-
 @given(field_and_vectors(min_vectors=1, max_vectors=4))
 def test_step_up_bound(fnv):
     field, n, vs = fnv
