@@ -125,7 +125,7 @@ MUTANTS = (
      "{t: table[x] for"),
     # the gates and the normalisation: no answer moves, the tests pin them
     ("slot kernels from another size", SUB,
-     "_SLOTS_FROM = 7", "_SLOTS_FROM = 5"),
+     "_SLOTS_FROM = 6", "_SLOTS_FROM = 5"),
     ("narrower codec tables", SUB,
      "_TABLE_WIDTH = 8", "_TABLE_WIDTH = 6"),
     ("integer rows kept unnormalised", SUB,

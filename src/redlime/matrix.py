@@ -239,7 +239,7 @@ def full_rank_factorization(a: Matrix) -> FullRankFactors:
     indices, and those coefficients across all columns are exactly g.
     """
     _check_type(a, Matrix)
-    lime = _eliminate(zip(*a._raw), a.nrows, a.field.modulus, lime=True)
+    lime = _eliminate(list(zip(*a._raw)), a.nrows, a.field.modulus, lime=True)
     if not lime:
         raise DomainError("the zero matrix has no full-rank factorization")
     b = _matrix(a.field, zip(*lime.values()))

@@ -303,16 +303,17 @@ def _codec(p: int, k: int, n: int) -> tuple:
 # more than the row operations saved. It is the rank bound from which no
 # square, tall or wide case at any prime takes the slot kernels more than
 # 1.05 times the insertion kernel's time (scripts/kernel_crossover.py
-# --table slots; CHANGES.md). A literal in tests/test_packed.py pins the
-# value.
-_SLOTS_FROM = 7
+# --table slots; CHANGES.md), the larger answer of two runs: 6 and 5, GF(3)
+# at rank bound 5 reading 1.06 and 1.04. A literal in tests/test_packed.py
+# pins the value.
+_SLOTS_FROM = 6
 
 
 def _eliminate(rows, n: int, p, lime: bool = False, keys_only: bool = False):
     """The red basis of the span of raw rows of n entries, or with lime its
     lime basis, as {0-based index: row tuple} in ascending index order; with
     keys_only, only the indices, in no set order. p is the modulus, None
-    over Q. Rows are a sequence; on the lime side any iterable will do.
+    over Q. Rows are a sequence.
 
     This is the one elimination: it picks one kernel from the field and the
     shape before any row is eliminated. Each kernel computes one side

@@ -6,7 +6,7 @@ from hypothesis import given
 import redlime as rl
 from redlime.errors import UsageError
 
-from conftest import GF2, GF3, Q, all_subspaces, span_of, subspaces, vec
+from conftest import GF2, GF3, Q, span_of, subspaces, vec
 
 
 def test_dot_examples():
@@ -59,13 +59,6 @@ def test_complement_examples():
 
 
 @given(subspaces())
-def test_complement_involution_random(w):
-    c = rl.complement(w)
-    assert w.dimension + c.dimension == w.ambient
-    assert rl.complement(c) == w
-
-
-@given(subspaces())
 def test_read_off_is_orthogonal_with_small_overlap(w):
     lb = rl.lime_of_complement_from_red(w)
     for z in lb.vectors:
@@ -81,16 +74,6 @@ def test_both_read_offs_describe_the_same_complement(w):
     c = rl.complement(w)
     assert rl.span_red_basis(via_lime.vectors, w.ambient, w.field) == c
     assert rl.lime_basis(c) == via_lime
-
-
-def test_signature_duality_swaps_both_and_neither():
-    swap = {rl.Mark.BOTH: rl.Mark.NEITHER, rl.Mark.NEITHER: rl.Mark.BOTH,
-            rl.Mark.RED_ONLY: rl.Mark.RED_ONLY, rl.Mark.LIME_ONLY: rl.Mark.LIME_ONLY}
-    for n in range(1, 6):
-        for w in all_subspaces(n, 2):
-            got = rl.signature(rl.complement(w))
-            expected = rl.Signature(tuple(swap[m] for m in rl.signature(w).marks))
-            assert got == expected
 
 
 def test_complement_over_rationals_with_fractions():

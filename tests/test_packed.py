@@ -11,7 +11,10 @@ calls with the elimination swapped for the referee. The cases take GF(2), odd
 primes from one-byte slots to the largest modulus, and Q rows of small entries,
 200-bit numerators or distinct large prime denominators; every row form the
 callers pass; widths past one machine word, low rank, zero and repeated rows,
-and row counts and widths on both sides of ``_SLOTS_FROM``. White-box checks
+and row counts and widths on both sides of ``_SLOTS_FROM``. Each Hypothesis
+property is one test parametrized by field kind (GF(2), odd p, Q), drawing
+from one low-rank matrix strategy with the kind's bounds (``MATRIX_KINDS``),
+and the trivial inputs are one test over every kernel. White-box checks
 hold the GF(2) tables to bytes translation, the slot values to the width asked
 for and the reducer's bound, the reducer to ``v % p`` at the extreme slot
 values, the residue codec to the generic byte layout, the slot layouts to
@@ -141,16 +144,6 @@ ROW_FORMS = {  # the sequences the callers of _eliminate pass
     "reversed": lambda rows: [r[::-1] for r in rows],
     "columns": lambda rows: list(zip(*rows)),
 }
-
-
-def test_packed_red_trivial_inputs():
-    assert _red([], 2) == {}
-    zero = (0,) * 70
-    assert _red([zero, zero], 2) == {}
-    e70 = zero[:69] + (1,)
-    assert _red([e70], 2) == {69: e70}
-    assert _red([], 2, keys_only=True) == set()
-    assert _red([(0,) * 9, (0,) * 8 + (1,)] * 9, 2, keys_only=True) == {8}
 
 
 def _gfp_rows(rng, p, n, m, rank):
@@ -345,7 +338,7 @@ def test_two_pass_red_matches_insertion_kernel(rng, monkeypatch, p):
     ran = _count_slot_kernels(monkeypatch)
     # _SLOTS_FROM as a literal, so that the gate itself is pinned: a change
     # that retunes it updates this value and says so in CHANGES.md
-    s = 7
+    s = 6
     for m in (s - 1, s, s + 1, 12, 31, 50):
         for n in sorted({s - 1, s, s + 1, m - 1, m, m + 1, m + 5}):
             for rank in sorted({min(n, m), min(n, m) - 1, min(2, m), 1}):
@@ -481,15 +474,18 @@ def test_gf65521_slot_widths_are_pinned():
     assert widths == [6, 6, 7]
 
 
-def test_slot_red_trivial_inputs():
-    assert _red([], 5) == {}
-    assert _red([(0,) * 70] * 9, 5) == {}
-    units = [tuple(int(i == j) for j in range(70)) for i in range(9)]
-    rows = [(4,) + tuple(u[1:]) for u in units]  # 4 e_1, then 4 e_1 + e_i for i = 2..9
-    assert _red(rows, 5) == dict(enumerate(units))
-    for p in PRIMES:
-        assert _red([], p, keys_only=True) == set()
-        assert _red([(0,) * 9, (0,) * 8 + (1,)] * 9, p, keys_only=True) == {8}
+@pytest.mark.parametrize("p", (2, *PRIMES, None), ids=lambda p: "Q" if p is None else str(p))
+def test_red_trivial_inputs(p):
+    """No rows, zero rows, one unit row of width 70, nine rows of width 70
+    that reduce to unit rows, and eighteen rows of width 9 with one key."""
+    zero, one, minus = (0, 1, p - 1) if p else (Fraction(0), Fraction(1), Fraction(-1))
+    units = [tuple(one if i == j else zero for j in range(70)) for i in range(70)]
+    assert _red([], p) == {} and _red([], p, keys_only=True) == set()
+    assert _red([(zero,) * 70] * 9, p) == {}
+    assert _red([units[69]], p) == {69: units[69]}
+    rows = [(minus,) + u[1:] for u in units[:9]]  # -e_1, then -e_1 + e_i for i = 2..9
+    assert _red(rows, p) == dict(enumerate(units[:9]))
+    assert _red([(zero,) * 9, units[8][:9]] * 9, p, keys_only=True) == {8}
 
 
 def test_largest_prime_is_the_largest_modulus():
@@ -643,12 +639,7 @@ def test_keys_match_the_insertion_kernel(rng, form, p):
     _sweep(rng, form, "Q-small" if p is None else str(p), _slots_from_cases)
 
 
-def test_int_red_single_entry_and_trivial_rows(rng):
-    assert _red([], None) == {}
-    assert _red([(Fraction(0),) * 70] * 3, None) == {}
-    assert _red([], None, keys_only=True) == set()
-    e9 = (Fraction(0),) * 8 + (Fraction(1),)
-    assert _red([(Fraction(0),) * 9, e9] * 9, None, keys_only=True) == {8}
+def test_int_red_single_entry_rows(rng):
     assert _assert_red_matches([(Fraction(-3, 7),)], None) == {0: (Fraction(1),)}
     for m in WIDTHS:
         rows = []
@@ -694,31 +685,54 @@ def test_lime_helpers_match_the_red_basis_of_the_reversed_rows(rng, form, p):
         rows = ROW_FORMS[form](rows)
         n = len(rows[0])
         lime = _lime_read_back(_generic_red([r[::-1] for r in rows], p), n)
-        for given in (rows, zip(*zip(*rows))):  # a one-shot iterator, as callers pass
-            got = _eliminate(given, n, p, lime=True)
-            assert got == lime and list(got) == list(lime), (n, len(rows))
+        got = _eliminate(rows, n, p, lime=True)
+        assert got == lime and list(got) == list(lime), (n, len(rows))
         assert _eliminate(rows, n, p, lime=True, keys_only=True) == set(lime)
-        assert _eliminate(zip(*zip(*rows)), n, p, lime=True, keys_only=True) == set(lime)
-    assert _eliminate(iter([]), 5, p, lime=True) == {}
+    assert _eliminate([], 5, p, lime=True) == {}
     assert _eliminate([], 5, p, lime=True, keys_only=True) == set()
 
 
 @st.composite
-def gf2_matrices(draw, nrows=st.integers(1, 10), ncols=st.integers(1, 130)):
-    """GF(2) matrices whose rows combine a few drawn rows, so low rank, zero
-    rows and repeated rows all come up."""
-    n = draw(nrows)
-    m = draw(ncols)
-    base = draw(st.lists(st.integers(0, 2 ** m - 1), min_size=1, max_size=n))
+def low_rank_matrices(draw, fields, nrows, ncols):
+    """Matrices over one of fields whose rows combine a few drawn rows, so
+    low rank, zero rows and repeated rows all come up. Over GF(2) a row is
+    drawn as an int, its bits the entries; over Q entries are small
+    fractions or up to 200-bit numerators, coefficients small fractions."""
+    field = draw(st.sampled_from(fields))
+    p, n, m = field.modulus, draw(nrows), draw(ncols)
+    if p == 2:
+        base = draw(st.lists(st.integers(0, 2 ** m - 1), min_size=1, max_size=n))
+        rows = []
+        for _ in range(n):
+            pick = draw(st.integers(0, 2 ** len(base) - 1))
+            x = 0
+            for i, b in enumerate(base):
+                if pick >> i & 1:
+                    x ^= b
+            rows.append(_bits(x, m))
+        return rl.Matrix.from_values(field, rows)
+    if p is None:
+        entry = st.builds(Fraction, st.integers(-9, 9) | st.integers(-2**200, 2**200),
+                          st.integers(1, 9) | st.integers(1, 2**64))
+        coefficient = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    else:
+        entry = coefficient = st.integers(0, p - 1)
+    base = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=n))
+    coefficients = st.lists(coefficient, min_size=len(base), max_size=len(base))
     rows = []
     for _ in range(n):
-        pick = draw(st.integers(0, 2 ** len(base) - 1))
-        x = 0
-        for i, b in enumerate(base):
-            if pick >> i & 1:
-                x ^= b
-        rows.append(_bits(x, m))
-    return rl.Matrix.from_values(GF2, rows)
+        cs = draw(coefficients)
+        rows.append([sum(c * b[j] for c, b in zip(cs, base)) for j in range(m)])
+    return rl.Matrix.from_values(field, rows)  # reduced mod p on the way in
+
+
+# field kind -> (fields, row counts, widths) drawn by low_rank_matrices; odd p
+# row counts and widths fall on both sides of _SLOTS_FROM
+MATRIX_KINDS = {
+    "GF2": ((GF2,), st.integers(1, 10), st.integers(1, 130)),
+    "odd-p": ((GF3, GF5, GF65521), st.integers(1, 14), st.integers(1, 40)),
+    "Q": ((Q,), st.integers(1, 8), st.integers(1, 12)),
+}
 
 
 def _or_error(f, *args):
@@ -736,24 +750,6 @@ def _answers(a):
             _or_error(rl.full_rank_factorization, a),
             _or_error(rl.rref_factorization, a), _or_error(rl.rref_factorization, a, True),
             _or_error(rl.rcef_factorization, a), _or_error(rl.rcef_factorization, a, True))
-
-
-@st.composite
-def gfp_matrices(draw, fields=st.sampled_from((GF3, GF5, GF65521)),
-                 nrows=st.integers(1, 14), ncols=st.integers(1, 40)):
-    """Matrices over odd p whose rows combine a few drawn rows; their row
-    and column counts fall on both sides of the count from which
-    ``_eliminate`` runs the slot kernel."""
-    field = draw(fields)
-    p, n, m = field.modulus, draw(nrows), draw(ncols)
-    row = st.lists(st.integers(0, p - 1), min_size=m, max_size=m)
-    base = draw(st.lists(row, min_size=1, max_size=n))
-    coefficients = st.lists(st.integers(0, p - 1), min_size=len(base), max_size=len(base))
-    rows = []
-    for _ in range(n):
-        cs = draw(coefficients)
-        rows.append([sum(c * b[j] for c, b in zip(cs, base)) % p for j in range(m)])
-    return rl.Matrix.from_values(field, rows)
 
 
 def _generic_eliminate(rows, n, p, lime=False, keys_only=False):
@@ -784,9 +780,14 @@ def _count_eliminations(mp, eliminate=_eliminate):
     return calls
 
 
-def _assert_answers_match_the_generic_kernel(a):
-    """Every answer is the same when the elimination is the insertion
-    kernel, and each side, for rows and for keys, was asked for."""
+@pytest.mark.parametrize("kind", sorted(MATRIX_KINDS))
+@given(data=st.data())
+def test_answers_match_the_generic_kernel(kind, data):
+    """The red rows and keys of a's rows match the insertion kernel's, and
+    every answer is the same when the elimination is the insertion kernel,
+    and each side, for rows and for keys, was asked for."""
+    a = data.draw(low_rank_matrices(*MATRIX_KINDS[kind]))
+    _assert_red_matches(a._raw, a.field.modulus)
     packed = _answers(a)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_eliminations(mp, _generic_eliminate)
@@ -829,55 +830,16 @@ def test_each_public_call_makes_its_known_eliminations():
         assert calls == eliminations, name
 
 
-@given(gf2_matrices())
-def test_packed_answers_match_the_generic_kernel(a):
-    _assert_answers_match_the_generic_kernel(a)
-
-
-@given(gfp_matrices())
-def test_slot_answers_match_the_generic_kernel(a):
-    _assert_answers_match_the_generic_kernel(a)
-
-
-@st.composite
-def q_matrices(draw, nrows=st.integers(1, 8), ncols=st.integers(1, 12)):
-    """Matrices over Q whose rows combine a few drawn rows, entries small
-    fractions or up to 200-bit numerators."""
-    n, m = draw(nrows), draw(ncols)
-    entry = st.builds(Fraction, st.integers(-9, 9) | st.integers(-2**200, 2**200),
-                      st.integers(1, 9) | st.integers(1, 2**64))
-    base = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=n))
-    coefficient = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
-    coefficients = st.lists(coefficient, min_size=len(base), max_size=len(base))
-    rows = []
-    for _ in range(n):
-        cs = draw(coefficients)
-        rows.append([sum(c * b[j] for c, b in zip(cs, base)) for j in range(m)])
-    return rl.Matrix.from_values(Q, rows)
-
-
-@given(q_matrices())
-def test_int_answers_match_the_generic_kernel(a):
-    _assert_red_matches(a._raw, None)
-    _assert_answers_match_the_generic_kernel(a)
-
-
-@given(gf2_matrices(), st.data())
-def test_packed_matmul_matches_the_generic_row_operation(a, data):
-    b = data.draw(gf2_matrices(nrows=st.just(a.ncols), ncols=st.integers(1, 12)))
+@pytest.mark.parametrize("kind", sorted(MATRIX_KINDS))
+@given(data=st.data())
+def test_matmul_matches_the_generic_row_operation(kind, data):
+    a = data.draw(low_rank_matrices(*MATRIX_KINDS[kind]))
+    b = data.draw(low_rank_matrices((a.field,), st.just(a.ncols), st.integers(1, 12)))
     assert a @ b == _generic_matmul(a, b)
     assert a.transpose() @ a == _generic_matmul(a.transpose(), a)
 
 
-@given(gfp_matrices(), st.data())
-def test_slot_matmul_matches_the_generic_row_operation(a, data):
-    b = data.draw(gfp_matrices(fields=st.just(a.field), nrows=st.just(a.ncols),
-                               ncols=st.integers(1, 12)))
-    assert a @ b == _generic_matmul(a, b)
-    assert a.transpose() @ a == _generic_matmul(a.transpose(), a)
-
-
-@pytest.mark.parametrize("field", (GF2, GF3, GF65521, Q), ids=str)
+@pytest.mark.parametrize("field", (GF2, GF3, GF5, GF65521, Q), ids=str)
 def test_membership_and_column_products_match_the_generic_row_operation(rng, field):
     """contains_vector, coordinates, element_from_red_entries and
     apply_column_centric all go through ``_product``; the zero subspace

@@ -246,25 +246,6 @@ def test_span_is_canonical_under_generator_rewrites(fnv, data):
         assert rl.span_red_basis(added, n, field) == w
 
 
-def test_lime_count_equals_red_count_exhaustive():
-    for n in range(1, 6):
-        for w in all_subspaces(n, 2):
-            assert len(rl.lime_basis(w).lime_indices) == len(w.red_indices)
-
-
-@given(subspaces())
-def test_lime_count_equals_red_count_random(w):
-    assert rl.lime_basis(w).dimension == w.dimension
-
-
-@given(field_and_vectors(min_vectors=1, max_vectors=4))
-def test_step_up_bound(fnv):
-    field, n, vs = fnv
-    w = rl.span_red_basis(vs[:-1], n, field)
-    v = rl.span_red_basis(vs, n, field)
-    assert v.dimension <= w.dimension + 1
-
-
 def test_red_entry_round_trips_exhaustive():
     for n, p in [(3, 2), (2, 3)]:
         field = rl.gf(p)
