@@ -9,7 +9,8 @@ nested lists, vectors of another field or length). Each call must return,
 or raise a ``RedlimeError``, within a deadline; a generator is run to its
 end. Budgets are always small, so no enumeration runs long. Every callable
 that takes two field-bearing arguments must also raise ``UsageError`` on a
-pair drawn with another field or another length.
+pair drawn with another field or another length; ``element_from_red_entries``'s
+refusals are rows of ``tests/test_boundary.py``'s ``MESSAGES`` table.
 """
 
 import contextlib
@@ -69,16 +70,20 @@ WRONG = (None, True, False, "", "x", 1.5, math.nan, -1, 0, 10**30, -10**30, 5, [
 SIZES = (-1, 0, 10**30, -10**30, 10**5000)  # out of range where an int goes
 BUDGETS = (0, 1, 40, 2.5, -1, math.nan, math.inf, None, True, "x")
 
-# Each class's public methods run on these instances.
+# Each class's public methods run on these instances, the edge sizes among
+# them: one entry, 1x1, a GF(2) width past the packed row tables, empty, one mark.
 INSTANCES = {
     rl.FieldSpec: KINDS["FieldSpec"],
     rl.Scalar: (F.zero, F.scalar(3), Q.scalar(Fraction(-1, 2))),
-    rl.Vector: KINDS["Vector"],
-    rl.Matrix: KINDS["Matrix"],
+    rl.Vector: (*KINDS["Vector"], rl.Vector.from_values(F, (4,))),
+    rl.Matrix: (*KINDS["Matrix"], rl.Matrix.from_values(F, [[2]]), rl.Matrix.zero(Q, 1, 1),
+                rl.Matrix.from_values(rl.gf(2), [[int((i + j) % 3 == 0) for j in range(9)]
+                                                 for i in range(9)])),
     rl.Subspace: KINDS["Subspace"],
-    rl.LimeBasis: KINDS["LimeBasis"],
-    rl.Signature: KINDS["Signature"],
-    rl.Permutation: (rl.Permutation((2, 3, 1)),),
+    rl.LimeBasis: (*KINDS["LimeBasis"], rl.LimeBasis.empty(F, 3)),
+    rl.Signature: (*KINDS["Signature"], rl.Signature.from_string("n"),
+                   rl.Signature.from_string("b")),
+    rl.Permutation: (rl.Permutation((2, 3, 1)), rl.Permutation((1,))),
 }
 
 
@@ -253,9 +258,6 @@ MISMATCHED = {
         rl.apply_row_centric(d(_matrices(f, 2, n)), d(_vectors(g, m)))),
     "apply_column_centric": lambda d, f, n, g, m: (
         rl.apply_column_centric(d(_matrices(f, 2, n)), d(_vectors(g, m)))),
-    # the full space takes n coefficients of its field
-    "element_from_red_entries": lambda d, f, n, g, m: rl.element_from_red_entries(
-        rl.Subspace.full_space(f, n), [g.scalar(d(st.integers(-3, 3))) for _ in range(m)]),
 }
 
 

@@ -4,6 +4,12 @@ Arguments are validated once, where they enter a public function. Inside,
 rows are raw values and results are assembled without re-running the public
 constructors, so every result must still be exactly what those constructors
 accept and rebuild unchanged.
+
+Each refusal is a row of one table per kind of refusal, the canonical form
+of every result is checked by rebuilding it through the checking
+constructors, and equality depends on the field and the ambient.
+``test_api_fuzz.py`` adds drawn pairs of another field or length, and that
+no call ends in a traceback.
 """
 
 import math
@@ -96,6 +102,7 @@ def test_bad_arguments_are_usage_errors(call, bad):
 BAD_SPACES = {
     "span_red_basis, ambient 0": lambda: rl.span_red_basis([], 0, rl.gf(2)),
     "span_red_basis, ambient -3": lambda: rl.span_red_basis([], -3, rl.gf(2)),
+    "span_red_basis, no field": lambda: rl.span_red_basis([], 3),
     "brute_complement, ambient -2": lambda: rl.brute_complement([], -2, rl.gf(2)),
     "all_vectors, ambient -1": lambda: list(rl.all_vectors(rl.gf(2), -1)),
     "Subspace, float ambient": lambda: rl.Subspace(GF5, 3.0, (), ()),
@@ -260,6 +267,9 @@ MESSAGES = {  # each names the argument, and its range where it has one
     "ambient dimension of 16610 bits": lambda: rl.Vector.zero(GF5, 10**5000),
     "position 4 outside 1..3": lambda: V.entry(4),
     "coefficients must be an iterable, not int": lambda: rl.element_from_red_entries(W, 5),
+    "mixed fields: Q where GF(5) is needed":
+        lambda: rl.element_from_red_entries(W, [rl.RATIONALS.one]),
+    "expected 1 coefficients, got 2": lambda: rl.element_from_red_entries(W, [1, 2]),
     "vector values must be an iterable, not int": lambda: rl.Vector.from_values(GF5, 5),
     "a matrix row must be an iterable, not int": lambda: rl.Matrix.from_values(GF5, [5]),
     "mixed fields: GF(3) where GF(5) is needed": lambda: V + BAD_VECTORS["wrong field"],

@@ -1,10 +1,8 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 
 import redlime as rl
-from redlime.errors import UsageError
 
 from conftest import GF2, GF3, Q, span_of, subspaces, vec
 
@@ -18,10 +16,6 @@ def test_dot_examples():
             d = rl.dot(rl.Vector.standard_basis(Q, 3, i),
                        rl.Vector.standard_basis(Q, 3, j))
             assert d == (Q.one if i == j else Q.zero)
-    with pytest.raises(UsageError):
-        rl.dot(vec(GF2, 1), vec(GF2, 1, 0))
-    with pytest.raises(UsageError):
-        rl.dot(vec(GF2, 1), vec(GF3, 1))
 
 
 # the complement of span{(1,1,0),(0,1,1)} over GF(2) is {000, 111} by

@@ -14,6 +14,7 @@ callers pass; widths past one machine word, low rank, zero and repeated rows,
 and row counts and widths on both sides of ``_SLOTS_FROM``. Each Hypothesis
 property is one test parametrized by field kind (GF(2), odd p, Q), drawing
 from one low-rank matrix strategy with the kind's bounds (``MATRIX_KINDS``),
+the red-side sweep is one test over row form and field kind (``FIELD_KINDS``),
 and the trivial inputs are one test over every kernel. White-box checks
 hold the GF(2) tables to bytes translation, the slot values to the width asked
 for and the reducer's bound, the reducer to ``v % p`` at the extreme slot
@@ -616,21 +617,10 @@ def _sweep(rng, form, kind, cases):
         _assert_red_matches(ROW_FORMS[form](rows), FIELD_KINDS[kind][0], rank)
 
 
+@pytest.mark.parametrize("kind", FIELD_KINDS)
 @pytest.mark.parametrize("form", sorted(ROW_FORMS))
-def test_packed_red_matches_insertion_kernel(rng, form):
-    _sweep(rng, form, "2", _cases)
-
-
-@pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("form", sorted(ROW_FORMS))
-def test_slot_red_matches_insertion_kernel(rng, form, p):
-    _sweep(rng, form, str(p), _cases)
-
-
-@pytest.mark.parametrize("kind", sorted(Q_ENTRIES))
-@pytest.mark.parametrize("form", sorted(ROW_FORMS))
-def test_int_red_matches_insertion_kernel(rng, form, kind):
-    _sweep(rng, form, f"Q-{kind}", _cases)
+def test_red_matches_insertion_kernel(rng, form, kind):
+    _sweep(rng, form, kind, _cases)
 
 
 @pytest.mark.parametrize("p", (2, *PRIMES, None), ids=lambda p: "Q" if p is None else str(p))
