@@ -12,8 +12,9 @@ first failing test is printed), and survives when it passes. The checkout
 itself is never changed.
 
 Every listed mutant must be killed: the red and lime bases are canonical,
-so a mutant that changes no answer (a kernel gate moved, a normalisation
-left out) is pinned by a test that reads the gate or the invariant itself.
+so a mutant that changes no answer (a kernel gate moved, a keys-only call
+taking both phases, a normalisation left out) is pinned by a test that
+reads the gate, the phase or the invariant itself.
 Each survivor is listed at the end, and the exit status is 1 when there is
 one. A killed mutant takes a few seconds to a minute, a survivor a full
 run of the suite.
@@ -40,16 +41,20 @@ SUB = "src/redlime/subspace.py"
 CHECK_TEST = "tests/test_scripts.py::test_mutants_find_each_original_text_once"
 PACKED = "tests/test_packed.py"
 # The mutants that no test file sorted before PACKED kills, only its
-# white-box checks of the reducer, the gates and the normalisation: these
-# run PACKED first. The others keep name order, where test_acceptance.py
-# kills most in seconds; PACKED is most of the suite's time, so running it
-# first for every mutant of SUB made a full run slower, not faster.
+# white-box checks of the reducer, the gates, the phases and the
+# normalisation: these run PACKED first. The others keep name order, where
+# test_acceptance.py kills most in seconds; PACKED is most of the suite's
+# time, so running it first for every mutant of SUB made a full run slower,
+# not faster.
 PACKED_FIRST = {
     "one correction round instead of two",
     "quotient estimate from bits(p), not bits(p) - 1",
     "slot kernels from another size",
     "narrower codec tables",
     "integer rows kept unnormalised",
+    "GF(2) keys take both passes",
+    "odd-p keys take both passes",
+    "Q keys build Fractions",
 }
 
 # (name, file, original text, mutated text)
@@ -123,7 +128,17 @@ MUTANTS = (
     ("GF(2) red rows not read backwards", SUB,
      "{t: table[x][::-1] for",
      "{t: table[x] for"),
-    # the gates and the normalisation: no answer moves, the tests pin them
+    # the gates, the phases and the normalisation: no answer moves, the
+    # tests pin them
+    ("GF(2) keys take both passes", SUB,
+     "keys = _echelon_bits(xs)",
+     "keys = _red_bits(xs, n)"),
+    ("odd-p keys take both passes", SUB,
+     "basis = (_echelon_slots if keys_only else _red_echelon_slots)(rows, p)",
+     "basis = _red_echelon_slots(rows, p)"),
+    ("Q keys build Fractions", SUB,
+     "basis = (_int_basis if keys_only else _red_ints)(rows)",
+     "basis = _red_ints(rows)"),
     ("slot kernels from another size", SUB,
      "_SLOTS_FROM = 6", "_SLOTS_FROM = 5"),
     ("narrower codec tables", SUB,

@@ -115,6 +115,7 @@ BAD_SPACES = {
     "subspace_count, tuple n": lambda: rl.subspace_count((1, 2, 3), 2),
     "enumerate_subspaces, text n": lambda: list(rl.enumerate_subspaces("x", 2)),
     "Subspace.full_space, no field or ambient": lambda: rl.Subspace.full_space(None, None),
+    "truncate_right, ambient 1": lambda: rl.truncate_right(rl.Subspace.full_space(rl.RATIONALS, 1)),
     # sizes past sys.maxsize, which no sequence reaches, refused before any build
     "Vector.zero, huge n": lambda: rl.Vector.zero(GF5, 10**30),
     "Vector.standard_basis, huge n": lambda: rl.Vector.standard_basis(GF5, 10**30, 1),
@@ -154,6 +155,8 @@ BAD_TYPES = {
     "Permutation, text image": lambda: rl.Permutation((1, "a")),
     "Permutation, bool images": lambda: rl.Permutation((True,)),
     "Permutation, no images": lambda: rl.Permutation(()),
+    "Permutation, repeated image": lambda: rl.Permutation((1, 1, 2)),
+    "Permutation.apply, tuple": lambda: rl.Permutation((3, 1, 2)).apply((1, 1, 0)),
     "Permutation.image_of, text position": lambda: rl.Permutation((1,)).image_of("a"),
     "Signature, int": lambda: rl.Signature(5),
     "Signature, list of marks": lambda: rl.Signature([rl.Mark.BOTH]),

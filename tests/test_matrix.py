@@ -5,7 +5,7 @@ from hypothesis import given
 
 import redlime as rl
 from redlime.cli import _dependent_columns_by_prefix
-from redlime.errors import DomainError, UsageError
+from redlime.errors import DomainError
 
 from conftest import GF2, GF3, GF5, Q, mat, matrices, span_of, vec
 
@@ -200,13 +200,6 @@ def test_invertible_matrices_are_square(a):
     full = rl.Subspace.full_space(a.field, a.nrows)
     if rl.is_coordinate_system(list(a.column_vectors()), full):
         assert a.nrows == a.ncols
-
-
-def test_matmul_shape_checks():
-    with pytest.raises(UsageError):
-        A_GF2 @ A_GF2
-    with pytest.raises(UsageError):
-        rl.Matrix.identity(GF2, 2) @ rl.Matrix.identity(GF5, 2)
 
 
 def test_six_dependence_claims_on_small_corpus():

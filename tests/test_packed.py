@@ -3,29 +3,31 @@
 ``subspace._eliminate`` (red or lime side, rows or only keys) and
 ``subspace._product`` (behind ``@``, membership and ``apply_column_centric``)
 pick the fast kernels, which README "Inside the kernels" and the ``subspace``
-docstrings describe. Each is held by ``==`` to a referee: the red side to
-``_insert_red``, one run per case for the red rows, the red keys and, where the
-case fixes it, the rank; the lime side to ``_insert_red`` on the reversed rows,
-read backwards; the product to ``_axpy``; and every public answer to the same
-calls with the elimination swapped for the referee. The cases take GF(2), odd
-primes from one-byte slots to the largest modulus, and Q rows of small entries,
-200-bit numerators or distinct large prime denominators; every row form the
-callers pass; widths past one machine word, low rank, zero and repeated rows,
-and row counts and widths on both sides of ``_SLOTS_FROM``. Each Hypothesis
-property is one test parametrized by field kind (GF(2), odd p, Q), drawing
-from one low-rank matrix strategy with the kind's bounds (``MATRIX_KINDS``),
-the red-side sweep is one test over row form and field kind (``FIELD_KINDS``),
-and the trivial inputs are one test over every kernel. White-box checks
-hold the GF(2) tables to bytes translation, the slot values to the width asked
-for and the reducer's bound, the reducer to ``v % p`` at the extreme slot
-values, the residue codec to the generic byte layout, the slot layouts to
-one build per shape and Q's stored integer rows to being primitive; literals
-pin ``_TABLE_WIDTH``, ``_SLOTS_FROM``, the GF(65521) slot widths and the
+docstrings describe. Each is held by ``==`` to a referee. One ``_insert_red``
+run per case checks both sides and the kernel (``_assert_red_matches``): the
+red rows and keys of the rows; the lime rows and keys of the reversed rows,
+which are that red basis read backwards; the rank where the case fixes it; and
+the kernel and phase each ``_eliminate`` call ran, a literal pinning
+``_SLOTS_FROM``. The product is held to ``_axpy``, and every public answer to
+the same calls with the elimination swapped for the referee. The cases take
+GF(2), odd primes from one-byte slots to the largest modulus, and Q rows of
+small entries, 200-bit numerators or distinct large prime denominators; every
+row form the callers pass; widths past one machine word, low rank, zero and
+repeated rows, and row counts and widths on both sides of ``_SLOTS_FROM``.
+Four sweeps, over every width, the lime shape, the keys about
+``_SLOTS_FROM`` and the two-pass grid, share one helper and no case. Each
+Hypothesis property is one test parametrized by field kind, drawing from one
+low-rank matrix strategy (``MATRIX_KINDS``). White-box checks hold the GF(2)
+tables to bytes translation, the slot values to the width asked for and the
+reducer's bound, the reducer to ``v % p`` at the extreme slot values, the
+residue codec to the generic byte layout and the slot layouts to one build
+per shape; literals pin ``_TABLE_WIDTH``, the GF(65521) slot widths and the
 eliminations each public call makes.
 """
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd, inf
 
@@ -140,7 +142,9 @@ def test_table_codec_matches_translation_at_every_tabled_row():
                 assert list(rows_out.values()) == ([row] if any(row) else []), (row, lime)
 
 
-ROW_FORMS = {  # the sequences the callers of _eliminate pass
+# the sequences the callers of _eliminate pass; each referee run puts the
+# reversal of the rows it is given through the lime side
+ROW_FORMS = {
     "tuples": lambda rows: rows,
     "reversed": lambda rows: [r[::-1] for r in rows],
     "columns": lambda rows: list(zip(*rows)),
@@ -199,14 +203,11 @@ def _wide(rows, m):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_slot_red_at_the_largest_slot_values(rng, p):
-    """Tall rows, and wide ones where they reach ``_SLOTS_FROM``, both
-    through the two passes."""
+    """Tall rows and wide ones, both through the two passes, on both sides."""
     for m in (8, 31, 64, 129, 200):
         rows = _max_carry_rows(rng, p, m)
-        for shape in (rows, _wide(rows, m)) if m > subspace._SLOTS_FROM else (rows,):
-            for form in ("tuples", "reversed"):
-                make = ROW_FORMS[form]
-                assert _red(make(shape), p) == _generic_red(make(shape), p), (m, len(shape), form)
+        for shape in (rows, _wide(rows, m)):
+            _assert_red_matches(shape, p)
 
 
 def _bound(p, n):
@@ -301,63 +302,22 @@ def test_echelon_slot_values_stay_below_the_width_asked_for(rng, monkeypatch, p)
     """``_echelon_slots`` reads each slot by shift and mask and reduces it
     by ``% p``, so a modulus that records its left operands sees every slot
     value read; the reducer sees each row it stores, and that row scaled
-    by an inverse."""
+    by an inverse. The lime side runs the pass on the reversed rows."""
     asked, given = _watch_slots(monkeypatch)
     for m in (8, 31, 64, 129, 200):
         rows = _max_carry_rows(rng, p, m)
         s = _bound(p, m)
-        for form in ("tuples", "reversed"):
+        for lime in (False, True):
             seen = []
             asked.clear()
             given.clear()
-            keys = _red(ROW_FORMS[form](rows), _Watched(p, seen), keys_only=True)
+            keys = _eliminate(rows, m, _Watched(p, seen), lime=lime, keys_only=True)
             assert set(keys) == set(range(m))
-            assert len(asked) == 1 and 0 < max(seen) < 2 ** s, (m, form)
-            assert list(given) == [s] and 0 < given[s] < 2 ** s, (m, form)
+            assert len(asked) == 1 and 0 < max(seen) < 2 ** s, (m, lime)
+            assert list(given) == [s] and 0 < given[s] < 2 ** s, (m, lime)
 
 
 TWO_PASS_PRIMES = (3, 5, 65521)
-
-
-def _count_slot_kernels(monkeypatch):
-    """Record each run of the odd-p slot reduction by ``_eliminate``."""
-    ran, kernel = [], subspace._red_echelon_slots
-
-    def counted(rows, p):
-        ran.append("_red_echelon_slots")
-        return kernel(rows, p)
-    monkeypatch.setattr(subspace, "_red_echelon_slots", counted)
-    return ran
-
-
-@pytest.mark.parametrize("p", TWO_PASS_PRIMES)
-def test_two_pass_red_matches_insertion_kernel(rng, monkeypatch, p):
-    """Every shape from ``_SLOTS_FROM`` rows of ``_SLOTS_FROM`` entries on,
-    tall, square or wide, full span or not, goes through the echelon pass
-    and then the standard basis or back-substitution; below it the slot
-    kernel does not run."""
-    ran = _count_slot_kernels(monkeypatch)
-    # _SLOTS_FROM as a literal, so that the gate itself is pinned: a change
-    # that retunes it updates this value and says so in CHANGES.md
-    s = 6
-    for m in (s - 1, s, s + 1, 12, 31, 50):
-        for n in sorted({s - 1, s, s + 1, m - 1, m, m + 1, m + 5}):
-            for rank in sorted({min(n, m), min(n, m) - 1, min(2, m), 1}):
-                if rank <= n - 2:  # a zero row and a repeated row among the n
-                    rows = _rows_of_rank(rng, p, n - 2, m, rank)
-                    rows += [(0,) * m, rows[0]]
-                    rng.shuffle(rows)
-                else:
-                    rows = _rows_of_rank(rng, p, n, m, rank)
-                for form in ("tuples", "reversed"):
-                    ran.clear()
-                    got = _red(ROW_FORMS[form](rows), p)
-                    assert got == _generic_red(ROW_FORMS[form](rows), p), (n, m, rank, form)
-                    assert len(got) == rank
-                    slots = len(rows) >= s and m >= s
-                    assert ran == (["_red_echelon_slots"] if slots else []), (n, m)
-    units = [tuple(int(i == j) for j in range(9)) for i in range(9)]
-    assert _red(units[::-1] + [(0,) * 9], p) == dict(enumerate(units))
 
 
 def _max_back_substitution_rows(p, m):
@@ -374,23 +334,19 @@ def _max_back_substitution_rows(p, m):
 
 @pytest.mark.parametrize("p", TWO_PASS_PRIMES)
 def test_back_substitution_sums_stay_below_the_width_asked_for(monkeypatch, p):
-    """The sums reach the reducer below its bound, the echelon pass and
-    back-substitution asking for one width."""
+    """The sums reach the reducer below its bound on both sides, the echelon
+    pass and back-substitution asking for one width."""
     asked, given = _watch_slots(monkeypatch)
     q = p - 1
     for m in (8, 31, 64, 129, 200):
-        rows = _max_back_substitution_rows(p, m)
         s = _bound(p, m)
-        for call in (lambda: _red(rows, p), lambda: _eliminate(
-                [r[::-1] for r in rows], m, p, lime=True)):
-            asked.clear()
-            given.clear()
-            red = call()
-            assert len(red) == m - 1
-            # one width, built for the echelon pass and for back-substitution
-            assert len(asked) == 2 and len(set(asked)) == 1, (m, asked)
-            assert list(given) == [s] and (m - 2) * q * q <= given[s] < 2 ** s, m
-    assert _red(rows, p) == _generic_red(rows, p)
+        asked.clear()
+        given.clear()
+        assert len(_assert_red_matches(_max_back_substitution_rows(p, m), p)) == m - 1, m
+        # one width, built for the echelon pass of each of the four calls and
+        # for back-substitution in the two that output rows
+        assert len(asked) == 6 and len(set(asked)) == 1, (m, asked)
+        assert list(given) == [s] and (m - 2) * q * q <= given[s] < 2 ** s, m
 
 
 @pytest.mark.parametrize("p", (2, *TWO_PASS_PRIMES))
@@ -477,15 +433,21 @@ def test_gf65521_slot_widths_are_pinned():
 
 @pytest.mark.parametrize("p", (2, *PRIMES, None), ids=lambda p: "Q" if p is None else str(p))
 def test_red_trivial_inputs(p):
-    """No rows, zero rows, one unit row of width 70, nine rows of width 70
-    that reduce to unit rows, and eighteen rows of width 9 with one key."""
+    """No rows on either side, zero rows, one unit row of width 70, nine rows
+    of width 70 that reduce to unit rows, the nine unit rows of width 9 last
+    first and a zero row, which span F^9, and eighteen rows of width 9 with
+    one key."""
     zero, one, minus = (0, 1, p - 1) if p else (Fraction(0), Fraction(1), Fraction(-1))
     units = [tuple(one if i == j else zero for j in range(70)) for i in range(70)]
-    assert _red([], p) == {} and _red([], p, keys_only=True) == set()
+    for lime in (False, True):
+        assert _eliminate([], 5, p, lime=lime) == {}
+        assert _eliminate([], 5, p, lime=lime, keys_only=True) == set()
     assert _red([(zero,) * 70] * 9, p) == {}
     assert _red([units[69]], p) == {69: units[69]}
     rows = [(minus,) + u[1:] for u in units[:9]]  # -e_1, then -e_1 + e_i for i = 2..9
     assert _red(rows, p) == dict(enumerate(units[:9]))
+    eye = [u[:9] for u in units[:9]]
+    assert _red(eye[::-1] + [(zero,) * 9], p) == dict(enumerate(eye))
     assert _red([(zero,) * 9, units[8][:9]] * 9, p, keys_only=True) == {8}
 
 
@@ -547,16 +509,18 @@ COSTS = {"2": inf, **{str(p): 200_000 for p in PRIMES},
          "Q-small": 40_000, "Q-200-bit numerators": 8_000, "Q-prime denominators": 4_000}
 
 
-def _cases(rng, kind):
+def _cases(rng, kind, lime=False):
     """(rows, None) over a field kind at every width, within the kind's
     cost: a few row counts and ranks, and m + 3 rows of rank 16 and of full
-    rank; over GF(2) also 4 rows of rank 1 and m + 3 of rank m/2, over Q
-    m + 3 of rank 8. Each has a zero and a repeated row."""
+    rank; over GF(2) also 4 rows of rank 1, over Q m + 3 of rank 8; for the
+    lime sweep m + 3 rows of rank m/2. Each has a zero and a repeated row."""
     p, make = FIELD_KINDS[kind]
     for m in WIDTHS:
         shapes = [(1, 1), (5, 1), (6, 3), (12, 12), (m + 3, 16), (m + 3, m)]
-        if p == 2:
-            shapes += [(4, 1), (m + 3, max(1, m // 2))]
+        if lime:
+            shapes = [(m + 3, max(1, m // 2))]
+        elif p == 2:
+            shapes.append((4, 1))
         elif p is None:
             shapes.append((m + 3, 8))
         for n, rank in sorted({(n, min(rank, m)) for n, rank in shapes}):
@@ -564,57 +528,112 @@ def _cases(rng, kind):
                 yield make(rng, n, m, rank), None
 
 
-def _slots_from_cases(rng, kind):
-    """(rows, their rank or None) over a field kind, row counts and widths
-    on both sides of ``_SLOTS_FROM``: over GF(p) of exact rank, as they are
-    and with a zero and a repeated row; over Q, which no gate splits, at a
-    few widths."""
+def _slots_from_cases(rng, kind, around=()):
+    """(rows, their rank or None) over a field kind, within its cost: row
+    counts about ``_SLOTS_FROM``, full rank and rank 2, at every width (over
+    Q, which no gate splits, a few), or at widths ``around`` it also counts
+    about and past the width, ranks one short and 1. Over GF(p) of exact
+    rank, with a zero and a repeated row where the rank leaves room."""
     p, make = FIELD_KINDS[kind]
     s = subspace._SLOTS_FROM
     widths = (1, 2, s - 1, s, s + 1, 31, 65) if p is None else sorted({*WIDTHS, s - 1, s, s + 1})
-    for m in widths:
-        for n in (s - 1, s, s + 1):
-            for rank in sorted({min(n, m), min(2, m)}):
+    for m in around or widths:
+        for n in sorted({s - 1, s, s + 1, *((m - 1, m, m + 1, m + 5) if around else ())}):
+            ranks = {min(n, m), min(2, m), *((min(n, m) - 1, 1) if around else ())}
+            for rank in sorted(ranks - {0}):
+                if n * rank * m > COSTS[kind]:
+                    continue
                 if p is None:
                     yield make(rng, n, m, rank), None
-                else:
-                    rows = _rows_of_rank(rng, p, n, m, rank)
+                elif rank <= n - 2:
+                    rows = _rows_of_rank(rng, p, n - 2, m, rank)
+                    rows += [(0,) * m, rows[0]]
+                    rng.shuffle(rows)
                     yield rows, rank
-                    yield rows + [(0,) * m, rows[0]], rank
+                else:
+                    yield _rows_of_rank(rng, p, n, m, rank), rank
 
 
-def _primitive_int_basis(rows, int_basis=subspace._int_basis):
-    """``_int_basis``, holding every row it stores to be primitive, as
-    ``_red_ints`` states (unnormalised rows give the same answer, only
-    larger numbers)."""
-    basis = int_basis(rows)
-    assert all(gcd(*b) == 1 for b in basis.values())
-    return basis
+def _lime_read_back(red, n):
+    """A red-basis dict of reversed rows of n entries, read backwards: the
+    lime dict of the rows, indices ascending."""
+    return {n - 1 - k: tuple(red[k][::-1]) for k in sorted(red, reverse=True)}
+
+
+# the kernels _eliminate picks, by field: (echelon pass, two passes)
+PASSES = {2: ("_echelon_bits", "_red_bits"), None: ("_int_basis", "_red_ints"),
+          "slots": ("_echelon_slots", "_red_echelon_slots")}
+
+
+def _kernels_for(p, shape, keys_only):
+    """The kernels an ``_eliminate`` call on rows of this shape must run:
+    the echelon pass alone for the keys, both passes for the rows; over odd
+    p the slot kernels on at least 6 rows of at least 6 entries, and else
+    the insertion kernel, if there is a row."""
+    nrows, n = shape
+    if p in PASSES:
+        echelon, both = PASSES[p]
+    # _SLOTS_FROM as a literal, so that the gate itself is pinned: a change
+    # that retunes it updates this value and says so in CHANGES.md
+    elif nrows >= 6 and n >= 6:
+        echelon, both = PASSES["slots"]
+    else:
+        return {"_insert_red"} if nrows else set()
+    return {echelon} if keys_only else {echelon, both}
+
+
+def _watch_kernels(mp):
+    """Rebind each kernel of ``_eliminate`` to one that records its name in
+    the set returned. The integer phase must store only primitive rows, as
+    ``_red_ints`` states (unnormalised ones give larger numbers)."""
+    ran = set()
+
+    def watched(name, kernel):
+        def run(*args):
+            ran.add(name)
+            out = kernel(*args)
+            assert name != "_int_basis" or all(gcd(*b) == 1 for b in out.values())
+            return out
+        return run
+
+    for name in ("_insert_red", *(k for pair in PASSES.values() for k in pair)):
+        mp.setattr(subspace, name, watched(name, getattr(subspace, name)))
+    return ran
 
 
 def _assert_red_matches(rows, p, rank=None):
-    """One insertion-kernel run referees the red rows and the red keys of
-    the same raw rows, and the rank where it is given. Over Q every row the
-    integer phase stores, for the rows and for the keys, must be primitive,
-    and every entry a Fraction (an int would compare equal but is not the
-    canonical raw value)."""
+    """One insertion-kernel run on raw rows referees both sides and the
+    kernel: the red rows and keys of the rows; the lime rows and keys of the
+    reversed rows, that red basis read backwards; the rank where it is
+    given; and the kernels each of the four ``_eliminate`` calls ran. Over
+    Q every entry must be a Fraction (an int would compare equal but is not
+    the canonical raw value). Returns the red rows."""
     shape = (len(rows), len(rows[0]) if rows else 0)
-    expected = _generic_red(rows, p)
+    red = _generic_red(rows, p)
+    sides = ((False, rows, red), (True, [r[::-1] for r in rows], _lime_read_back(red, shape[1])))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(subspace, "_int_basis", _primitive_int_basis)
-        red = _red(rows, p)
-        keys = _red(rows, p, keys_only=True)
-    assert red == expected, shape
-    assert keys == set(expected), shape
-    assert rank is None or len(expected) == rank, shape
-    assert p is not None or all(type(v) is Fraction for row in red.values() for v in row)
+        ran = _watch_kernels(mp)
+        for lime, given, expected in sides:
+            for keys_only in (False, True):
+                ran.clear()
+                got = _eliminate(given, shape[1], p, lime, keys_only)
+                if keys_only:
+                    assert got == set(expected), (shape, lime)
+                else:
+                    assert list(got.items()) == list(expected.items()), (shape, lime)
+                    assert p is not None or all(
+                        type(v) is Fraction for row in got.values() for v in row)
+                assert ran == _kernels_for(p, shape, keys_only), (shape, lime, keys_only, ran)
+    assert rank is None or len(red) == rank, shape
     return red
 
 
 def _sweep(rng, form, kind, cases):
-    """Red rows and keys of each case; the keys sweep takes those about ``_SLOTS_FROM``."""
-    for rows, rank in cases(rng, kind):
-        _assert_red_matches(ROW_FORMS[form](rows), FIELD_KINDS[kind][0], rank)
+    """Both sides and the kernel of each case. A case reversed swaps the
+    rows each side sees, so tuples and reversed take every other case."""
+    for i, (rows, rank) in enumerate(cases(rng, kind)):
+        if form == "columns" or i % 2 == (form == "reversed"):
+            _assert_red_matches(ROW_FORMS[form](rows), FIELD_KINDS[kind][0], rank)
 
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)
@@ -627,6 +646,22 @@ def test_red_matches_insertion_kernel(rng, form, kind):
 @pytest.mark.parametrize("form", sorted(ROW_FORMS))
 def test_keys_match_the_insertion_kernel(rng, form, p):
     _sweep(rng, form, "Q-small" if p is None else str(p), _slots_from_cases)
+
+
+@pytest.mark.parametrize("p", (2, 3, 65521, None), ids=lambda p: "Q" if p is None else str(p))
+@pytest.mark.parametrize("form", sorted(ROW_FORMS))
+def test_lime_helpers_match_the_red_basis_of_the_reversed_rows(rng, form, p):
+    """Over GF(2) the lime side packs rows first entry highest, so at widths
+    63, 64 and 65 a leading zero dropped would shift every entry."""
+    _sweep(rng, form, "Q-small" if p is None else str(p), partial(_cases, lime=True))
+
+
+@pytest.mark.parametrize("p", TWO_PASS_PRIMES)
+def test_two_pass_red_matches_insertion_kernel(rng, p):
+    """Tall, square or wide, full span or not, about ``_SLOTS_FROM`` and up
+    to width 50: the slot kernels run from 6 rows of 6 entries on."""
+    for rows, rank in _slots_from_cases(rng, str(p), (5, 6, 7, 12, 31, 50)):
+        _assert_red_matches(rows, p, rank)
 
 
 def test_int_red_single_entry_rows(rng):
@@ -644,42 +679,6 @@ def test_int_red_single_entry_rows(rng):
     units = [tuple(Fraction(int(i == j)) for j in range(9)) for i in range(9)]
     scaled = [tuple(Fraction(5, 3) * v for v in u) for u in units]
     assert _assert_red_matches(scaled + scaled[::-1], None) == dict(enumerate(units))
-
-
-def _lime_cases(rng, kind):
-    """Row sets for the lime side over a field kind: every width, at one
-    row, a few rows and more rows than entries, with zero and repeated
-    rows."""
-    make = FIELD_KINDS[kind][1]
-    for m in WIDTHS:
-        for n, rank in ((1, 1), (6, 3), (m + 3, max(1, m // 2))):
-            rank = min(rank, m)
-            if n * rank * m <= COSTS[kind]:
-                yield make(rng, n, m, rank)
-
-
-def _lime_read_back(red, n):
-    """A red-basis dict of reversed rows of n entries, read backwards: the
-    lime dict of the rows, indices ascending."""
-    return {n - 1 - k: tuple(red[k][::-1]) for k in sorted(red, reverse=True)}
-
-
-@pytest.mark.parametrize("p", (2, 3, 65521, None), ids=lambda p: "Q" if p is None else str(p))
-@pytest.mark.parametrize("form", sorted(ROW_FORMS))
-def test_lime_helpers_match_the_red_basis_of_the_reversed_rows(rng, form, p):
-    """The referee is the insertion kernel on the reversed rows, read
-    backwards. Over GF(2) the lime side packs rows first entry highest and
-    unpacks the answers most significant bit first; at widths 63, 64 and 65
-    a leading zero dropped there would shift every entry."""
-    for rows in _lime_cases(rng, "Q-small" if p is None else str(p)):
-        rows = ROW_FORMS[form](rows)
-        n = len(rows[0])
-        lime = _lime_read_back(_generic_red([r[::-1] for r in rows], p), n)
-        got = _eliminate(rows, n, p, lime=True)
-        assert got == lime and list(got) == list(lime), (n, len(rows))
-        assert _eliminate(rows, n, p, lime=True, keys_only=True) == set(lime)
-    assert _eliminate([], 5, p, lime=True) == {}
-    assert _eliminate([], 5, p, lime=True, keys_only=True) == set()
 
 
 @st.composite
@@ -773,9 +772,9 @@ def _count_eliminations(mp, eliminate=_eliminate):
 @pytest.mark.parametrize("kind", sorted(MATRIX_KINDS))
 @given(data=st.data())
 def test_answers_match_the_generic_kernel(kind, data):
-    """The red rows and keys of a's rows match the insertion kernel's, and
-    every answer is the same when the elimination is the insertion kernel,
-    and each side, for rows and for keys, was asked for."""
+    """a's rows pass the referee on both sides, every answer is the same
+    when the elimination is the insertion kernel, and each side, for rows
+    and for keys, was asked for."""
     a = data.draw(low_rank_matrices(*MATRIX_KINDS[kind]))
     _assert_red_matches(a._raw, a.field.modulus)
     packed = _answers(a)
