@@ -13,8 +13,8 @@ itself is never changed.
 
 Every listed mutant must be killed: the red and lime bases are canonical,
 so a mutant that changes no answer (a kernel gate moved, a keys-only call
-taking both phases, a normalisation left out) is pinned by a test that
-reads the gate, the phase or the invariant itself.
+taking both phases, a normalisation or an exact division left out) is
+pinned by a test that reads the gate, the phase or the invariant itself.
 Each survivor is listed at the end, and the exit status is 1 when there is
 one. A killed mutant takes a few seconds to a minute, a survivor a full
 run of the suite.
@@ -41,8 +41,8 @@ SUB = "src/redlime/subspace.py"
 CHECK_TEST = "tests/test_scripts.py::test_mutants_find_each_original_text_once"
 PACKED = "tests/test_packed.py"
 # The mutants that no test file sorted before PACKED kills, only its
-# white-box checks of the reducer, the gates, the phases and the
-# normalisation: these run PACKED first. The others keep name order, where
+# white-box checks of the reducer, the gates, the phases, the normalisation
+# and the entry bound: these run PACKED first. The others keep name order, where
 # test_acceptance.py kills most in seconds; PACKED is most of the suite's
 # time, so running it first for every mutant of SUB made a full run slower,
 # not faster.
@@ -54,7 +54,8 @@ PACKED_FIRST = {
     "integer rows kept unnormalised",
     "GF(2) keys take both passes",
     "odd-p keys take both passes",
-    "Q keys build Fractions",
+    "Q keys pass without the exact division",
+    "Q keys Bareiss cap moved",
 }
 
 # (name, file, original text, mutated text)
@@ -85,6 +86,12 @@ MUTANTS = (
     ("GF(2) full-span shortcut one key early", SUB,
      "    echelon = _echelon_bits(xs)\n    if len(echelon) == n:",
      "    echelon = _echelon_bits(xs)\n    if len(echelon) == n - 1:"),
+    ("odd-p list full-span shortcut one key early", SUB,
+     "    echelon = _echelon_rows(rows, p)\n    if len(echelon) == n:",
+     "    echelon = _echelon_rows(rows, p)\n    if len(echelon) == n - 1:"),
+    ("odd-p list back-substitution skipped", SUB,
+     "            c = x[i]\n            if c:",
+     "            c = x[i]\n            if False:"),
     ("integer clearing step adds", SUB,
      "x = [d * u - c * v for u, v in zip(x, b)]",
      "x = [d * u + c * v for u, v in zip(x, b)]"),
@@ -128,19 +135,21 @@ MUTANTS = (
     ("GF(2) red rows not read backwards", SUB,
      "{t: table[x][::-1] for",
      "{t: table[x] for"),
-    # the gates, the phases and the normalisation: no answer moves, the
-    # tests pin them
+    # the gates, the phases, the normalisation and the exact division: no
+    # answer moves, the tests pin them
     ("GF(2) keys take both passes", SUB,
      "keys = _echelon_bits(xs)",
      "keys = _red_bits(xs, n)"),
     ("odd-p keys take both passes", SUB,
      "basis = (_echelon_slots if keys_only else _red_echelon_slots)(rows, p)",
      "basis = _red_echelon_slots(rows, p)"),
-    ("Q keys build Fractions", SUB,
-     "basis = (_int_basis if keys_only else _red_ints)(rows)",
-     "basis = _red_ints(rows)"),
+    ("Q keys pass without the exact division", SUB,
+     "            prev = d\n",
+     "            prev = 1\n"),
+    ("Q keys Bareiss cap moved", SUB,
+     "_BAREISS_BITS = 157", "_BAREISS_BITS = 64"),
     ("slot kernels from another size", SUB,
-     "_SLOTS_FROM = 6", "_SLOTS_FROM = 5"),
+     "_SLOTS_FROM = 7", "_SLOTS_FROM = 6"),
     ("narrower codec tables", SUB,
      "_TABLE_WIDTH = 8", "_TABLE_WIDTH = 6"),
     ("integer rows kept unnormalised", SUB,

@@ -25,7 +25,7 @@ from operator import mul, xor
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, UsageError, _check_field, _check_int, _check_type, _items
-from .fields import FieldSpec, Scalar, _inverse, _scalars, _text
+from .fields import FieldSpec, Scalar, _scalars, _text
 
 
 class Vector:
@@ -171,7 +171,8 @@ def _unit(field: FieldSpec, n: int, j: int) -> tuple:
 # ---------------------------------------------------------------------------
 # internal mutable-row kernels (0-based); public surfaces convert to 1-based.
 # Rows hold raw values: Fractions over Q, residues in range(p) over GF(p);
-# only ``_red_ints`` works on int rows over Q, between its input and answer.
+# only the Q kernels (``_echelon_ints``, ``_int_basis``) work on int rows,
+# between their input and answer.
 
 def _axpy(row: list, c, src, stop: int, p) -> None:
     """row[:stop] -= c * src[:stop] on raw values, reduced mod p unless p is None."""
@@ -187,34 +188,6 @@ def _last_nonzero(row, below: Optional[int] = None) -> Optional[int]:
         if row[p]:
             return p
     return None
-
-
-def _insert_red(basis: dict, row: list, p) -> Optional[int]:
-    """Absorb one raw row into a red-basis dict keyed by 0-based terminal
-    position; p is the modulus, None over Q.
-
-    Returns the new key when the row enlarged the span, else None. The dict
-    stays canonical throughout: each stored row terminates with a 1 at its
-    key and is zero at every other key. ``_eliminate`` runs it over odd p
-    on inputs below ``_SLOTS_FROM``; in every field it is the tests'
-    referee for the packed and integer kernels.
-    """
-    t = _last_nonzero(row)
-    while t is not None and t in basis:
-        _axpy(row, row[t], basis[t], t + 1, p)  # basis[t] vanishes past t
-        t = _last_nonzero(row, below=t)
-    if t is None:
-        return None
-    if row[t] != 1:  # scale to end in 1: row * inv is row - (1 - inv) * row
-        _axpy(row, 1 - _inverse(row[t], p), row, t + 1, p)
-    for i in basis:  # clear surviving red entries below t
-        if i < t and row[i]:
-            _axpy(row, row[i], basis[i], i + 1, p)
-    for piv in basis.values():  # clear the new red position from older rows
-        if piv[t]:  # only rows at keys above t: the others end below it
-            _axpy(piv, piv[t], row, t + 1, p)
-    basis[t] = row
-    return t
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -298,15 +271,26 @@ def _codec(p: int, k: int, n: int) -> tuple:
 
 
 # Over odd p, _eliminate runs the slot kernels when both the row count and
-# the width, and so the rank bound, are at least _SLOTS_FROM, and the
-# insertion kernel otherwise: below it packing and unpacking each row cost
-# more than the row operations saved. It is the rank bound from which no
-# square, tall or wide case at any prime takes the slot kernels more than
-# 1.05 times the insertion kernel's time (scripts/kernel_crossover.py
-# --table slots; CHANGES.md), the larger answer of two runs: 6 and 5, GF(3)
-# at rank bound 5 reading 1.06 and 1.04. A literal in tests/test_packed.py
+# the width, and so the rank bound, are at least _SLOTS_FROM, and the same
+# two passes on residue lists otherwise: below it packing and unpacking each
+# row cost more than the row operations saved. It is the rank bound from
+# which no square, tall or wide case at any prime takes the slot kernels
+# more than 1.05 times the list kernels' time (scripts/kernel_crossover.py
+# --table slots; CHANGES.md), the larger answer of two runs: 7 and 7, GF(3)
+# at rank bound 6 reading 1.16 and 1.17. A literal in tests/test_packed.py
 # pins the value.
-_SLOTS_FROM = 6
+_SLOTS_FROM = 7
+
+# Over Q, _eliminate takes the keys from the Bareiss pass _echelon_ints while
+# no row's lcm of denominators is past _BAREISS_BITS bits, and from
+# _int_basis otherwise: every minor Bareiss stores carries the lcm of each
+# row it spans, where _int_basis divides rows by their content. It is the
+# largest lcm up to which no case takes Bareiss more than 1.05 times
+# _int_basis's time (scripts/kernel_crossover.py --table bareiss;
+# CHANGES.md), in both of two runs: the next case, 32 rows of rank 16 with
+# lcms of 168 bits, read 1.72 and 1.73. A literal in tests/test_packed.py
+# pins the value.
+_BAREISS_BITS = 157
 
 
 def _eliminate(rows, n: int, p, lime: bool = False, keys_only: bool = False):
@@ -318,21 +302,24 @@ def _eliminate(rows, n: int, p, lime: bool = False, keys_only: bool = False):
     This is the one elimination: it picks one kernel from the field and the
     shape before any row is eliminated. Each kernel computes one side
     naturally; the other side is the same kernel on the reversed rows, its
-    answer read backwards.
+    answer read backwards. Every field takes two passes: an echelon pass,
+    which alone gives the keys, and for the rows a second pass from it.
 
     - GF(2): rows are packed as bits (``_codes``), entry j at bit n - 1 - j,
       so the leading bit is the originating position and the natural side
       is lime; the red side flips the bit order in the codec.
       ``_echelon_bits`` gives the keys and ``_red_bits`` the rows, each
       looked up by its code in ``_rows_of``.
-    - Q: integer rows (``_red_ints``; its integer phase ``_int_basis`` for
-      the keys).
     - Odd p, on at least ``_SLOTS_FROM`` rows of at least ``_SLOTS_FROM``
       entries, whatever their shape: slots, reduced by ``_slot_reducer``.
       The keys come from the echelon pass ``_echelon_slots``; the rows from
       ``_red_echelon_slots``, that pass and then the standard basis if it
-      finds every key, else back-substitution. Below that: the insertion
-      kernel.
+      finds every key, else back-substitution. Below that, the same two
+      passes on residue lists: ``_echelon_rows`` and ``_red_rows``.
+    - Q: the keys from ``_echelon_ints``, fraction-free on integer rows;
+      the rows from ``_red_ints``, whose integer phase ``_int_basis``
+      reduces each row as it comes (Gauss–Jordan), since back-substitution
+      after a fraction-free echelon pass was slower.
 
     Any basis whose members terminate at distinct positions terminates
     exactly at the red indices, so the keys come off an echelon pass, with
@@ -351,13 +338,15 @@ def _eliminate(rows, n: int, p, lime: bool = False, keys_only: bool = False):
     if lime:
         rows = [r[::-1] for r in rows]
     if p is None:
-        basis = (_int_basis if keys_only else _red_ints)(rows)
+        ints, den = _cleared(rows)
+        if not keys_only:
+            basis = _red_ints(ints)
+        else:
+            basis = (_int_basis if den >> _BAREISS_BITS else _echelon_ints)(ints)
     elif len(rows) >= _SLOTS_FROM and n >= _SLOTS_FROM:
         basis = (_echelon_slots if keys_only else _red_echelon_slots)(rows, p)
     else:
-        basis = {}
-        for row in rows:
-            _insert_red(basis, list(row), p)
+        basis = _echelon_rows(rows, p) if keys_only else _red_rows(rows, n, p)
     if keys_only:
         return {n - 1 - k for k in basis} if lime else basis.keys()
     if lime:
@@ -365,12 +354,60 @@ def _eliminate(rows, n: int, p, lime: bool = False, keys_only: bool = False):
     return {k: tuple(basis[k]) for k in sorted(basis)}
 
 
-def _int_basis(rows) -> dict:
-    """The integer phase of ``_red_ints``: its stored rows by key."""
-    basis: dict = {}
+def _cleared(rows) -> tuple:
+    """Raw rows over Q as int lists, each row times the lcm of its
+    denominators, and the largest of those lcms: the one clearing that
+    ``_eliminate`` does for both Q passes."""
+    ints, top = [], 1
     for row in rows:
         den = lcm(*[v.denominator for v in row])
-        x = [v.numerator * (den // v.denominator) for v in row]
+        if den > top:
+            top = den
+        ints.append([v.numerator * (den // v.denominator) for v in row])
+    return ints, top
+
+
+def _echelon_ints(ints) -> dict:
+    """An echelon basis over Q of cleared int rows (``_cleared``), by key,
+    for the keys alone, by integer-preserving elimination (Bareiss).
+
+    Each row x is cleared against the stored rows b_1, b_2, ... in the
+    order they were stored, b_k at its key t_k with pivot d_k = b_k[t_k]
+    and d_0 = 1, by ``x = (d_k·x - x[t_k]·b_k) // d_(k-1)``, or when x[t_k]
+    is 0 by ``x = d_k·x // d_(k-1)``; a nonzero x is stored at its last
+    nonzero entry. Each division is exact: by Sylvester's identity the
+    entries of x after step k are, up to sign, the minors of the cleared
+    b_1..b_k and x on the columns t_1..t_k and the entry's (Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22, 1968). So no stored entry exceeds
+    Hadamard's bound for its minor, where without the division the entries
+    grow exponentially with the rank.
+
+    Every minor carries the lcm of each row it spans, where ``_int_basis``
+    divides each row by its content as it goes, so past ``_BAREISS_BITS``
+    bits of those lcms ``_eliminate`` takes ``_int_basis`` instead.
+    """
+    basis: dict = {}
+    for x in ints:
+        prev = 1
+        for t, b in basis.items():
+            d, c = b[t], x[t]
+            if c:
+                x = [(d * u - c * v) // prev for u, v in zip(x, b)]
+            elif d != prev:
+                x = [d * u // prev for u in x]
+            prev = d
+        t = _last_nonzero(x)
+        if t is not None:
+            basis[t] = x
+    return basis
+
+
+def _int_basis(ints) -> dict:
+    """The integer phase of ``_red_ints`` on cleared int rows: its stored
+    rows by key."""
+    basis: dict = {}
+    for x in ints:
         for t, b in basis.items():
             c = x[t]
             if c:
@@ -397,9 +434,9 @@ def _int_basis(rows) -> dict:
     return basis
 
 
-def _red_ints(rows) -> dict:
-    """The red basis over Q, fraction-free, for ``_eliminate``: each row's
-    denominators are cleared once, and the stored rows are primitive int
+def _red_ints(ints) -> dict:
+    """The red basis over Q, fraction-free, for ``_eliminate``, of cleared
+    int rows (``_cleared``): the stored rows are primitive int
     lists, each nonzero at its own key and zero at every other key (its
     pivot need not be 1).
 
@@ -410,11 +447,16 @@ def _red_ints(rows) -> dict:
     divided by its content, and its new position is cleared from the older
     rows the same way, each changed row divided by its content
     (``_int_basis``). Fractions are built only in the answer: entry v of
-    the row stored at t is ``Fraction(v, b[t])``.
+    the row stored at t is ``Fraction(v, b[t])``, and the entry at t one
+    shared ``Fraction(1)``.
     """
-    zero = Fraction(0)
-    return {t: [Fraction(v, b[t]) if v else zero for v in b]
-            for t, b in _int_basis(rows).items()}
+    zero, one = Fraction(0), Fraction(1)
+    basis = {}
+    for t, b in _int_basis(ints).items():
+        d = b[t]
+        basis[t] = row = [Fraction(v, d) if v else zero for v in b]
+        row[t] = one
+    return basis
 
 
 def _echelon_bits(xs) -> dict:
@@ -448,6 +490,54 @@ def _red_bits(xs, n: int) -> dict:
         for i, b in basis.items():
             if x >> i & 1:
                 x ^= b
+        basis[t] = x
+    return basis
+
+
+def _echelon_rows(rows, p: int) -> dict:
+    """An echelon basis over GF(p), p odd, of raw rows as residue lists, by
+    key. Each row x is scanned from its last entry down: at an entry c != 0
+    at a key, x becomes ``x - c·b`` mod p, whole-row, for the row b stored
+    there, which ends in 1 there and is zero past it, so the entries above
+    stay zero; at the first c != 0 at no key, x is scaled by the inverse of
+    c and stored. Nothing else is cleared."""
+    basis: dict = {}
+    for x in rows:
+        t = len(x) - 1
+        while t >= 0:
+            c = x[t]
+            if not c:
+                t -= 1
+                continue
+            b = basis.get(t)
+            if b is None:
+                if c != 1:
+                    inv = pow(c, -1, p)
+                    x = [v * inv % p for v in x]
+                basis[t] = x
+                break
+            x = [(u - c * v) % p for u, v in zip(x, b)]
+            t -= 1
+    return basis
+
+
+def _red_rows(rows, n: int, p: int) -> dict:
+    """The red basis over GF(p), p odd, of raw rows of n entries as residue
+    lists, in the two passes of ``_red_bits``: the standard basis if
+    ``_echelon_rows`` finds n keys; else, keys ascending, each stored row x
+    becomes ``x - x[i]·b`` mod p at each lower key i where it is nonzero,
+    for the reduced row b there, which is zero at every other lower key and
+    past its own."""
+    echelon = _echelon_rows(rows, p)
+    if len(echelon) == n:
+        return {t: [0] * t + [1] + [0] * (n - 1 - t) for t in range(n)}
+    basis: dict = {}
+    for t in sorted(echelon):
+        x = echelon[t]
+        for i, b in basis.items():
+            c = x[i]
+            if c:
+                x = [(u - c * v) % p for u, v in zip(x, b)]
         basis[t] = x
     return basis
 

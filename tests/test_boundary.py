@@ -116,6 +116,7 @@ BAD_SPACES = {
     "enumerate_subspaces, text n": lambda: list(rl.enumerate_subspaces("x", 2)),
     "Subspace.full_space, no field or ambient": lambda: rl.Subspace.full_space(None, None),
     "truncate_right, ambient 1": lambda: rl.truncate_right(rl.Subspace.full_space(rl.RATIONALS, 1)),
+    "enumerate_span, over Q": lambda: rl.enumerate_span([vec(rl.RATIONALS, 1, 0)]),
     # sizes past sys.maxsize, which no sequence reaches, refused before any build
     "Vector.zero, huge n": lambda: rl.Vector.zero(GF5, 10**30),
     "Vector.standard_basis, huge n": lambda: rl.Vector.standard_basis(GF5, 10**30, 1),
@@ -221,6 +222,7 @@ BAD_TYPES = {
     "signature_from_indices, index past n": lambda: rl.signature_from_indices((4,), (), 3),
     "signature_from_indices, list index": lambda: rl.signature_from_indices((), [[1]], 3),
     "FieldSpec, bool modulus": lambda: rl.FieldSpec(True),
+    "gf, float modulus": lambda: rl.gf(2.5),
 }
 
 
@@ -277,6 +279,10 @@ MESSAGES = {  # each names the argument, and its range where it has one
     "a matrix row must be an iterable, not int": lambda: rl.Matrix.from_values(GF5, [5]),
     "mixed fields: GF(3) where GF(5) is needed": lambda: V + BAD_VECTORS["wrong field"],
     "cannot read a\0b: embedded null byte": lambda: rl.load_matrix("a\0b"),
+    "cannot read no such directory/absent.txt: ":
+        lambda: rl.load_matrix("no such directory/absent.txt"),
+    "mixed fields: GF(3) where GF(2) is needed": lambda: rl.gf(2).scalar(1) + GF3.scalar(1),
+    "cannot coerce non-integer 1/2 into GF(5)": lambda: GF5.scalar(Fraction(1, 2)),
 }
 
 

@@ -3,33 +3,36 @@
 ``subspace._eliminate`` (red or lime side, rows or only keys) and
 ``subspace._product`` (behind ``@``, membership and ``apply_column_centric``)
 pick the fast kernels, which README "Inside the kernels" and the ``subspace``
-docstrings describe. Each is held by ``==`` to a referee. One ``_insert_red``
-run per case checks both sides and the kernel (``_assert_red_matches``): the
-red rows and keys of the rows; the lime rows and keys of the reversed rows,
-which are that red basis read backwards; the rank where the case fixes it; and
-the kernel and phase each ``_eliminate`` call ran, a literal pinning
-``_SLOTS_FROM``. The product is held to ``_axpy``, and every public answer to
-the same calls with the elimination swapped for the referee. The cases take
-GF(2), odd primes from one-byte slots to the largest modulus, and Q rows of
-small entries, 200-bit numerators or distinct large prime denominators; every
-row form the callers pass; widths past one machine word, low rank, zero and
-repeated rows, and row counts and widths on both sides of ``_SLOTS_FROM``.
-Four sweeps, over every width, the lime shape, the keys about
-``_SLOTS_FROM`` and the two-pass grid, share one helper and no case. Each
-Hypothesis property is one test parametrized by field kind, drawing from one
-low-rank matrix strategy (``MATRIX_KINDS``). White-box checks hold the GF(2)
-tables to bytes translation, the slot values to the width asked for and the
+docstrings describe. Each is held by ``==`` to a referee. The elimination's
+referee is the generic insertion kernel ``_insert_red``, which lives here,
+in no package path. One run of it per case checks both sides and the kernel
+(``_assert_red_matches``): the red rows and keys of the rows; the lime rows
+and keys of the reversed rows, which are that red basis read backwards; the
+rank where the case fixes it; and the kernel and pass each ``_eliminate``
+call ran, literals pinning ``_SLOTS_FROM`` and ``_BAREISS_BITS``. The
+product is held to ``_axpy``, and every public answer to the same calls
+with the elimination swapped for the referee. The cases take GF(2), odd primes from one-byte
+slots to the largest modulus, and Q rows of small entries, 200-bit
+numerators or distinct large prime denominators; every row form the
+callers pass; widths past one machine word, low rank, zero and repeated
+rows, and row counts and widths on both sides of ``_SLOTS_FROM``. Four
+sweeps, over every width, the lime shape, the keys about ``_SLOTS_FROM``
+and the two-pass grid, share one helper and no case. Each Hypothesis
+property is one test parametrized by field kind, drawing from one low-rank
+matrix strategy (``MATRIX_KINDS``). White-box checks hold the GF(2) tables
+to bytes translation, the slot values to the width asked for and the
 reducer's bound, the reducer to ``v % p`` at the extreme slot values, the
-residue codec to the generic byte layout and the slot layouts to one build
-per shape; literals pin ``_TABLE_WIDTH``, the GF(65521) slot widths and the
-eliminations each public call makes.
+residue codec to the generic byte layout, the slot layouts to one build per
+shape and the Q keys pass's entries to Hadamard's bound; literals pin
+``_TABLE_WIDTH``, the GF(65521) slot widths and the eliminations each
+public call makes.
 """
 
 import random
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import gcd, inf
+from math import gcd, inf, lcm, prod
 
 import pytest
 from hypothesis import given
@@ -38,8 +41,8 @@ from hypothesis import strategies as st
 import redlime as rl
 from redlime import duality, matrix, signatures, subspace
 from redlime.errors import DomainError
-from redlime.fields import MODULUS_LIMIT, _is_prime, _random_scalar
-from redlime.subspace import _axpy, _eliminate, _insert_red, _last_nonzero
+from redlime.fields import MODULUS_LIMIT, _inverse, _is_prime, _random_scalar
+from redlime.subspace import _axpy, _eliminate, _last_nonzero
 
 from conftest import GF2, GF3, GF5, Q, random_matrix
 
@@ -48,6 +51,30 @@ WIDTHS = (1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 20
 LARGEST_PRIME = 3317044064679887385961813
 PRIMES = (3, 5, 65521, 2**61 - 1, LARGEST_PRIME)
 GF65521 = rl.gf(65521)
+
+
+def _insert_red(basis: dict, row: list, p):
+    """The referee kernel: absorb one raw row into a red-basis dict keyed by
+    0-based terminal position, by the generic raw row operation; p is the
+    modulus, None over Q. Returns the new key when the row enlarged the
+    span, else None. The dict stays canonical throughout: each stored row
+    terminates with a 1 at its key and is zero at every other key."""
+    t = _last_nonzero(row)
+    while t is not None and t in basis:
+        _axpy(row, row[t], basis[t], t + 1, p)  # basis[t] vanishes past t
+        t = _last_nonzero(row, below=t)
+    if t is None:
+        return None
+    if row[t] != 1:  # scale to end in 1: row * inv is row - (1 - inv) * row
+        _axpy(row, 1 - _inverse(row[t], p), row, t + 1, p)
+    for i in basis:  # clear surviving red entries below t
+        if i < t and row[i]:
+            _axpy(row, row[i], basis[i], i + 1, p)
+    for piv in basis.values():  # clear the new red position from older rows
+        if piv[t]:  # only rows at keys above t: the others end below it
+            _axpy(piv, piv[t], row, t + 1, p)
+    basis[t] = row
+    return t
 
 
 def _generic_red(rows, p):
@@ -353,19 +380,23 @@ def test_back_substitution_sums_stay_below_the_width_asked_for(monkeypatch, p):
 def test_a_full_echelon_pass_gives_the_identity_without_back_substitution(monkeypatch, p):
     """The echelon pass is replaced by one that returns n rows no arithmetic
     accepts: a full pass must give the standard basis untouched, and one
-    key short the back-substitution must reach the rows."""
-    n = 9
-    rows = [(1,) * n] * n
-    echelon = "_echelon_bits" if p == 2 else "_echelon_slots"
-    identity = {t: tuple(int(i == t) for i in range(n)) for t in range(n)}
-    for keys in (n, n - 1):
-        monkeypatch.setattr(subspace, echelon, lambda *_: {t: object() for t in range(keys)})
-        if keys == n:
-            assert _red(rows, p) == identity
-            assert _eliminate(rows, n, p, lime=True) == identity
-        else:
-            with pytest.raises((TypeError, AttributeError)):
-                _red(rows, p)
+    key short the back-substitution must reach the rows. Over odd p, n
+    rows of n entries on each side of ``_SLOTS_FROM``: the slot and the
+    list kernels."""
+    s = subspace._SLOTS_FROM
+    passes = {s + 1: "_echelon_bits"} if p == 2 else {
+        s + 1: "_echelon_slots", s - 1: "_echelon_rows"}
+    for n, echelon in passes.items():
+        rows = [(1,) * n] * n
+        identity = {t: tuple(int(i == t) for i in range(n)) for t in range(n)}
+        for keys in (n, n - 1):
+            monkeypatch.setattr(subspace, echelon, lambda *_: {t: object() for t in range(keys)})
+            if keys == n:
+                assert _red(rows, p) == identity, n
+                assert _eliminate(rows, n, p, lime=True) == identity, n
+            else:
+                with pytest.raises((TypeError, AttributeError)):
+                    _red(rows, p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -494,6 +525,40 @@ def _q_rows(rng, entry, n, m, rank):
     return [tuple(r) for r in rows]
 
 
+# ahead of the sweeps: on their Q cases, of rank up to 33, a pass without the
+# exact division grows its entries for minutes and without bound in memory, so
+# under scripts/mutants.py (pytest -x) this test must fail first
+@pytest.mark.parametrize("numerators", (9, 2**200), ids=("small", "200-bit"))
+def test_echelon_ints_entries_stay_within_hadamards_bound(rng, numerators):
+    """``_echelon_ints`` divides each step exactly by the previous pivot, so
+    the k-th row it stores is, at column j, up to sign the minor of the
+    cleared rows stored so far on the first k - 1 keys and j: zero at those
+    keys, and elsewhere of square at most the product of those rows'
+    squared norms on those columns (Hadamard's bound). Without the division
+    the keys stay the same, but the entries grow exponentially."""
+    def entry(rng, m):
+        return [Fraction(rng.randint(-numerators, numerators), rng.randint(1, 9))
+                for _ in range(m)]
+
+    for n, m, rank in ((12, 12, 12), (15, 10, 7), (6, 30, 6), (20, 8, 8)):
+        rows = _q_rows(rng, entry, n, m, rank)
+        ints, _ = subspace._cleared(rows)
+        referee, stored = {}, []
+        for row, x in zip(rows, ints):
+            if _insert_red(referee, list(row), None) is not None:
+                stored.append(x)
+        basis = subspace._echelon_ints(ints)
+        assert len(basis) == len(stored) == len(referee), (n, m)
+        keys = []
+        for k, (t, b) in enumerate(basis.items(), 1):
+            norms = [sum(x[c] ** 2 for c in keys) for x in stored[:k]]
+            for j, v in enumerate(b):
+                bound = 0 if j in keys else prod(
+                    w + x[j] ** 2 for w, x in zip(norms, stored[:k]))
+                assert v * v <= bound, (n, m, k, j)
+            keys.append(t)
+
+
 # field kind -> (p, None for Q; a maker (rng, n, m, rank) of n rows of width m
 # spanning at most ``rank`` dimensions, with one row zero and one repeated)
 FIELD_KINDS = {
@@ -560,26 +625,30 @@ def _lime_read_back(red, n):
     return {n - 1 - k: tuple(red[k][::-1]) for k in sorted(red, reverse=True)}
 
 
-# the kernels _eliminate picks, by field: (echelon pass, two passes)
-PASSES = {2: ("_echelon_bits", "_red_bits"), None: ("_int_basis", "_red_ints"),
-          "slots": ("_echelon_slots", "_red_echelon_slots")}
+# the kernels _eliminate picks, by field: (the keys' echelon pass, the rows'
+# two passes); over Q the rows' first pass is not the keys' pass
+PASSES = {2: ("_echelon_bits", ("_echelon_bits", "_red_bits")),
+          None: ("_echelon_ints", ("_int_basis", "_red_ints")),
+          "slots": ("_echelon_slots", ("_echelon_slots", "_red_echelon_slots")),
+          "lists": ("_echelon_rows", ("_echelon_rows", "_red_rows"))}
 
 
-def _kernels_for(p, shape, keys_only):
-    """The kernels an ``_eliminate`` call on rows of this shape must run:
-    the echelon pass alone for the keys, both passes for the rows; over odd
-    p the slot kernels on at least 6 rows of at least 6 entries, and else
-    the insertion kernel, if there is a row."""
-    nrows, n = shape
-    if p in PASSES:
-        echelon, both = PASSES[p]
-    # _SLOTS_FROM as a literal, so that the gate itself is pinned: a change
-    # that retunes it updates this value and says so in CHANGES.md
-    elif nrows >= 6 and n >= 6:
-        echelon, both = PASSES["slots"]
-    else:
-        return {"_insert_red"} if nrows else set()
-    return {echelon} if keys_only else {echelon, both}
+def _kernels_for(p, rows, keys_only):
+    """The kernels an ``_eliminate`` call on these rows must run: the
+    echelon pass alone for the keys, two passes for the rows; over odd p the
+    slot kernels on at least 7 rows of at least 7 entries, and else the list
+    kernels; over Q ``_int_basis`` for the keys instead once a row's lcm of
+    denominators is past 157 bits."""
+    nrows, n = len(rows), len(rows[0]) if rows else 0
+    # _SLOTS_FROM and _BAREISS_BITS as literals, so that the gates themselves
+    # are pinned: a change that retunes one updates its value and says so in
+    # CHANGES.md
+    kind = p if p in PASSES else "slots" if nrows >= 7 and n >= 7 else "lists"
+    keys, both = PASSES[kind]
+    if keys_only and p is None and any(
+            lcm(*[v.denominator for v in r]) >> 157 for r in rows):
+        return {"_int_basis"}
+    return {keys} if keys_only else set(both)
 
 
 def _watch_kernels(mp):
@@ -596,7 +665,7 @@ def _watch_kernels(mp):
             return out
         return run
 
-    for name in ("_insert_red", *(k for pair in PASSES.values() for k in pair)):
+    for name in {k for keys, rows in PASSES.values() for k in (keys, *rows)}:
         mp.setattr(subspace, name, watched(name, getattr(subspace, name)))
     return ran
 
@@ -623,7 +692,7 @@ def _assert_red_matches(rows, p, rank=None):
                     assert list(got.items()) == list(expected.items()), (shape, lime)
                     assert p is not None or all(
                         type(v) is Fraction for row in got.values() for v in row)
-                assert ran == _kernels_for(p, shape, keys_only), (shape, lime, keys_only, ran)
+                assert ran == _kernels_for(p, rows, keys_only), (shape, lime, keys_only, ran)
     assert rank is None or len(red) == rank, shape
     return red
 
@@ -659,8 +728,10 @@ def test_lime_helpers_match_the_red_basis_of_the_reversed_rows(rng, form, p):
 @pytest.mark.parametrize("p", TWO_PASS_PRIMES)
 def test_two_pass_red_matches_insertion_kernel(rng, p):
     """Tall, square or wide, full span or not, about ``_SLOTS_FROM`` and up
-    to width 50: the slot kernels run from 6 rows of 6 entries on."""
-    for rows, rank in _slots_from_cases(rng, str(p), (5, 6, 7, 12, 31, 50)):
+    to width 50: the slot kernels run from 7 rows of 7 entries on, the list
+    kernels below."""
+    s = subspace._SLOTS_FROM
+    for rows, rank in _slots_from_cases(rng, str(p), (s - 1, s, s + 1, 12, 31, 50)):
         _assert_red_matches(rows, p, rank)
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,22 @@ def test_slots_rule_starts_past_the_largest_slower_rank_bound(monkeypatch, capsy
     rules = [line for line in capsys.readouterr().out.splitlines() if "from rank bound" in line]
     assert [line.split(":")[0] for line in rules] == ["red rows"]
     assert " from rank bound 8 on " in rules[0]
+
+
+def test_bareiss_rule_stops_below_the_smallest_slower_lcm(monkeypatch, capsys):
+    script = load_script(CROSSOVER)
+
+    def ratios(cases, first, second, rounds):
+        assert first[1] == {"_BAREISS_BITS": 0} and second[1] == {"_BAREISS_BITS": 1 << 20}
+        # one case at b = 8 past the tolerance, every other case below it
+        return {case: 1.2 if case == (8, script.Q_SHAPES[-1]) else 0.5 for case in cases}, {}
+
+    # each row's lcm is 2**b, of b + 1 bits
+    monkeypatch.setattr(script, "q_rows", lambda rng, b, n, m, rank: [(Fraction(1, 2**b),) * m] * n)
+    monkeypatch.setattr(script, "ratios", ratios)
+    script.bareiss_table(1)
+    assert ("whose row lcms are at most 8 bits (the next case, at 9 bits, read 1.20); "
+            f"_BAREISS_BITS is {subspace._BAREISS_BITS}\n") in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("slow, verdict", [
